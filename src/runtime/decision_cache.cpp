@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "support/check.h"
+
 namespace osel::runtime {
 
 namespace {
@@ -14,37 +16,164 @@ namespace {
   return x ^ (x >> 31);
 }
 
+/// Index slots per live entry, at least. Under cold traffic nearly every
+/// probe is for an absent key; at a load factor of 1/8 most of those end
+/// on an empty home slot, so the probe loop's exit branch stays predictable.
+constexpr std::size_t kSlotsPerEntry = 8;
+
 }  // namespace
 
-std::uint64_t DecisionCache::hashKey(std::uint64_t boundMask,
-                                     std::span<const std::int64_t> values) {
-  std::uint64_t hash = mix(boundMask ^ (values.size() * 0x9E3779B97F4A7C15ULL));
-  for (const std::int64_t value : values) {
-    hash = mix(hash ^ static_cast<std::uint64_t>(value));
+DecisionCache::DecisionCache(std::size_t capacity) : capacity_(capacity) {
+  support::require(capacity <= kMaxCapacity,
+                   "DecisionCache: capacity exceeds what uint32_t entry ids "
+                   "can address");
+}
+
+std::uint64_t DecisionCache::hashOf(const KeyRef& key) {
+  std::uint64_t hash = mix(key.boundMask ^ (key.size * 0x9E3779B97F4A7C15ULL));
+  for (std::size_t i = 0; i < key.size; ++i) {
+    hash = mix(hash ^ static_cast<std::uint64_t>(key.values[i * key.stride]));
   }
   return hash;
 }
 
-DecisionCache::Entry* DecisionCache::locate(
-    std::uint64_t hash, std::uint64_t boundMask,
-    std::span<const std::int64_t> values) {
-  for (Entry& entry : entries_) {
-    if (entry.hash != hash || entry.boundMask != boundMask ||
-        entry.values.size() != values.size()) {
+std::uint64_t DecisionCache::hashKey(std::uint64_t boundMask,
+                                     std::span<const std::int64_t> values) {
+  return hashOf({boundMask, values.data(), values.size(), 1});
+}
+
+std::uint32_t DecisionCache::locate(std::uint64_t hash,
+                                    const KeyRef& key) const {
+  if (index_.empty()) return kNone;
+  const std::size_t mask = index_.size() - 1;
+  for (std::size_t pos = hash & mask;; pos = (pos + 1) & mask) {
+    const std::uint32_t id = index_[pos];
+    if (id == kNone) return kNone;
+    const Node& node = nodes_[id];
+    if (node.hash != hash || node.boundMask != key.boundMask ||
+        node.values.size() != key.size) {
       continue;
     }
-    if (std::equal(entry.values.begin(), entry.values.end(), values.begin())) {
-      return &entry;
+    bool equal = true;
+    for (std::size_t i = 0; i < key.size; ++i) {
+      if (node.values[i] != key.values[i * key.stride]) {
+        equal = false;
+        break;
+      }
+    }
+    if (equal) return id;
+  }
+}
+
+void DecisionCache::linkFront(std::uint32_t id) {
+  Node& node = nodes_[id];
+  node.prev = kNone;
+  node.next = head_;
+  if (head_ != kNone) nodes_[head_].prev = id;
+  head_ = id;
+  if (tail_ == kNone) tail_ = id;
+}
+
+void DecisionCache::unlink(std::uint32_t id) {
+  Node& node = nodes_[id];
+  (node.prev != kNone ? nodes_[node.prev].next : head_) = node.next;
+  (node.next != kNone ? nodes_[node.next].prev : tail_) = node.prev;
+}
+
+void DecisionCache::touch(std::uint32_t id) {
+  if (id == head_) return;
+  unlink(id);
+  linkFront(id);
+}
+
+void DecisionCache::indexInsert(std::uint32_t id) {
+  const std::size_t mask = index_.size() - 1;
+  std::size_t pos = nodes_[id].hash & mask;
+  while (index_[pos] != kNone) pos = (pos + 1) & mask;
+  index_[pos] = id;
+}
+
+void DecisionCache::indexErase(std::uint32_t id) {
+  const std::size_t mask = index_.size() - 1;
+  std::size_t hole = nodes_[id].hash & mask;
+  while (index_[hole] != id) hole = (hole + 1) & mask;
+  // Pull later members of the probe run back into the hole whenever the
+  // hole lies between their home slot and where they sit, so every live id
+  // stays reachable from its home without tombstones.
+  for (std::size_t pos = (hole + 1) & mask; index_[pos] != kNone;
+       pos = (pos + 1) & mask) {
+    const std::size_t home = nodes_[index_[pos]].hash & mask;
+    if (((pos - home) & mask) >= ((pos - hole) & mask)) {
+      index_[hole] = index_[pos];
+      hole = pos;
     }
   }
-  return nullptr;
+  index_[hole] = kNone;
+}
+
+void DecisionCache::growIndex() {
+  index_.assign(std::max(kSlotsPerEntry, index_.size() * 2), kNone);
+  for (std::size_t id = 0; id < size_; ++id) {
+    indexInsert(static_cast<std::uint32_t>(id));
+  }
+}
+
+void DecisionCache::clearLocked() {
+  std::fill(index_.begin(), index_.end(), kNone);
+  size_ = 0;
+  head_ = kNone;
+  tail_ = kNone;
 }
 
 void DecisionCache::syncEpoch(std::uint64_t epoch) {
   if (epoch != epoch_) {
-    entries_.clear();
+    clearLocked();
     epoch_ = epoch;
   }
+}
+
+bool DecisionCache::findLocked(const KeyRef& key, Decision& out) {
+  const std::uint32_t id = locate(hashOf(key), key);
+  if (id == kNone) return false;
+  touch(id);
+  out = decisions_[id];
+  return true;
+}
+
+void DecisionCache::insertLocked(const KeyRef& key,
+                                 const Decision& decision) {
+  const std::uint64_t hash = hashOf(key);
+  std::uint32_t id = locate(hash, key);
+  if (id != kNone) {
+    decisions_[id] = decision;
+    touch(id);
+    return;
+  }
+  insertions_.fetch_add(1, std::memory_order_relaxed);
+  if (size_ < capacity_) {
+    if (index_.size() < kSlotsPerEntry * (size_ + 1)) growIndex();
+    id = static_cast<std::uint32_t>(size_++);
+    if (id == nodes_.size()) {
+      nodes_.emplace_back();
+      decisions_.emplace_back();
+    }
+  } else {
+    // Replace the least-recently-used entry, reusing its storage.
+    id = tail_;
+    unlink(id);
+    indexErase(id);
+    evictions_.fetch_add(1, std::memory_order_relaxed);
+  }
+  Node& node = nodes_[id];
+  node.hash = hash;
+  node.boundMask = key.boundMask;
+  node.values.resize(key.size);
+  for (std::size_t i = 0; i < key.size; ++i) {
+    node.values[i] = key.values[i * key.stride];
+  }
+  decisions_[id] = decision;
+  linkFront(id);
+  indexInsert(id);
 }
 
 bool DecisionCache::find(std::uint64_t boundMask,
@@ -54,10 +183,9 @@ bool DecisionCache::find(std::uint64_t boundMask,
   {
     std::lock_guard<std::mutex> lock(mutex_);
     syncEpoch(epoch);
-    if (Entry* entry = locate(hashKey(boundMask, values), boundMask, values)) {
+    const KeyRef key{boundMask, values.data(), values.size(), 1};
+    if (findLocked(key, out)) {
       hits_.fetch_add(1, std::memory_order_relaxed);
-      entry->lastUse = ++tick_;
-      out = entry->decision;
       return true;
     }
   }
@@ -69,61 +197,10 @@ void DecisionCache::insert(std::uint64_t boundMask,
                            std::span<const std::int64_t> values,
                            const Decision& decision, std::uint64_t epoch) {
   if (capacity_ == 0) return;
-  const std::uint64_t hash = hashKey(boundMask, values);
   std::lock_guard<std::mutex> lock(mutex_);
   syncEpoch(epoch);
-  if (Entry* existing = locate(hash, boundMask, values)) {
-    existing->decision = decision;
-    existing->lastUse = ++tick_;
-    return;
-  }
-  Entry entry;
-  entry.hash = hash;
-  entry.boundMask = boundMask;
-  entry.values.assign(values.begin(), values.end());
-  entry.decision = decision;
-  entry.lastUse = ++tick_;
-  insertions_.fetch_add(1, std::memory_order_relaxed);
-  if (entries_.size() < capacity_) {
-    entries_.push_back(std::move(entry));
-    return;
-  }
-  // Replace the least-recently-used entry.
-  auto victim = std::min_element(
-      entries_.begin(), entries_.end(),
-      [](const Entry& a, const Entry& b) { return a.lastUse < b.lastUse; });
-  *victim = std::move(entry);
-  evictions_.fetch_add(1, std::memory_order_relaxed);
-}
-
-std::uint64_t DecisionCache::hashKeyAt(const KeyBlock& keys, std::size_t row) {
-  std::uint64_t hash =
-      mix(keys.masks[row] ^ (keys.slots * 0x9E3779B97F4A7C15ULL));
-  for (std::size_t slot = 0; slot < keys.slots; ++slot) {
-    hash = mix(hash ^
-               static_cast<std::uint64_t>(keys.values[slot * keys.rows + row]));
-  }
-  return hash;
-}
-
-DecisionCache::Entry* DecisionCache::locateAt(std::uint64_t hash,
-                                              const KeyBlock& keys,
-                                              std::size_t row) {
-  for (Entry& entry : entries_) {
-    if (entry.hash != hash || entry.boundMask != keys.masks[row] ||
-        entry.values.size() != keys.slots) {
-      continue;
-    }
-    bool equal = true;
-    for (std::size_t slot = 0; slot < keys.slots; ++slot) {
-      if (entry.values[slot] != keys.values[slot * keys.rows + row]) {
-        equal = false;
-        break;
-      }
-    }
-    if (equal) return &entry;
-  }
-  return nullptr;
+  const KeyRef key{boundMask, values.data(), values.size(), 1};
+  insertLocked(key, decision);
 }
 
 std::size_t DecisionCache::findMany(const KeyBlock& keys, Decision* const* out,
@@ -134,47 +211,13 @@ std::size_t DecisionCache::findMany(const KeyBlock& keys, Decision* const* out,
     std::lock_guard<std::mutex> lock(mutex_);
     syncEpoch(epoch);
     for (std::size_t row = 0; row < keys.rows; ++row) {
-      hit[row] = 0;
-      if (Entry* entry = locateAt(hashKeyAt(keys, row), keys, row)) {
-        entry->lastUse = ++tick_;
-        *out[row] = entry->decision;
-        hit[row] = 1;
-        ++found;
-      }
+      hit[row] = findLocked(rowKey(keys, row), *out[row]) ? 1 : 0;
+      found += hit[row];
     }
   }
   hits_.fetch_add(found, std::memory_order_relaxed);
   misses_.fetch_add(keys.rows - found, std::memory_order_relaxed);
   return found;
-}
-
-void DecisionCache::insertRowLocked(const KeyBlock& keys, std::size_t row,
-                                    const Decision& decision) {
-  const std::uint64_t hash = hashKeyAt(keys, row);
-  if (Entry* existing = locateAt(hash, keys, row)) {
-    existing->decision = decision;
-    existing->lastUse = ++tick_;
-    return;
-  }
-  Entry entry;
-  entry.hash = hash;
-  entry.boundMask = keys.masks[row];
-  entry.values.resize(keys.slots);
-  for (std::size_t slot = 0; slot < keys.slots; ++slot) {
-    entry.values[slot] = keys.values[slot * keys.rows + row];
-  }
-  entry.decision = decision;
-  entry.lastUse = ++tick_;
-  insertions_.fetch_add(1, std::memory_order_relaxed);
-  if (entries_.size() < capacity_) {
-    entries_.push_back(std::move(entry));
-    return;
-  }
-  auto victim = std::min_element(
-      entries_.begin(), entries_.end(),
-      [](const Entry& a, const Entry& b) { return a.lastUse < b.lastUse; });
-  *victim = std::move(entry);
-  evictions_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void DecisionCache::insertMany(const KeyBlock& keys,
@@ -185,13 +228,13 @@ void DecisionCache::insertMany(const KeyBlock& keys,
   std::lock_guard<std::mutex> lock(mutex_);
   syncEpoch(epoch);
   for (const std::uint32_t row : rows) {
-    insertRowLocked(keys, row, *decisions[row]);
+    insertLocked(rowKey(keys, row), *decisions[row]);
   }
 }
 
 void DecisionCache::clear() {
   std::lock_guard<std::mutex> lock(mutex_);
-  entries_.clear();
+  clearLocked();
 }
 
 DecisionCache::Stats DecisionCache::stats() const {
@@ -206,7 +249,7 @@ DecisionCache::Stats DecisionCache::stats() const {
 
 std::size_t DecisionCache::size() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return entries_.size();
+  return size_;
 }
 
 }  // namespace osel::runtime

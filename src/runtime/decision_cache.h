@@ -5,9 +5,16 @@
 // the bound slot values, so the Decision can be memoized. The cache key is
 // the plan's completed slot vector plus its bound-slot mask — everything
 // launch-time evaluation depends on — hashed for the fast compare, with the
-// full key stored to rule out collisions. Capacity-bounded with
+// full key stored to rule out collisions. Capacity-bounded with exact
 // least-recently-used replacement; hit/miss/eviction counters feed the
 // LaunchRecord / CSV observability columns.
+//
+// The cache runs on every launch, so every probe and insert is O(1): an
+// open-addressing index (linear probing, backward-shift deletion) maps a
+// key hash to a uint32_t entry id, and an intrusive doubly-linked recency
+// list through the entries puts a hit at the head and gives eviction its
+// victim at the tail. A victim's key and decision storage is reused by the
+// entry that replaces it, so a full cache inserts without allocating.
 //
 // Thread-safety: one cache lives next to one region's plan inside a
 // TargetRuntime shard, and concurrent decide() calls hit it from many
@@ -25,6 +32,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <mutex>
 #include <span>
 #include <vector>
@@ -45,8 +53,14 @@ class DecisionCache {
     std::uint64_t insertions = 0;
   };
 
+  /// Largest capacity the uint32_t entry ids can address (one id value is
+  /// reserved as the empty-slot / end-of-list sentinel).
+  static constexpr std::size_t kMaxCapacity =
+      std::numeric_limits<std::uint32_t>::max();
+
   /// Capacity 0 disables storage (every lookup misses, inserts are dropped).
-  explicit DecisionCache(std::size_t capacity = 64) : capacity_(capacity) {}
+  /// Throws support::PreconditionError when capacity > kMaxCapacity.
+  explicit DecisionCache(std::size_t capacity = 64);
 
   /// Mixes the bound mask and slot values into the lookup hash.
   [[nodiscard]] static std::uint64_t hashKey(
@@ -107,35 +121,71 @@ class DecisionCache {
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
 
  private:
-  struct Entry {
-    std::uint64_t hash = 0;
+  static constexpr std::uint32_t kNone =
+      std::numeric_limits<std::uint32_t>::max();
+
+  /// One key as the hash and compare read it: `size` values, the i-th at
+  /// `values[i * stride]` (stride 1 for a contiguous span, `rows` for a
+  /// KeyBlock row).
+  struct KeyRef {
     std::uint64_t boundMask = 0;
-    std::vector<std::int64_t> values;
-    Decision decision;
-    std::uint64_t lastUse = 0;
+    const std::int64_t* values = nullptr;
+    std::size_t size = 0;
+    std::size_t stride = 1;
   };
 
-  /// Callers hold mutex_.
-  [[nodiscard]] Entry* locate(std::uint64_t hash, std::uint64_t boundMask,
-                              std::span<const std::int64_t> values);
-  /// hashKey() over the strided column view of one KeyBlock row; identical
-  /// mixing sequence, so block and contiguous keys hash alike.
-  [[nodiscard]] static std::uint64_t hashKeyAt(const KeyBlock& keys,
-                                               std::size_t row);
-  /// locate() against one KeyBlock row; callers hold mutex_.
-  [[nodiscard]] Entry* locateAt(std::uint64_t hash, const KeyBlock& keys,
-                                std::size_t row);
-  /// insert() guts against one KeyBlock row; callers hold mutex_ and have
-  /// synced the epoch.
-  void insertRowLocked(const KeyBlock& keys, std::size_t row,
-                       const Decision& decision);
-  /// Drops stale entries when `epoch` advanced; callers hold mutex_.
+  /// Per-entry bookkeeping the index probes and the recency list walk,
+  /// kept apart from the decisions so a probe touches only this.
+  struct Node {
+    std::uint64_t hash = 0;
+    std::uint64_t boundMask = 0;
+    std::uint32_t prev = kNone;  ///< toward the head (more recent)
+    std::uint32_t next = kNone;  ///< toward the tail (less recent)
+    std::vector<std::int64_t> values;
+  };
+
+  [[nodiscard]] static KeyRef rowKey(const KeyBlock& keys, std::size_t row) {
+    return {keys.masks[row], keys.values + row, keys.slots, keys.rows};
+  }
+  [[nodiscard]] static std::uint64_t hashOf(const KeyRef& key);
+
+  // Callers of the helpers below hold mutex_.
+
+  /// The live entry id holding `key`, or kNone.
+  [[nodiscard]] std::uint32_t locate(std::uint64_t hash,
+                                     const KeyRef& key) const;
+  /// Looks `key` up; a hit moves its entry to the recency head, copies its
+  /// decision into `out` and returns true.
+  bool findLocked(const KeyRef& key, Decision& out);
+  /// Inserts or refreshes `key`; the epoch is already synced.
+  void insertLocked(const KeyRef& key, const Decision& decision);
+  void linkFront(std::uint32_t id);
+  void unlink(std::uint32_t id);
+  /// Moves a live entry to the recency head.
+  void touch(std::uint32_t id);
+  void indexInsert(std::uint32_t id);
+  /// Removes `id` from the index by backward shifting its probe run, so no
+  /// tombstones accumulate.
+  void indexErase(std::uint32_t id);
+  /// Doubles the index and re-inserts the live ids.
+  void growIndex();
+  /// Drops every entry, keeping entry storage for reuse.
+  void clearLocked();
+  /// Drops stale entries when `epoch` advanced.
   void syncEpoch(std::uint64_t epoch);
 
   std::size_t capacity_;
   mutable std::mutex mutex_;
-  std::vector<Entry> entries_;
-  std::uint64_t tick_ = 0;
+  /// Entry ids [0, size_) are live; ids at and past size_ keep the storage
+  /// of entries dropped by clear() or an epoch bump for reuse.
+  std::vector<Node> nodes_;
+  std::vector<Decision> decisions_;
+  std::size_t size_ = 0;
+  /// Open-addressing table of entry ids (kNone = empty). Its size is 0 or a
+  /// power of two at least eight times size_, so probe runs stay short.
+  std::vector<std::uint32_t> index_;
+  std::uint32_t head_ = kNone;  ///< most recently used
+  std::uint32_t tail_ = kNone;  ///< least recently used: the next victim
   std::uint64_t epoch_ = 0;
 
   /// Relaxed atomics: counts are exact (no lost increments), ordering

@@ -99,6 +99,9 @@ TargetRuntime::TargetRuntime(pad::AttributeDatabase database,
       shards_(std::make_unique<Shard[]>(shardCount_)),
       state_(std::make_unique<MutableState>(options.health,
                                             options.admission)) {
+  require(decisionCacheCapacity_ <= DecisionCache::kMaxCapacity,
+          "RuntimeOptions::decisionCacheCapacity exceeds "
+          "DecisionCache::kMaxCapacity");
   for (std::size_t i = 0; i < shardCount_; ++i) {
     shards_[i].snapshot.store(std::make_shared<const RegistrySnapshot>(),
                               std::memory_order_release);
@@ -255,6 +258,8 @@ Decision TargetRuntime::guardedDecision(const std::string& regionName,
   const char* path = "interpreted";
   obs::Counter* pathCounter = instruments_.decisionsInterpreted;
   Decision decision;
+  std::uint64_t cacheLookups = 0;
+  std::uint64_t cacheHits = 0;
   // Forensics sink: stack storage, filled by the selector, pushed into the
   // session's explain ring below. Detached sessions pass nullptr and the
   // selector skips every explain store.
@@ -300,9 +305,9 @@ Decision TargetRuntime::guardedDecision(const std::string& regionName,
       std::uint64_t boundMask = 0;
       plan.bindSlots(bindings, slotValues, boundMask);
       const std::uint64_t epoch = effectiveCacheEpoch();
-      state_->cacheLookups.fetch_add(1, std::memory_order_relaxed);
+      cacheLookups = 1;
       if (cache.find(boundMask, slotValues, decision, epoch)) {
-        state_->cacheHits.fetch_add(1, std::memory_order_relaxed);
+        cacheHits = 1;
         decision.overheadSeconds =
             std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                           start)
@@ -331,19 +336,29 @@ Decision TargetRuntime::guardedDecision(const std::string& regionName,
     pathCounter->add();
     if (decision.probe) instruments_.policyProbes->add();
     instruments_.decisionOverhead->record(decision.overheadSeconds);
-    // Runtime-wide hit ratio from the launch-path atomics: the per-cache
-    // counters stay exact for decisionCacheStats(), but summing them here
-    // would walk every shard per decide.
-    const std::uint64_t lookups =
-        state_->cacheLookups.load(std::memory_order_relaxed);
-    if (lookups > 0) {
-      const std::uint64_t hits =
-          state_->cacheHits.load(std::memory_order_relaxed);
-      instruments_.cacheHitRatio->set(static_cast<double>(hits) /
-                                      static_cast<double>(lookups));
-    }
   }
+  publishCacheCounters(cacheLookups, cacheHits);
   return decision;
+}
+
+void TargetRuntime::publishCacheCounters(std::uint64_t lookups,
+                                         std::uint64_t hits) {
+  if (lookups > 0) {
+    state_->cacheLookups.fetch_add(lookups, std::memory_order_relaxed);
+    state_->cacheHits.fetch_add(hits, std::memory_order_relaxed);
+  }
+  if (trace_ == nullptr) return;
+  // Runtime-wide hit ratio from the launch-path atomics: the per-cache
+  // counters stay exact for decisionCacheStats(), but summing them here
+  // would walk every shard per decide.
+  const std::uint64_t total =
+      state_->cacheLookups.load(std::memory_order_relaxed);
+  if (total > 0) {
+    const std::uint64_t totalHits =
+        state_->cacheHits.load(std::memory_order_relaxed);
+    instruments_.cacheHitRatio->set(static_cast<double>(totalHits) /
+                                    static_cast<double>(total));
+  }
 }
 
 namespace {
@@ -422,11 +437,7 @@ void TargetRuntime::decideBatch(std::span<const DecideRequest> requests,
   for (const std::uint32_t request : arena.hitRequests) {
     out[request].overheadSeconds = amortized;
   }
-  if (counters.cacheLookups > 0) {
-    state_->cacheLookups.fetch_add(counters.cacheLookups,
-                                   std::memory_order_relaxed);
-    state_->cacheHits.fetch_add(counters.cacheHits, std::memory_order_relaxed);
-  }
+  publishCacheCounters(counters.cacheLookups, counters.cacheHits);
   if (trace_ != nullptr) {
     if (counters.compiled > 0) {
       instruments_.decisionsCompiled->add(counters.compiled);
@@ -448,14 +459,6 @@ void TargetRuntime::decideBatch(std::span<const DecideRequest> requests,
     // histogram carries the request volume).
     instruments_.decisionOverhead->record(amortized);
     instruments_.batchSize->record(static_cast<double>(n));
-    const std::uint64_t lookups =
-        state_->cacheLookups.load(std::memory_order_relaxed);
-    if (lookups > 0) {
-      const std::uint64_t hits =
-          state_->cacheHits.load(std::memory_order_relaxed);
-      instruments_.cacheHitRatio->set(static_cast<double>(hits) /
-                                      static_cast<double>(lookups));
-    }
     trace_->recordSpan("decide.batch", "batch",
                        requests[arena.order[0]].region, startNs,
                        trace_->nowNs() - startNs,

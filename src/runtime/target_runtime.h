@@ -122,7 +122,8 @@ struct RuntimeOptions {
   RetryPolicy retry;
   HealthPolicy health;
   /// Per-region decision memoization (only on the compiled-plan path; keyed
-  /// by the hashed slot values a launch binds).
+  /// by the hashed slot values a launch binds). The constructor rejects a
+  /// capacity above DecisionCache::kMaxCapacity with PreconditionError.
   bool decisionCacheEnabled = true;
   std::size_t decisionCacheCapacity = 64;
   /// Observability session the runtime emits spans/events/metrics into.
@@ -360,6 +361,10 @@ class TargetRuntime {
                    std::span<const std::uint32_t> group,
                    std::span<Decision> out, std::uint64_t epoch,
                    BatchArena& arena, BatchCounters& counters);
+  /// Adds one decide()/decideBatch() call's cache tallies to the
+  /// runtime-wide counters and, with a session attached, republishes the
+  /// decision_cache.hit_ratio gauge from them.
+  void publishCacheCounters(std::uint64_t lookups, std::uint64_t hits);
   /// measure() plus, when a trace session is attached, execution spans —
   /// GPU runs additionally get kernel/transfer sub-spans whose simulated
   /// fractions are projected onto the wall-clock span.

@@ -8,6 +8,7 @@
 // below must be the only replacement in the link).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <bit>
@@ -312,6 +313,49 @@ TEST(BatchDecide, SteadyStateBatchDoesNotAllocate) {
   EXPECT_EQ(after - before, 0u)
       << "steady-state decideBatch allocated " << (after - before) << " times";
   for (const Decision& decision : out) EXPECT_TRUE(decision.valid);
+}
+
+TEST(BatchDecide, FullCacheMissBatchDoesNotAllocate) {
+  // One region's cache filled to capacity by a first batch of fresh sizes;
+  // a second batch of 64 sizes it has never seen then misses on every row,
+  // evaluates it, and evicts the least-recently-used entry for each insert.
+  // That path reuses the evicted entries' storage and the warm arena, so it
+  // must not touch the heap either.
+  const polybench::Benchmark& gemm = polybench::benchmarkByName("GEMM");
+  const std::array<ir::TargetRegion, 1> regions{gemm.kernels()[0]};
+  const std::array<mca::MachineModel, 1> models{mca::MachineModel::power9()};
+  RuntimeOptions options;
+  options.selector.cpuThreads = 160;
+  TargetRuntime runtime(compiler::compileAll(regions, models), options);
+  runtime.registerRegion(regions[0]);
+  const std::string& region = regions[0].name;
+  const std::size_t capacity = options.decisionCacheCapacity;
+  constexpr std::size_t kRows = 64;
+  std::vector<symbolic::Bindings> bindings;
+  for (std::size_t i = 0; i < capacity + kRows; ++i) {
+    bindings.push_back(gemm.bindings(64 + 4 * static_cast<std::int64_t>(i)));
+  }
+  std::vector<DecideRequest> fill(capacity);
+  for (std::size_t i = 0; i < capacity; ++i) fill[i] = {region, &bindings[i]};
+  std::vector<DecideRequest> fresh(kRows);
+  for (std::size_t i = 0; i < kRows; ++i) {
+    fresh[i] = {region, &bindings[capacity + i]};
+  }
+  std::vector<Decision> out(std::max(capacity, kRows));
+  runtime.decideBatch(fill, out);
+  ASSERT_EQ(runtime.decisionCacheStats(region).insertions, capacity);
+  ASSERT_EQ(runtime.decisionCacheStats(region).evictions, 0u);
+
+  const std::uint64_t before = gAllocations.load(std::memory_order_relaxed);
+  runtime.decideBatch(fresh, out);
+  const std::uint64_t after = gAllocations.load(std::memory_order_relaxed);
+  EXPECT_EQ(after - before, 0u)
+      << "evicting decideBatch allocated " << (after - before) << " times";
+  const DecisionCache::Stats stats = runtime.decisionCacheStats(region);
+  EXPECT_EQ(stats.hits, 0u);
+  EXPECT_EQ(stats.evictions, kRows);
+  EXPECT_EQ(stats.insertions, capacity + kRows);
+  for (std::size_t i = 0; i < kRows; ++i) EXPECT_TRUE(out[i].valid);
 }
 
 }  // namespace
