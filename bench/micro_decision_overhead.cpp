@@ -118,21 +118,27 @@ void BM_TracedDecision(benchmark::State& state) {
 BENCHMARK(BM_TracedDecision);
 
 void BM_DecisionCacheHit(benchmark::State& state) {
-  // Steady-state repeated launch: bind slots + memoization-cache lookup.
+  // Steady-state repeated launch: bind slots + memoization-cache lookup,
+  // as the one-row region group a scalar decide runs.
   const symbolic::Bindings bindings{{"n", 9600}};
   const runtime::CompiledRegionPlan plan = selector().compile(gemmAttributes());
   runtime::DecisionCache cache(64);
-  std::array<std::int64_t, runtime::CompiledRegionPlan::kMaxSlots> storage{};
-  const std::span<std::int64_t> slots(storage.data(), plan.slotCount());
+  std::array<std::int64_t, runtime::CompiledRegionPlan::kMaxSlots> slots{};
   std::uint64_t boundMask = 0;
-  plan.bindSlots(bindings, slots, boundMask);
-  cache.insert(boundMask, slots,
-               selector().decide(runtime::RegionHandle(plan), bindings));
+  const runtime::DecisionCache::KeyBlock key{slots.data(), &boundMask,
+                                             plan.slotCount(), 1};
+  plan.bindSlotsColumn(bindings, slots.data(), 1, 0, boundMask);
+  const runtime::Decision decision =
+      selector().decide(runtime::RegionHandle(plan), bindings);
+  const runtime::Decision* const inserted[] = {&decision};
+  const std::uint32_t row = 0;
+  cache.insertMany(key, std::span<const std::uint32_t>(&row, 1), inserted);
   runtime::Decision out;
+  runtime::Decision* const targets[] = {&out};
+  std::uint8_t hit = 0;
   for (auto _ : state) {
-    std::uint64_t mask = 0;
-    plan.bindSlots(bindings, slots, mask);
-    benchmark::DoNotOptimize(cache.find(mask, slots, out));
+    plan.bindSlotsColumn(bindings, slots.data(), 1, 0, boundMask);
+    benchmark::DoNotOptimize(cache.findMany(key, targets, &hit));
     benchmark::DoNotOptimize(out);
   }
 }

@@ -13,10 +13,8 @@
 //   --jobs J                 benchmark-level concurrency (0 = hardware
 //                            threads, 1 = serial); faulty runs are always
 //                            serial, see below
-//   --decisions compiled|interpreted
-//                            decision path: compiled region plans (default)
-//                            or the interpreted symbolic oracle
 //   --no-decision-cache      disable per-region decision memoization
+//                            (decision cache capacity 0)
 //   --trace-out <file>       attach an obs::TraceSession and write a Chrome
 //                            trace_event JSON of the run (forces serial)
 //   --stats                  print metrics + prediction-accuracy summary to
@@ -150,15 +148,6 @@ int main(int argc, char** argv) {
   const auto mode = cl.stringOption("mode").value_or("test") == "benchmark"
                         ? polybench::Mode::Benchmark
                         : polybench::Mode::Test;
-  const std::string decisions =
-      cl.stringOption("decisions").value_or("compiled");
-  if (decisions != "compiled" && decisions != "interpreted") {
-    std::fprintf(stderr,
-                 "suite_launch_log: --decisions must be 'compiled' or "
-                 "'interpreted', got %s\n",
-                 decisions.c_str());
-    return 2;
-  }
   const std::string workloadName = cl.stringOption("workload").value_or("");
   const auto workloadRequests =
       static_cast<std::size_t>(cl.intOption("workload-requests", 64));
@@ -192,11 +181,10 @@ int main(int argc, char** argv) {
   runtime::RuntimeOptions options;
   options.selector.cpuThreads = threads;
   options.selector.policy = policySelection->selection;
-  options.selector.useCompiledPlans = decisions == "compiled";
   options.cpuSim = cpusim::CpuSimParams::power9();
   options.cpuSimThreads = threads;
   options.gpuSim = gpusim::GpuSimParams::teslaV100();
-  options.decisionCacheEnabled = !cl.hasFlag("no-decision-cache");
+  if (cl.hasFlag("no-decision-cache")) options.decisionCacheCapacity = 0;
 
   const std::string traceOut = cl.stringOption("trace-out").value_or("");
   const bool wantStats = cl.hasFlag("stats");

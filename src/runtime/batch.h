@@ -41,10 +41,11 @@ struct BatchCounters {
   std::uint64_t probes = 0;  ///< policy probe decisions (Decision::probe)
 };
 
-/// Preallocated scratch for one decideBatch() call. The runtime keeps one
-/// arena per thread (thread_local); every container is resized — never
-/// shrunk — so after a warm-up batch of each (rows, slots) shape the batch
-/// path performs no heap allocation (pinned by the batch allocation test).
+/// Preallocated scratch for one decideBatch() or decide() call (a scalar
+/// decide is a one-row group). The runtime keeps one arena per thread
+/// (thread_local); every container is resized — never shrunk — so after a
+/// warm-up call of each (rows, slots) shape the decide path performs no
+/// heap allocation (pinned by the batch allocation tests).
 ///
 /// `columns` is the SoA heart of the batch path: the current region group's
 /// bound slot values laid out slot-major, `columns[slot * rows + row]`, so
@@ -60,7 +61,7 @@ struct BatchArena {
   // --- Per-group state (row r is the r-th request of the group) -----------
   std::vector<std::int64_t> columns;        ///< slot-major bound values
   std::vector<std::uint64_t> masks;         ///< bound-slot mask per row
-  std::vector<std::uint8_t> bindOk;         ///< bindSlots verdict per row
+  std::vector<std::uint8_t> bindOk;         ///< bindSlotsColumn verdict
   std::vector<std::uint8_t> hits;           ///< findMany verdict per row
   std::vector<std::int64_t> exprOut;        ///< CompiledExpr column output
   std::vector<std::int64_t> exprScratch;    ///< CompiledExpr column scratch

@@ -104,24 +104,6 @@ CompiledRegionPlan::CompiledRegionPlan(pad::RegionAttributes attr,
   fastPathUsable_ = true;
 }
 
-bool CompiledRegionPlan::bindSlots(const symbolic::Bindings& bindings,
-                                   std::span<std::int64_t> values,
-                                   std::uint64_t& boundMask) const {
-  boundMask = 0;
-  auto it = bindings.begin();
-  const auto end = bindings.end();
-  for (const SlotBinding& slot : slotNames_) {
-    while (it != end && it->first < slot.name) ++it;
-    if (it != end && it->first == slot.name) {
-      values[slot.slot] = it->second;
-      boundMask |= std::uint64_t{1} << slot.slot;
-    } else {
-      values[slot.slot] = 0;
-    }
-  }
-  return (boundMask & requiredMask_) == requiredMask_;
-}
-
 bool CompiledRegionPlan::bindSlotsColumn(const symbolic::Bindings& bindings,
                                          std::int64_t* columns,
                                          std::size_t rows, std::size_t row,
@@ -178,8 +160,8 @@ void CompiledRegionPlan::completeWorkloadsColumns(
           bool coalesced = false;
           bool falseSharing = false;
           // Unbound symbols leave the stride unresolved for that row:
-          // uncoalesced and exempt from the false-sharing test, exactly as
-          // the scalar completeWorkloads() treats it.
+          // uncoalesced and exempt from the false-sharing test, like the
+          // interpreted path's substituteAll(...).tryConstant() == nullopt.
           if ((masks[r] & step.slotsNeeded) == step.slotsNeeded) {
             const std::int64_t value = exprOut[r];
             coalesced = coalescedStride(value);
@@ -197,50 +179,6 @@ void CompiledRegionPlan::completeWorkloadsColumns(
         break;
       }
     }
-  }
-}
-
-void CompiledRegionPlan::completeWorkloads(std::span<const std::int64_t> values,
-                                           std::uint64_t boundMask,
-                                           cpumodel::CpuWorkload& cpu,
-                                           gpumodel::GpuWorkload& gpu) const {
-  cpu = cpuTemplate_;
-  gpu = gpuTemplate_;
-  cpu.parallelTripCount = flatTripCount_.evaluate(values);
-  gpu.parallelTripCount = cpu.parallelTripCount;
-  gpu.bytesToDevice = bytesToDevice_.evaluate(values);
-  gpu.bytesFromDevice = bytesFromDevice_.evaluate(values);
-  for (const StrideStep& step : steps_) {
-    bool coalesced = false;
-    bool falseSharing = false;
-    switch (step.kind) {
-      case StrideStep::Kind::ConstCoalesced:
-        coalesced = true;
-        falseSharing = step.constFalseSharing;
-        break;
-      case StrideStep::Kind::ConstUncoalesced:
-        falseSharing = step.constFalseSharing;
-        break;
-      case StrideStep::Kind::Dynamic: {
-        // An unbound symbol leaves the stride unresolved: uncoalesced and
-        // exempt from the false-sharing test, like the interpreted path's
-        // substituteAll(...).tryConstant() returning nullopt.
-        if ((boundMask & step.slotsNeeded) == step.slotsNeeded) {
-          const std::int64_t value = step.stride.evaluate(values);
-          coalesced = coalescedStride(value);
-          falseSharing =
-              step.isStore &&
-              falseSharingStride(value, step.elementBytes, cacheLineBytes_);
-        }
-        break;
-      }
-    }
-    if (coalesced) {
-      gpu.coalMemInstsPerThread += step.countPerIteration;
-    } else {
-      gpu.uncoalMemInstsPerThread += step.countPerIteration;
-    }
-    if (falseSharing) cpu.falseSharingRisk = true;
   }
 }
 

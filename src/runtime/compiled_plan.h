@@ -20,18 +20,20 @@
 //   * the binding-independent parts of CpuWorkload / GpuWorkload
 //     (MCA cycles, instruction loadout, footprint) are precomputed.
 //
-// Launch-time completion fills a fixed-size slot vector from the bindings
-// (merge-join against the sorted slot names — string comparisons only) and
-// evaluates; the result is bit-identical to the interpreted path, which is
-// retained behind SelectorConfig::useCompiledPlans as the correctness
-// oracle. Degenerate inputs (unbound required symbols, a missing MCA host
-// entry, more symbols than kMaxSlots) make the plan report itself unusable
-// for the fast path and the selector falls back to the interpreted walk, so
+// Launch-time completion has one form, structure-of-arrays over a region
+// group: each request's bindings fill one row of a slot-major column block
+// (merge-join against the sorted slot names — string comparisons only), and
+// every compiled expression op then runs over all rows. A scalar decide is a
+// one-row group. The result is bit-identical to the interpreted walk over
+// the PAD entry (decide(RegionHandle(attributes), ...)), which stays as the
+// correctness oracle that CompiledPlanEquivalence.* diffs against.
+// Degenerate inputs (unbound required symbols, a missing MCA host entry,
+// more symbols than kMaxSlots) make the plan report itself unusable for the
+// fast path and the selector falls back to the interpreted walk, so
 // diagnostics stay byte-identical too.
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -75,43 +77,28 @@ class CompiledRegionPlan {
   /// True when launch-time completion can run on the compiled fast path.
   [[nodiscard]] bool fastPathUsable() const { return fastPathUsable_; }
 
-  /// Fills `values` (size >= slotCount()) from `bindings` and sets bit i of
-  /// `boundMask` for every bound slot i; unbound slots read 0. Returns true
-  /// iff every *required* symbol (trip count / transfer expressions) is
-  /// bound — optional stride-only symbols may stay unbound, matching the
-  /// interpreted path's "unresolved stride => uncoalesced" semantics.
-  /// Performs no heap allocation.
-  bool bindSlots(const symbolic::Bindings& bindings,
-                 std::span<std::int64_t> values, std::uint64_t& boundMask) const;
-
-  /// Completes both model workloads from bound slot values. Preconditions:
-  /// fastPathUsable() and a bindSlots() call that returned true produced
-  /// `values`/`boundMask`. Performs no heap allocation.
-  void completeWorkloads(std::span<const std::int64_t> values,
-                         std::uint64_t boundMask, cpumodel::CpuWorkload& cpu,
-                         gpumodel::GpuWorkload& gpu) const;
-
-  /// SoA row of bindSlots(): fills row `row` of a slot-major column block
-  /// (`columns[slot * rows + row]`) instead of a contiguous value vector.
-  /// Same contract otherwise: unbound slots read 0, bit i of `boundMask`
-  /// set per bound slot, true iff every required symbol is bound. No heap
+  /// Fills row `row` of a slot-major column block (`columns[slot * rows +
+  /// row]`, at least slotCount() * rows entries) from `bindings` and sets
+  /// bit i of `boundMask` for every bound slot i; unbound slots read 0.
+  /// Returns true iff every *required* symbol (trip count / transfer
+  /// expressions) is bound — optional stride-only symbols may stay unbound,
+  /// matching the interpreted path's "unresolved stride => uncoalesced"
+  /// semantics. With rows == 1 the block is a plain slot vector. No heap
   /// allocation.
   bool bindSlotsColumn(const symbolic::Bindings& bindings,
                        std::int64_t* columns, std::size_t rows,
                        std::size_t row, std::uint64_t& boundMask) const;
 
-  /// SoA batch form of completeWorkloads(): completes `rows` workload pairs
-  /// from a slot-major column block in one pass, evaluating each compiled
-  /// expression op over all rows (CompiledExpr::evaluateColumns) instead of
-  /// re-dispatching the op stream per request. `exprOut`/`scratch` are
+  /// Completes `rows` workload pairs from a slot-major column block in one
+  /// pass, evaluating each compiled expression op over all rows
+  /// (CompiledExpr::evaluateColumns). `exprOut`/`scratch` are
   /// caller-provided workspaces of >= rows entries. Each row's result is
-  /// bit-identical to completeWorkloads() on that row's values/mask: the
-  /// stride steps are walked in the same order per row, so floating-point
+  /// bit-identical to the interpreted walk on that row's bindings: the
+  /// stride steps are walked in PAD order per row, so floating-point
   /// accumulation order matches exactly. Precondition: fastPathUsable().
   /// Rows whose bindSlotsColumn() returned false are completed too (their
-  /// unresolved dynamic strides classify uncoalesced, like the scalar
-  /// path); callers route such rows to the interpreted walk for decisions.
-  /// No heap allocation.
+  /// unresolved dynamic strides classify uncoalesced); callers route such
+  /// rows to the interpreted walk for decisions. No heap allocation.
   void completeWorkloadsColumns(const std::int64_t* columns,
                                 const std::uint64_t* masks, std::size_t rows,
                                 std::int64_t* exprOut, std::int64_t* scratch,

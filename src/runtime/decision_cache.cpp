@@ -176,33 +176,6 @@ void DecisionCache::insertLocked(const KeyRef& key,
   indexInsert(id);
 }
 
-bool DecisionCache::find(std::uint64_t boundMask,
-                         std::span<const std::int64_t> values, Decision& out,
-                         std::uint64_t epoch) {
-  lookups_.fetch_add(1, std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    syncEpoch(epoch);
-    const KeyRef key{boundMask, values.data(), values.size(), 1};
-    if (findLocked(key, out)) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      return true;
-    }
-  }
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  return false;
-}
-
-void DecisionCache::insert(std::uint64_t boundMask,
-                           std::span<const std::int64_t> values,
-                           const Decision& decision, std::uint64_t epoch) {
-  if (capacity_ == 0) return;
-  std::lock_guard<std::mutex> lock(mutex_);
-  syncEpoch(epoch);
-  const KeyRef key{boundMask, values.data(), values.size(), 1};
-  insertLocked(key, decision);
-}
-
 std::size_t DecisionCache::findMany(const KeyBlock& keys, Decision* const* out,
                                     std::uint8_t* hit, std::uint64_t epoch) {
   lookups_.fetch_add(keys.rows, std::memory_order_relaxed);

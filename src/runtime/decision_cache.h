@@ -3,9 +3,11 @@
 // Suites relaunch the same region with identical bindings (iterative
 // solvers, epoch loops); the models are pure functions of the PAD entry and
 // the bound slot values, so the Decision can be memoized. The cache key is
-// the plan's completed slot vector plus its bound-slot mask — everything
+// the plan's bound slot values plus its bound-slot mask — everything
 // launch-time evaluation depends on — hashed for the fast compare, with the
-// full key stored to rule out collisions. Capacity-bounded with exact
+// full key stored to rule out collisions. The interface is bulk only: a
+// region group probes and back-fills all its rows under one lock, and a
+// scalar decide is a one-row group. Capacity-bounded with exact
 // least-recently-used replacement; hit/miss/eviction counters feed the
 // LaunchRecord / CSV observability columns.
 //
@@ -25,9 +27,10 @@
 // caller quiesces, hits + misses == lookups holds exactly.
 //
 // Invalidation is epoch-based so TargetRuntime::invalidateDecisionCaches()
-// is one atomic bump instead of a walk over every shard: find()/insert()
-// take the runtime's current epoch, and a cache lazily drops its entries
-// the first time it observes a newer epoch than the one it stored under.
+// is one atomic bump instead of a walk over every shard: findMany() and
+// insertMany() take the runtime's current epoch, and a cache lazily drops
+// its entries the first time it observes a newer epoch than the one it
+// stored under.
 #pragma once
 
 #include <atomic>
@@ -66,28 +69,11 @@ class DecisionCache {
   [[nodiscard]] static std::uint64_t hashKey(
       std::uint64_t boundMask, std::span<const std::int64_t> values);
 
-  /// Copies the memoized decision for this exact key into `out` and returns
-  /// true; false on a miss (out is untouched). Counts a hit or a miss.
-  /// `epoch` is the owner's invalidation epoch: when it advanced past the
-  /// epoch the entries were stored under, the stale entries are dropped
-  /// first (a lazy, O(1)-to-signal invalidation). Copying a cached Decision
-  /// whose diagnostic is empty (every valid decision) does not allocate.
-  [[nodiscard]] bool find(std::uint64_t boundMask,
-                          std::span<const std::int64_t> values, Decision& out,
-                          std::uint64_t epoch = 0);
-
-  /// Memoizes `decision` under `epoch`, evicting the least-recently-used
-  /// entry at capacity. Inserting an already-present key refreshes its
-  /// decision.
-  void insert(std::uint64_t boundMask, std::span<const std::int64_t> values,
-              const Decision& decision, std::uint64_t epoch = 0);
-
-  /// Column-major (slot-major) key block for the bulk interface: row r of a
-  /// region group reads `values[slot * rows + r]` with bound mask
-  /// `masks[r]`. This is exactly the SoA layout the batched decide path
-  /// evaluates from, so bulk probes do no per-row gather; the per-row hash
-  /// and compare walk the strided column view and match hashKey()/find()
-  /// on the equivalent contiguous row bit-for-bit.
+  /// Column-major (slot-major) key block: row r of a region group reads
+  /// `values[slot * rows + r]` with bound mask `masks[r]`. This is exactly
+  /// the SoA layout the decide path evaluates from, so probes do no per-row
+  /// gather; the per-row hash walks the strided column view and matches
+  /// hashKey() on the equivalent contiguous row bit-for-bit.
   struct KeyBlock {
     const std::int64_t* values = nullptr;
     const std::uint64_t* masks = nullptr;
@@ -95,21 +81,27 @@ class DecisionCache {
     std::size_t rows = 0;
   };
 
-  /// Bulk find: probes every row of `keys` under ONE mutex acquisition
-  /// (the per-region caches are the runtime's lock stripes, so a batch
-  /// group pays its stripe once instead of once per request). On a hit for
-  /// row r the memoized decision is copied into `*out[r]` and `hit[r]` is
-  /// set to 1; otherwise `hit[r]` is 0 and `*out[r]` is untouched. Stats
-  /// count per entry — `rows` lookups and exactly one hit or miss each —
-  /// so hits + misses == lookups is indistinguishable from `rows` scalar
-  /// find() calls. Returns the number of hits.
+  /// Probes every row of `keys` under ONE mutex acquisition (the
+  /// per-region caches are the runtime's lock stripes, so a region group
+  /// pays its stripe once instead of once per request), in row order. On a
+  /// hit for row r the memoized decision is copied into `*out[r]`, the
+  /// entry becomes the most recently used, and `hit[r]` is set to 1;
+  /// otherwise `hit[r]` is 0 and `*out[r]` is untouched. Stats count per
+  /// row — `rows` lookups and exactly one hit or miss each. `epoch` is the
+  /// owner's invalidation epoch: when it advanced past the epoch the
+  /// entries were stored under, the stale entries are dropped first (a
+  /// lazy, O(1)-to-signal invalidation). Copying a cached Decision whose
+  /// diagnostic is empty (every valid decision) does not allocate. Returns
+  /// the number of hits.
   std::size_t findMany(const KeyBlock& keys, Decision* const* out,
                        std::uint8_t* hit, std::uint64_t epoch = 0);
 
-  /// Bulk insert of the listed rows under one mutex acquisition;
-  /// `decisions[r]` supplies row r's decision. Duplicate keys inside one
-  /// call refresh the earlier insert, exactly as repeated scalar insert()
-  /// calls would. Stats (insertions/evictions) count per inserted entry.
+  /// Memoizes the listed rows, in list order, under one mutex acquisition
+  /// and `epoch`; `decisions[r]` supplies row r's decision. Each new key
+  /// evicts the least-recently-used entry at capacity; a key already
+  /// present (including a duplicate earlier in the same call) has its
+  /// decision refreshed. Stats (insertions/evictions) count per inserted
+  /// entry.
   void insertMany(const KeyBlock& keys, std::span<const std::uint32_t> rows,
                   const Decision* const* decisions, std::uint64_t epoch = 0);
 

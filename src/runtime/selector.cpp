@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
-#include <span>
 #include <utility>
 
 #include "support/check.h"
@@ -159,25 +158,27 @@ Decision OffloadSelector::decide(const RegionHandle& region,
   return decision;
 }
 
-Decision OffloadSelector::decideInterpreted(
-    const pad::RegionAttributes& attr, const symbolic::Bindings& bindings,
-    obs::DecisionExplain* explain) const {
+template <typename BuildWorkloads>
+Decision OffloadSelector::evaluate(const std::string& regionName,
+                                   obs::DecisionPath path,
+                                   obs::DecisionExplain* explain,
+                                   BuildWorkloads&& build) const {
   const auto start = std::chrono::steady_clock::now();
   Decision decision;
-  obs::DecisionPath path = obs::DecisionPath::Interpreted;
   if (explain != nullptr) *explain = obs::DecisionExplain{};
   try {
     (void)support::faultInjector().hit(support::faultpoints::kSelectorDecide,
                                        "selector");
-    const cpumodel::CpuWorkload cpu = cpuWorkload(attr, bindings);
-    const gpumodel::GpuWorkload gpu = gpuWorkload(attr, bindings);
+    cpumodel::CpuWorkload cpu;
+    gpumodel::GpuWorkload gpu;
+    build(cpu, gpu, path);
     decision.cpu = cpuModel_.predict(cpu);
     decision.gpu = gpuModel_.predict(gpu);
     if (explain != nullptr) {
       cpumodel::explainInto(cpu, decision.cpu, explain->cpu);
       gpumodel::explainInto(gpu, decision.gpu, explain->gpu);
     }
-    resolveChoice(decision, attr.regionName);
+    resolveChoice(decision, regionName);
   } catch (const std::exception& error) {
     decision.device = config_.safeDefaultDevice;
     decision.valid = false;
@@ -188,41 +189,32 @@ Decision OffloadSelector::decideInterpreted(
   decision.overheadSeconds =
       std::chrono::duration<double>(end - start).count();
   if (explain != nullptr) {
-    finishExplain(*explain, attr.regionName, path, decision);
+    finishExplain(*explain, regionName, path, decision);
   }
   return decision;
+}
+
+Decision OffloadSelector::decideInterpreted(
+    const pad::RegionAttributes& attr, const symbolic::Bindings& bindings,
+    obs::DecisionExplain* explain) const {
+  return evaluate(attr.regionName, obs::DecisionPath::Interpreted, explain,
+                  [&](cpumodel::CpuWorkload& cpu, gpumodel::GpuWorkload& gpu,
+                      obs::DecisionPath&) {
+                    cpu = cpuWorkload(attr, bindings);
+                    gpu = gpuWorkload(attr, bindings);
+                  });
 }
 
 Decision OffloadSelector::decideFromWorkloads(
     const CompiledRegionPlan& plan, const cpumodel::CpuWorkload& cpu,
     const gpumodel::GpuWorkload& gpu, obs::DecisionExplain* explain) const {
-  const auto start = std::chrono::steady_clock::now();
-  Decision decision;
-  obs::DecisionPath path = obs::DecisionPath::Compiled;
-  if (explain != nullptr) *explain = obs::DecisionExplain{};
-  try {
-    (void)support::faultInjector().hit(support::faultpoints::kSelectorDecide,
-                                       "selector");
-    decision.cpu = cpuModel_.predict(cpu);
-    decision.gpu = gpuModel_.predict(gpu);
-    if (explain != nullptr) {
-      cpumodel::explainInto(cpu, decision.cpu, explain->cpu);
-      gpumodel::explainInto(gpu, decision.gpu, explain->gpu);
-    }
-    resolveChoice(decision, plan.attributes().regionName);
-  } catch (const std::exception& error) {
-    decision.device = config_.safeDefaultDevice;
-    decision.valid = false;
-    decision.diagnostic = error.what();
-    path = obs::DecisionPath::Degenerate;
-  }
-  const auto end = std::chrono::steady_clock::now();
-  decision.overheadSeconds =
-      std::chrono::duration<double>(end - start).count();
-  if (explain != nullptr) {
-    finishExplain(*explain, plan.attributes().regionName, path, decision);
-  }
-  return decision;
+  return evaluate(plan.attributes().regionName, obs::DecisionPath::Compiled,
+                  explain,
+                  [&](cpumodel::CpuWorkload& cpuOut,
+                      gpumodel::GpuWorkload& gpuOut, obs::DecisionPath&) {
+                    cpuOut = cpu;
+                    gpuOut = gpu;
+                  });
 }
 
 CompiledRegionPlan OffloadSelector::compile(pad::RegionAttributes attr) const {
@@ -233,47 +225,28 @@ CompiledRegionPlan OffloadSelector::compile(pad::RegionAttributes attr) const {
 Decision OffloadSelector::decideCompiled(
     const CompiledRegionPlan& plan, const symbolic::Bindings& bindings,
     obs::DecisionExplain* explain) const {
-  const auto start = std::chrono::steady_clock::now();
-  Decision decision;
-  obs::DecisionPath path = obs::DecisionPath::Compiled;
-  if (explain != nullptr) *explain = obs::DecisionExplain{};
-  try {
-    (void)support::faultInjector().hit(support::faultpoints::kSelectorDecide,
-                                       "selector");
-    std::array<std::int64_t, CompiledRegionPlan::kMaxSlots> slotValues{};
-    std::uint64_t boundMask = 0;
-    const std::span<std::int64_t> values(slotValues.data(), plan.slotCount());
-    cpumodel::CpuWorkload cpu;
-    gpumodel::GpuWorkload gpu;
-    if (plan.fastPathUsable() && plan.bindSlots(bindings, values, boundMask)) {
-      plan.completeWorkloads(values, boundMask, cpu, gpu);
-    } else {
-      // Degenerate plan or bindings: re-run the interpreted walk so the
-      // failure diagnostics are byte-identical to the oracle path.
-      path = obs::DecisionPath::Interpreted;
-      cpu = cpuWorkload(plan.attributes(), bindings);
-      gpu = gpuWorkload(plan.attributes(), bindings);
-    }
-    decision.cpu = cpuModel_.predict(cpu);
-    decision.gpu = gpuModel_.predict(gpu);
-    if (explain != nullptr) {
-      cpumodel::explainInto(cpu, decision.cpu, explain->cpu);
-      gpumodel::explainInto(gpu, decision.gpu, explain->gpu);
-    }
-    resolveChoice(decision, plan.attributes().regionName);
-  } catch (const std::exception& error) {
-    decision.device = config_.safeDefaultDevice;
-    decision.valid = false;
-    decision.diagnostic = error.what();
-    path = obs::DecisionPath::Degenerate;
-  }
-  const auto end = std::chrono::steady_clock::now();
-  decision.overheadSeconds =
-      std::chrono::duration<double>(end - start).count();
-  if (explain != nullptr) {
-    finishExplain(*explain, plan.attributes().regionName, path, decision);
-  }
-  return decision;
+  return evaluate(
+      plan.attributes().regionName, obs::DecisionPath::Compiled, explain,
+      [&](cpumodel::CpuWorkload& cpu, gpumodel::GpuWorkload& gpu,
+          obs::DecisionPath& path) {
+        // One SoA row: with rows == 1 the slot-major column block is a
+        // plain slot vector, and the expression workspaces are one entry.
+        std::array<std::int64_t, CompiledRegionPlan::kMaxSlots> values{};
+        std::uint64_t boundMask = 0;
+        if (plan.fastPathUsable() &&
+            plan.bindSlotsColumn(bindings, values.data(), 1, 0, boundMask)) {
+          std::int64_t exprOut = 0;
+          std::int64_t scratch = 0;
+          plan.completeWorkloadsColumns(values.data(), &boundMask, 1, &exprOut,
+                                        &scratch, &cpu, &gpu);
+        } else {
+          // Degenerate plan or bindings: re-run the interpreted walk so the
+          // failure diagnostics are byte-identical to the oracle path.
+          path = obs::DecisionPath::Interpreted;
+          cpu = cpuWorkload(plan.attributes(), bindings);
+          gpu = gpuWorkload(plan.attributes(), bindings);
+        }
+      });
 }
 
 }  // namespace osel::runtime

@@ -7,6 +7,14 @@
 // formulas, the decision is "equivalent to solving an equation" — the
 // measured overhead is exposed so the negligible-overhead claim can be
 // checked (bench/micro_decision_overhead).
+//
+// Every decide path builds a CPU/GPU workload pair in its own way (the
+// interpreted walk over PAD expressions, one compiled-plan row, or a row the
+// runtime's SoA group already completed) and then runs one shared tail:
+// both model predictions, the explain fill, and the policy choice.
+// TargetRuntime decides on compiled plans only; the interpreted walk stays
+// as the correctness oracle (CompiledPlanEquivalence.*) and the fallback for
+// rows a plan cannot bind.
 #pragma once
 
 #include <cmath>
@@ -37,11 +45,6 @@ struct SelectorConfig {
   /// exceptions). The CPU is the OpenMP host-fallback contract's
   /// always-available path, so it is the default.
   Device safeDefaultDevice = Device::Cpu;
-  /// When true (default), TargetRuntime lowers PAD entries into
-  /// CompiledRegionPlans at registration and decides on the allocation-free
-  /// compiled path. False keeps the original interpreted expression walk —
-  /// the correctness oracle the equivalence tests diff against.
-  bool useCompiledPlans = true;
   /// The selection policy resolving healthy prediction pairs into a device
   /// (runtime/policy/policy.h). nullptr (the default) means ModelCompare —
   /// the paper's rule, devirtualized on the choice tail so the default
@@ -168,18 +171,16 @@ class OffloadSelector {
                                 const symbolic::Bindings& bindings,
                                 obs::DecisionExplain* explain = nullptr) const;
 
-  /// Batch tail of the compiled fast path: the per-request epilogue
-  /// decideCompiled runs after completeWorkloads — the decide fault point,
-  /// both model predictions, explain fill, choice resolution, degradation
-  /// to the safe default on exception — applied to a workload pair the SoA
-  /// batch evaluator (CompiledRegionPlan::completeWorkloadsColumns) already
-  /// completed. Given workloads equal to what scalar decide(plan, bindings)
-  /// would build, the returned Decision is bit-identical except
-  /// overheadSeconds (wall time, excluded from the equivalence contract);
-  /// the batch equivalence suite pins this. Precondition: the workloads
-  /// came from a bindSlots() row that returned true on a fastPathUsable()
-  /// plan — unbindable rows must use decide() so diagnostics match the
-  /// interpreted oracle byte-for-byte.
+  /// The shared decide tail — the decide fault point, both model
+  /// predictions, explain fill, choice resolution, degradation to the safe
+  /// default on exception — applied to a workload pair the SoA group
+  /// evaluator (CompiledRegionPlan::completeWorkloadsColumns) already
+  /// completed. Given workloads equal to what decide(plan, bindings) would
+  /// build, the returned Decision is bit-identical except overheadSeconds
+  /// (wall time, excluded from the equivalence contract). Precondition: the
+  /// workloads came from a bindSlotsColumn() row that returned true on a
+  /// fastPathUsable() plan — unbindable rows must use decide() so
+  /// diagnostics match the interpreted oracle byte-for-byte.
   [[nodiscard]] Decision decideFromWorkloads(
       const CompiledRegionPlan& plan, const cpumodel::CpuWorkload& cpu,
       const gpumodel::GpuWorkload& gpu,
@@ -205,18 +206,29 @@ class OffloadSelector {
   [[nodiscard]] Decision decideInterpreted(const pad::RegionAttributes& attr,
                                            const symbolic::Bindings& bindings,
                                            obs::DecisionExplain* explain) const;
-  /// The compiled slot-based fast path.
+  /// The compiled slot-based fast path: one SoA row on the stack.
   [[nodiscard]] Decision decideCompiled(const CompiledRegionPlan& plan,
                                         const symbolic::Bindings& bindings,
                                         obs::DecisionExplain* explain) const;
+  /// The tail every decide path shares. Inside one try block it hits the
+  /// decide fault point, calls `build(cpu, gpu, path)` to fill the workload
+  /// pair (a build may downgrade `path`), predicts both devices, fills
+  /// `explain` and resolves the choice; any exception degrades the decision
+  /// to the safe default. Stamps the wall-time overhead and the explain
+  /// header last. Defined in selector.cpp, its only user.
+  template <typename BuildWorkloads>
+  [[nodiscard]] Decision evaluate(const std::string& regionName,
+                                  obs::DecisionPath path,
+                                  obs::DecisionExplain* explain,
+                                  BuildWorkloads&& build) const;
   /// Stamps the record header (region, path, choice, speedup, overhead)
   /// once a decide path has finished.
   static void finishExplain(obs::DecisionExplain& explain,
                             std::string_view regionName,
                             obs::DecisionPath path,
                             const Decision& decision) noexcept;
-  /// Shared tail of both decide paths: validates the predictions and picks
-  /// the device (or degrades to the configured safe default).
+  /// Validates the predictions and picks the device (or degrades to the
+  /// configured safe default).
   void resolveChoice(Decision& decision, const std::string& regionName) const;
 
   SelectorConfig config_;

@@ -1,7 +1,6 @@
 #include "runtime/target_runtime.h"
 
 #include <algorithm>
-#include <array>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -92,7 +91,6 @@ TargetRuntime::TargetRuntime(pad::AttributeDatabase database,
                                              : options.selector.cpuThreads),
       gpuSim_(std::move(options.gpuSim)),
       guard_(options.retry),
-      decisionCacheEnabled_(options.decisionCacheEnabled),
       decisionCacheCapacity_(options.decisionCacheCapacity),
       trace_(options.trace),
       shardCount_(std::max<std::size_t>(1, options.registryShards)),
@@ -153,14 +151,12 @@ void TargetRuntime::registerRegion(ir::TargetRegion region) {
   // write lock only for the copy-and-swap publish.
   auto entry = std::make_shared<RegionEntry>();
   entry->region = std::move(region);
-  if (selector_.config().useCompiledPlans) {
-    if (const pad::RegionAttributes* attr = database_.find(name)) {
-      entry->plan = std::make_shared<const CompiledRegionPlan>(
-          selector_.compile(*attr));
-      // A fresh cache: re-registration replaces the plan and drops its
-      // memoized decisions (and their counters) atomically with the plan.
-      entry->cache = std::make_shared<DecisionCache>(decisionCacheCapacity_);
-    }
+  if (const pad::RegionAttributes* attr = database_.find(name)) {
+    entry->plan =
+        std::make_shared<const CompiledRegionPlan>(selector_.compile(*attr));
+    // A fresh cache: re-registration replaces the plan and drops its
+    // memoized decisions (and their counters) atomically with the plan.
+    entry->cache = std::make_shared<DecisionCache>(decisionCacheCapacity_);
   }
   Shard& shard = shards_[shardIndex(name)];
   std::lock_guard<std::mutex> lock(shard.writeMutex);
@@ -245,6 +241,17 @@ double TargetRuntime::measureTraced(const std::string& regionName,
   return result.totalSeconds;
 }
 
+namespace {
+
+/// One arena per thread: decide/decideBatch are re-entrant across runtimes
+/// (the arena is pure scratch) and steady-state calls reuse its capacity.
+BatchArena& threadBatchArena() {
+  static thread_local BatchArena arena;
+  return arena;
+}
+
+}  // namespace
+
 Decision TargetRuntime::decide(const std::string& regionName,
                                const symbolic::Bindings& bindings) {
   LaunchRecord scratch;  // decision-path flags only; never logged
@@ -255,89 +262,47 @@ Decision TargetRuntime::guardedDecision(const std::string& regionName,
                                         const symbolic::Bindings& bindings,
                                         LaunchRecord& record) {
   const std::int64_t startNs = trace_ != nullptr ? trace_->nowNs() : 0;
-  const char* path = "interpreted";
-  obs::Counter* pathCounter = instruments_.decisionsInterpreted;
+  const auto wallStart = std::chrono::steady_clock::now();
+  const DecideRequest request{regionName, &bindings};
+  BatchArena& arena = threadBatchArena();
+  arena.begin(1);
+  BatchCounters counters;
   Decision decision;
-  std::uint64_t cacheLookups = 0;
-  std::uint64_t cacheHits = 0;
-  // Forensics sink: stack storage, filled by the selector, pushed into the
-  // session's explain ring below. Detached sessions pass nullptr and the
-  // selector skips every explain store.
-  obs::DecisionExplain explainStorage;
-  obs::DecisionExplain* const explain =
-      trace_ != nullptr ? &explainStorage : nullptr;
-
-  // Plan-first ordering keeps the PAD probe (a string-keyed map lookup) off
-  // the hot path: a compiled plan only exists when the PAD entry did at
-  // registration, and the database is immutable after construction, so
-  // probing it is only needed when no plan is available.
-  const std::shared_ptr<const RegionEntry> entry = findEntry(regionName);
-  if (entry == nullptr || entry->plan == nullptr) {
-    if (const pad::RegionAttributes* attr = database_.find(regionName)) {
-      decision = selector_.decide(RegionHandle(*attr), bindings, explain);
-    } else {
-      // Missing/corrupt PAD entry: ModelGuided must degrade, not crash.
-      decision = selector_.decide(
-          RegionHandle::missing(regionName,
-                                database_.nearestRegionName(regionName)),
-          bindings, explain);
-      path = "degenerate";
-      pathCounter = instruments_.decisionsDegenerate;
-    }
-  } else {
-    const CompiledRegionPlan& plan = *entry->plan;
-    DecisionCache& cache = *entry->cache;
-    record.decisionCompiled = true;
-    path = "compiled";
-    pathCounter = instruments_.decisionsCompiled;
-    // The cache key (bound slot values) determines the decision only when
-    // the fast path owns every symbol the models read AND the policy's
-    // choices are replayable (EpsilonGreedy's probe draws are not);
-    // otherwise skip memoization.
-    if (!decisionCacheEnabled_ || cache.capacity() == 0 ||
-        !plan.fastPathUsable() || !policyCacheable_) {
-      decision = selector_.decide(RegionHandle(plan), bindings, explain);
-    } else {
-      const auto start = std::chrono::steady_clock::now();
-      std::array<std::int64_t, CompiledRegionPlan::kMaxSlots> slotStorage{};
-      const std::span<std::int64_t> slotValues(slotStorage.data(),
-                                               plan.slotCount());
-      std::uint64_t boundMask = 0;
-      plan.bindSlots(bindings, slotValues, boundMask);
-      const std::uint64_t epoch = effectiveCacheEpoch();
-      cacheLookups = 1;
-      if (cache.find(boundMask, slotValues, decision, epoch)) {
-        cacheHits = 1;
-        decision.overheadSeconds =
-            std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                          start)
-                .count();
-        record.decisionCacheHit = true;
-        path = "cache_hit";
-        pathCounter = instruments_.decisionsCacheHit;
-      } else {
-        decision = selector_.decide(RegionHandle(plan), bindings, explain);
-        cache.insert(boundMask, slotValues, decision, epoch);
-      }
-    }
+  decideGroup(std::span<const DecideRequest>(&request, 1), arena.order,
+              std::span<Decision>(&decision, 1), effectiveCacheEpoch(), arena,
+              counters);
+  record.decisionCompiled =
+      counters.interpreted == 0 && counters.degenerate == 0;
+  record.decisionCacheHit = counters.cacheHits > 0;
+  if (record.decisionCacheHit) {
+    decision.overheadSeconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                      wallStart)
+            .count();
   }
 
   if (trace_ != nullptr) {
-    // A cache hit re-serves a decision whose forensics record was pushed on
-    // the miss that populated the cache; the ring already holds it, so only
-    // fresh evaluations record.
-    if (!record.decisionCacheHit) {
-      trace_->recordExplain(explainStorage);
+    const char* path = "compiled";
+    obs::Counter* pathCounter = instruments_.decisionsCompiled;
+    if (record.decisionCacheHit) {
+      path = "cache_hit";
+      pathCounter = instruments_.decisionsCacheHit;
+    } else if (counters.interpreted > 0) {
+      path = "interpreted";
+      pathCounter = instruments_.decisionsInterpreted;
+    } else if (counters.degenerate > 0) {
+      path = "degenerate";
+      pathCounter = instruments_.decisionsDegenerate;
     }
     trace_->recordSpan("decide", path, regionName, startNs,
                        trace_->nowNs() - startNs,
                        {"overhead_s", decision.overheadSeconds},
                        {"valid", decision.valid ? 1.0 : 0.0});
     pathCounter->add();
-    if (decision.probe) instruments_.policyProbes->add();
+    if (counters.probes > 0) instruments_.policyProbes->add();
     instruments_.decisionOverhead->record(decision.overheadSeconds);
   }
-  publishCacheCounters(cacheLookups, cacheHits);
+  publishCacheCounters(counters.cacheLookups, counters.cacheHits);
   return decision;
 }
 
@@ -361,21 +326,14 @@ void TargetRuntime::publishCacheCounters(std::uint64_t lookups,
   }
 }
 
-namespace {
-
-/// One arena per thread: decideBatch is re-entrant across runtimes (the
-/// arena is pure scratch) and steady-state batches reuse its capacity.
-BatchArena& threadBatchArena() {
-  static thread_local BatchArena arena;
-  return arena;
-}
-
-}  // namespace
-
 void TargetRuntime::decideBatch(std::span<const DecideRequest> requests,
                                 std::span<Decision> out) {
   require(out.size() >= requests.size(),
           "TargetRuntime::decideBatch: output span smaller than request span");
+  for (const DecideRequest& request : requests) {
+    require(request.bindings != nullptr,
+            "TargetRuntime::decideBatch: request without bindings");
+  }
   if (requests.empty()) return;
   const std::size_t n = requests.size();
   const std::int64_t startNs = trace_ != nullptr ? trace_->nowNs() : 0;
@@ -478,9 +436,10 @@ void TargetRuntime::decideGroup(std::span<const DecideRequest> requests,
       trace_ != nullptr ? &explainStorage : nullptr;
 
   if (entry == nullptr || entry->plan == nullptr) {
-    // No compiled plan: the scalar interpreted/degenerate paths per
-    // request, but the PAD probe (and nearest-name search for misses)
-    // happens once per group instead of once per request.
+    // No compiled plan (registration compiles one for every PAD entry, and
+    // the database is immutable, so the PAD probe stays off the hot path):
+    // the selector's interpreted/degenerate paths per request, with the
+    // PAD probe (and nearest-name search for misses) once per group.
     const std::string regionName(region);
     if (const pad::RegionAttributes* attr = database_.find(regionName)) {
       for (const std::uint32_t request : group) {
@@ -505,7 +464,7 @@ void TargetRuntime::decideGroup(std::span<const DecideRequest> requests,
 
   const CompiledRegionPlan& plan = *entry->plan;
   if (!plan.fastPathUsable()) {
-    // Degenerate plan: scalar decide per request (it re-runs the
+    // Degenerate plan: the selector's decide per request (it re-runs the
     // interpreted walk, keeping diagnostics byte-identical to the oracle).
     for (const std::uint32_t request : group) {
       out[request] = selector_.decide(RegionHandle(plan),
@@ -533,8 +492,11 @@ void TargetRuntime::decideGroup(std::span<const DecideRequest> requests,
   }
   const DecisionCache::KeyBlock keys{arena.columns.data(), arena.masks.data(),
                                      slots, rows};
-  const bool useCache =
-      decisionCacheEnabled_ && cache.capacity() != 0 && policyCacheable_;
+  // The key (bound slot values) determines the decision only while the
+  // policy's choices are replayable (EpsilonGreedy's probe draws are not).
+  // A hit re-serves a decision whose explain record the populating miss
+  // already pushed, so only fresh evaluations record below.
+  const bool useCache = cache.capacity() != 0 && policyCacheable_;
   if (useCache) {
     const std::size_t hits =
         cache.findMany(keys, arena.targets.data(), arena.hits.data(), epoch);
@@ -565,9 +527,9 @@ void TargetRuntime::decideGroup(std::span<const DecideRequest> requests,
       *arena.targets[r] = selector_.decideFromWorkloads(
           plan, arena.cpuWorkloads[r], arena.gpuWorkloads[r], explain);
     } else {
-      // Unbindable rows re-run the scalar compiled decide, which falls back
-      // to the interpreted walk for byte-identical diagnostics. Their key
-      // (partial values + mask) is still cached, as the scalar path does.
+      // Unbindable rows re-run the selector's compiled decide, which falls
+      // back to the interpreted walk for byte-identical diagnostics. Their
+      // key (partial values + mask) is still cached.
       *arena.targets[r] = selector_.decide(
           RegionHandle(plan), *requests[group[r]].bindings, explain);
     }

@@ -9,6 +9,14 @@
 //   Oracle        measures both and picks the true winner (upper bound)
 // — executes accordingly, and logs the launch for the evaluation benches.
 //
+// Deciding has one compiled path. Registration lowers every region that has
+// a PAD entry into a CompiledRegionPlan with its own decision cache, and
+// decisions are made per region group: bind the group's rows into SoA
+// columns, probe the cache in bulk, complete and evaluate the misses.
+// decideBatch() groups its requests by region; decide() and launch() run a
+// one-row group. Only a region with no plan (decide() before registration,
+// or no PAD entry) takes the interpreted or degenerate selector path.
+//
 // Concurrency: the runtime is safe for concurrent registerRegion / decide /
 // launch callers (the ROADMAP's `oseld` service needs many). The registry
 // is sharded by region-name hash, and each shard publishes an immutable
@@ -87,7 +95,7 @@ struct LaunchRecord {
 
   // --- Decision-path telemetry (runtime/compiled_plan.h) ------------------
   /// True when the decision came from a compiled region plan (false: the
-  /// interpreted oracle path, or no PAD entry / plan available).
+  /// region has no PAD entry, so no plan).
   bool decisionCompiled = false;
   /// True when the decision was served from the memoization cache.
   bool decisionCacheHit = false;
@@ -106,7 +114,7 @@ struct LaunchRecord {
 /// selector's machine configuration, both ground-truth simulators,
 /// fault-tolerance policies, decision memoization, and the optional
 /// observability session. Field order is chosen so pre-existing designated
-/// initializers (.retry, .health, .decisionCacheEnabled, ...) keep
+/// initializers (.retry, .health, .decisionCacheCapacity, ...) keep
 /// compiling unchanged — new knobs append at the end.
 struct RuntimeOptions {
   /// Machine configuration the selector evaluates against.
@@ -121,10 +129,9 @@ struct RuntimeOptions {
   gpusim::GpuSimParams gpuSim;
   RetryPolicy retry;
   HealthPolicy health;
-  /// Per-region decision memoization (only on the compiled-plan path; keyed
-  /// by the hashed slot values a launch binds). The constructor rejects a
+  /// Entries of each region's decision cache (keyed by the slot values a
+  /// decide binds); 0 disables memoization. The constructor rejects a
   /// capacity above DecisionCache::kMaxCapacity with PreconditionError.
-  bool decisionCacheEnabled = true;
   std::size_t decisionCacheCapacity = 64;
   /// Observability session the runtime emits spans/events/metrics into.
   /// Not owned; must outlive the runtime. nullptr (the default) disables
@@ -158,9 +165,9 @@ class TargetRuntime {
   [[nodiscard]] bool hasRegion(const std::string& name) const;
 
   /// The compiled decision plan for a registered region; nullptr when the
-  /// region has no PAD entry (or compiled plans are disabled). The pointer
-  /// stays valid until the region is re-registered; callers that race
-  /// re-registration must not cache it across launches.
+  /// region has no PAD entry. The pointer stays valid until the region is
+  /// re-registered; callers that race re-registration must not cache it
+  /// across launches.
   [[nodiscard]] const CompiledRegionPlan* plan(const std::string& name) const;
 
   /// Hit/miss/eviction counters of a region's decision cache (zeros when
@@ -174,31 +181,34 @@ class TargetRuntime {
   /// first time a decide observes the new epoch. Counters survive.
   void invalidateDecisionCaches();
 
-  /// Model evaluation only — the decide hot path without execution. Routes
-  /// through the compiled plan and memoization cache exactly as launch()
-  /// does; lock-free on the registry (one shard-snapshot load). This is
-  /// the entry point a selector service (`oseld`) serves per request.
+  /// Model evaluation only — the decide hot path without execution: a
+  /// one-row region group, exactly as launch() decides; lock-free on the
+  /// registry (one shard-snapshot load). Emits one `decide` span and one
+  /// `decision.overhead_s` sample per call. A cache hit's overheadSeconds
+  /// is the wall time of the call. This is the entry point a selector
+  /// service (`oseld`) serves per scalar request.
   [[nodiscard]] Decision decide(const std::string& regionName,
                                 const symbolic::Bindings& bindings);
 
   /// Batched decide: fills out[i] with the decision for requests[i]
-  /// (out.size() >= requests.size(); anything else is a
-  /// support::PreconditionError). The streaming shape the `oseld` wire
-  /// protocol batches into, amortizing everything scalar decide() pays per
-  /// call: one registry-snapshot acquire per region group, one trace span
-  /// and one `decide.batch_size` histogram sample per batch, one bulk
-  /// decision-cache probe/back-fill (findMany/insertMany — a single lock
-  /// acquisition per group) and SoA compiled-plan evaluation for the
-  /// misses, using a preallocated thread_local BatchArena so the
-  /// steady-state path does no per-request allocation or string hashing.
+  /// (out.size() >= requests.size() and every request's bindings non-null;
+  /// anything else is a support::PreconditionError, raised before any row
+  /// is decided). The streaming shape the `oseld` wire protocol batches
+  /// into, amortizing everything scalar decide() pays per call: one
+  /// registry-snapshot acquire per region group, one trace span and one
+  /// `decide.batch_size` histogram sample per batch, one bulk
+  /// decision-cache probe/back-fill (a single lock acquisition per group)
+  /// and SoA compiled-plan evaluation for the misses, using a preallocated
+  /// thread_local BatchArena so the steady-state path does no per-request
+  /// allocation or string hashing.
   ///
   /// Every decision is bit-identical to what scalar decide() would return
   /// for that (region, bindings) — including degenerate regions, unbound
   /// symbols, and non-finite predictions (pinned by the batch equivalence
   /// suite) — except Decision::overheadSeconds: cache-hit rows report the
-  /// amortized per-decision batch cost instead of an individually measured
-  /// wall time. Decide-only batches never touch the admission controller
-  /// or the GPU health tracker; those gate launch(), not decisions.
+  /// amortized per-decision batch cost instead of the call's wall time.
+  /// Decide-only batches never touch the admission controller or the GPU
+  /// health tracker; those gate launch(), not decisions.
   /// Thread-safe against concurrent decide/decideBatch/registerRegion/
   /// invalidateDecisionCaches callers, like decide().
   void decideBatch(std::span<const DecideRequest> requests,
@@ -260,7 +270,7 @@ class TargetRuntime {
 
  private:
   /// One registered region's immutable state: the executable IR, the
-  /// compiled decision plan (null on the interpreted path), and the
+  /// compiled decision plan (null when the region has no PAD entry), and the
   /// region's decision cache (internally locked; shared so in-flight
   /// decides keep it alive across re-registration).
   struct RegionEntry {
@@ -345,18 +355,20 @@ class TargetRuntime {
   [[nodiscard]] std::shared_ptr<const RegionEntry> findEntry(
       std::string_view name) const;
 
-  /// Selector evaluation that never throws: a region missing from the PAD
-  /// degrades to an invalid decision on the safe default device. Routes
-  /// through the compiled plan (and its memoization cache) when available,
-  /// recording the path taken in `record`.
+  /// decide() and launch()'s model evaluation: runs `regionName` as a
+  /// one-row decideGroup() on the thread's BatchArena and records the path
+  /// it took (compiled, cache hit) in `record`. Never throws: a region
+  /// missing from the PAD degrades to an invalid decision on the safe
+  /// default device.
   [[nodiscard]] Decision guardedDecision(const std::string& regionName,
                                          const symbolic::Bindings& bindings,
                                          LaunchRecord& record);
-  /// One region group of a decideBatch() call: a single registry lookup,
-  /// one bulk cache probe/back-fill, SoA evaluation for the misses, scalar
-  /// fallbacks for degenerate rows. `group` lists the request indices (all
-  /// naming the same region); tallies land in `counters` for one
-  /// per-batch publish.
+  /// One region group — of a decideBatch() call, or the single row of a
+  /// decide(): a single registry lookup, one bulk cache probe/back-fill,
+  /// SoA evaluation for the misses, selector fallbacks for rows without a
+  /// usable plan. `group` lists the request indices (all naming the same
+  /// region); tallies land in `counters` for the caller to publish; cache
+  /// hits are appended to arena.hitRequests.
   void decideGroup(std::span<const DecideRequest> requests,
                    std::span<const std::uint32_t> group,
                    std::span<Decision> out, std::uint64_t epoch,
@@ -410,7 +422,6 @@ class TargetRuntime {
   cpusim::CpuSimulator cpuSim_;
   gpusim::GpuSimulator gpuSim_;
   LaunchGuard guard_;
-  bool decisionCacheEnabled_ = true;
   std::size_t decisionCacheCapacity_ = 64;
   obs::TraceSession* trace_ = nullptr;
   Instruments instruments_;

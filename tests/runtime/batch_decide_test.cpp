@@ -4,8 +4,9 @@
 // mantissa bit — over the full Polybench region × size grid, including
 // degenerate sizes, missing regions, unbound symbols, duplicate rows, and
 // cache hit/miss interleavings. Also pins the steady-state zero-allocation
-// guarantee of the batch path (own test binary: the counting operator new
-// below must be the only replacement in the link).
+// guarantee of the batch path and of scalar decide(), which runs as a
+// one-row region group on the same thread-local arena (own test binary: the
+// counting operator new below must be the only replacement in the link).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -158,8 +159,8 @@ void expectBatchMatchesScalar(const std::vector<DecideRequest>& requests) {
 TEST(BatchDecide, MatchesScalarOverPolybenchGrid) {
   // Every suite kernel at several sizes, shuffled so the batch spans many
   // region groups in non-sorted order: first pass is all cache misses (SoA
-  // evaluation vs decideCompiled), second pass all hits (bulk findMany vs
-  // scalar find).
+  // evaluation over many rows vs one-row groups), second pass all hits
+  // (bulk findMany vs one-row findMany).
   std::vector<symbolic::Bindings> bindings;
   std::vector<std::string> names;
   for (const polybench::Benchmark& benchmark : polybench::suite()) {
@@ -287,6 +288,31 @@ TEST(BatchDecide, RejectsUndersizedOutputSpan) {
                support::PreconditionError);
 }
 
+TEST(BatchDecide, RejectsRequestWithoutBindingsBeforeDecidingAnyRow) {
+  // A default-constructed DecideRequest has no bindings. The batch must be
+  // refused up front: the valid row ahead of it is neither decided nor
+  // probed in the cache.
+  const polybench::Benchmark& gemm = polybench::benchmarkByName("GEMM");
+  const std::string region = gemm.kernels()[0].name;
+  const symbolic::Bindings bindings = gemm.bindings(333);
+  std::vector<DecideRequest> requests{{region, &bindings}, DecideRequest{}};
+  Decision untouched;
+  untouched.diagnostic = "untouched";
+  std::vector<Decision> out(requests.size(), untouched);
+  const std::uint64_t lookupsBefore =
+      batchRuntime().decisionCacheStats(region).lookups;
+  EXPECT_THROW(batchRuntime().decideBatch(requests, out),
+               support::PreconditionError);
+  EXPECT_EQ(out[0].diagnostic, "untouched");
+  EXPECT_EQ(out[1].diagnostic, "untouched");
+  EXPECT_EQ(batchRuntime().decisionCacheStats(region).lookups, lookupsBefore);
+  // A null-bindings row in its own region group is refused the same way.
+  requests[1].region = "no_such_region";
+  EXPECT_THROW(batchRuntime().decideBatch(requests, out),
+               support::PreconditionError);
+  EXPECT_EQ(out[0].diagnostic, "untouched");
+}
+
 TEST(BatchDecide, SteadyStateBatchDoesNotAllocate) {
   // Mixed regions and sizes, all previously decided: the second call runs
   // the grouped cache-hit path end to end with zero heap traffic (arena
@@ -315,6 +341,18 @@ TEST(BatchDecide, SteadyStateBatchDoesNotAllocate) {
   for (const Decision& decision : out) EXPECT_TRUE(decision.valid);
 }
 
+/// A runtime over GEMM's kernel alone, so one region's cache fills and
+/// evicts under the default capacity.
+TargetRuntime makeGemmRuntime(const ir::TargetRegion& kernel) {
+  const std::array<ir::TargetRegion, 1> regions{kernel};
+  const std::array<mca::MachineModel, 1> models{mca::MachineModel::power9()};
+  RuntimeOptions options;
+  options.selector.cpuThreads = 160;
+  TargetRuntime runtime(compiler::compileAll(regions, models), options);
+  runtime.registerRegion(kernel);
+  return runtime;
+}
+
 TEST(BatchDecide, FullCacheMissBatchDoesNotAllocate) {
   // One region's cache filled to capacity by a first batch of fresh sizes;
   // a second batch of 64 sizes it has never seen then misses on every row,
@@ -322,14 +360,9 @@ TEST(BatchDecide, FullCacheMissBatchDoesNotAllocate) {
   // That path reuses the evicted entries' storage and the warm arena, so it
   // must not touch the heap either.
   const polybench::Benchmark& gemm = polybench::benchmarkByName("GEMM");
-  const std::array<ir::TargetRegion, 1> regions{gemm.kernels()[0]};
-  const std::array<mca::MachineModel, 1> models{mca::MachineModel::power9()};
-  RuntimeOptions options;
-  options.selector.cpuThreads = 160;
-  TargetRuntime runtime(compiler::compileAll(regions, models), options);
-  runtime.registerRegion(regions[0]);
-  const std::string& region = regions[0].name;
-  const std::size_t capacity = options.decisionCacheCapacity;
+  TargetRuntime runtime = makeGemmRuntime(gemm.kernels()[0]);
+  const std::string& region = gemm.kernels()[0].name;
+  const std::size_t capacity = RuntimeOptions{}.decisionCacheCapacity;
   constexpr std::size_t kRows = 64;
   std::vector<symbolic::Bindings> bindings;
   for (std::size_t i = 0; i < capacity + kRows; ++i) {
@@ -356,6 +389,70 @@ TEST(BatchDecide, FullCacheMissBatchDoesNotAllocate) {
   EXPECT_EQ(stats.evictions, kRows);
   EXPECT_EQ(stats.insertions, capacity + kRows);
   for (std::size_t i = 0; i < kRows; ++i) EXPECT_TRUE(out[i].valid);
+}
+
+TEST(ScalarDecide, SteadyStateHitsDoNotAllocate) {
+  // Scalar decide() on a compiled region is a one-row group on the
+  // thread-local arena: once the keys are cached and the arena is sized,
+  // every call is a cache hit that touches no heap.
+  const polybench::Benchmark& gemm = polybench::benchmarkByName("GEMM");
+  TargetRuntime runtime = makeGemmRuntime(gemm.kernels()[0]);
+  const std::string& region = gemm.kernels()[0].name;
+  std::vector<symbolic::Bindings> bindings;
+  for (const std::int64_t n : {96, 128, 192, 256}) {
+    bindings.push_back(gemm.bindings(n));
+  }
+  for (const symbolic::Bindings& b : bindings) (void)runtime.decide(region, b);
+  const DecisionCache::Stats warm = runtime.decisionCacheStats(region);
+  bool allValid = true;
+  const std::uint64_t before = gAllocations.load(std::memory_order_relaxed);
+  for (int pass = 0; pass < 4; ++pass) {
+    for (const symbolic::Bindings& b : bindings) {
+      allValid = runtime.decide(region, b).valid && allValid;
+    }
+  }
+  const std::uint64_t after = gAllocations.load(std::memory_order_relaxed);
+  EXPECT_EQ(after - before, 0u)
+      << "steady-state scalar decide allocated " << (after - before)
+      << " times";
+  EXPECT_TRUE(allValid);
+  const DecisionCache::Stats stats = runtime.decisionCacheStats(region);
+  EXPECT_EQ(stats.hits - warm.hits, 4 * bindings.size());
+  EXPECT_EQ(stats.misses, warm.misses);
+}
+
+TEST(ScalarDecide, FullCacheEvictingMissesDoNotAllocate) {
+  // The region's cache is filled to capacity; each later decide() of a
+  // size it has never seen misses, evaluates the models and evicts the
+  // least-recently-used entry, reusing its storage — no heap traffic.
+  const polybench::Benchmark& gemm = polybench::benchmarkByName("GEMM");
+  TargetRuntime runtime = makeGemmRuntime(gemm.kernels()[0]);
+  const std::string& region = gemm.kernels()[0].name;
+  const std::size_t capacity = RuntimeOptions{}.decisionCacheCapacity;
+  constexpr std::size_t kFresh = 64;
+  std::vector<symbolic::Bindings> bindings;
+  for (std::size_t i = 0; i < capacity + kFresh; ++i) {
+    bindings.push_back(gemm.bindings(64 + 4 * static_cast<std::int64_t>(i)));
+  }
+  for (std::size_t i = 0; i < capacity; ++i) {
+    (void)runtime.decide(region, bindings[i]);
+  }
+  ASSERT_EQ(runtime.decisionCacheStats(region).insertions, capacity);
+  ASSERT_EQ(runtime.decisionCacheStats(region).evictions, 0u);
+
+  bool allValid = true;
+  const std::uint64_t before = gAllocations.load(std::memory_order_relaxed);
+  for (std::size_t i = capacity; i < capacity + kFresh; ++i) {
+    allValid = runtime.decide(region, bindings[i]).valid && allValid;
+  }
+  const std::uint64_t after = gAllocations.load(std::memory_order_relaxed);
+  EXPECT_EQ(after - before, 0u)
+      << "evicting scalar decide allocated " << (after - before) << " times";
+  EXPECT_TRUE(allValid);
+  const DecisionCache::Stats stats = runtime.decisionCacheStats(region);
+  EXPECT_EQ(stats.hits, 0u);
+  EXPECT_EQ(stats.evictions, kFresh);
+  EXPECT_EQ(stats.insertions, capacity + kFresh);
 }
 
 }  // namespace

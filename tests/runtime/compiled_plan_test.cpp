@@ -320,12 +320,13 @@ TEST(CompiledPlan, BindSlotsReportsMissingRequiredSymbols) {
   const polybench::Benchmark& gemm = polybench::benchmarkByName("GEMM");
   const CompiledRegionPlan plan = selector.compile(
       compiler::analyzeRegion(gemm.kernels()[0], hostModels()));
-  std::array<std::int64_t, CompiledRegionPlan::kMaxSlots> storage{};
-  const std::span<std::int64_t> values(storage.data(), plan.slotCount());
+  std::array<std::int64_t, CompiledRegionPlan::kMaxSlots> values{};
   std::uint64_t boundMask = 0;
-  EXPECT_FALSE(plan.bindSlots(symbolic::Bindings{}, values, boundMask));
+  EXPECT_FALSE(plan.bindSlotsColumn(symbolic::Bindings{}, values.data(), 1, 0,
+                                    boundMask));
   EXPECT_EQ(boundMask, 0u);
-  EXPECT_TRUE(plan.bindSlots(gemm.bindings(256), values, boundMask));
+  EXPECT_TRUE(plan.bindSlotsColumn(gemm.bindings(256), values.data(), 1, 0,
+                                   boundMask));
   EXPECT_NE(boundMask, 0u);
   EXPECT_EQ(values[0], 256);
 }

@@ -12,6 +12,7 @@
 #include <array>
 #include <cstdint>
 #include <random>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -38,20 +39,42 @@ std::array<std::int64_t, 2> key(std::int64_t a, std::int64_t b) {
   return {a, b};
 }
 
+/// One-row findMany — the probe a scalar decide makes: true and `out`
+/// filled on a hit, false and `out` untouched on a miss.
+bool findOne(DecisionCache& cache, std::uint64_t mask,
+             std::span<const std::int64_t> values, Decision& out,
+             std::uint64_t epoch = 0) {
+  const DecisionCache::KeyBlock block{values.data(), &mask, values.size(), 1};
+  Decision* const target = &out;
+  std::uint8_t hit = 0;
+  return cache.findMany(block, &target, &hit, epoch) == 1 && hit == 1;
+}
+
+/// One-row insertMany — the back-fill a scalar decide makes on a miss.
+void insertOne(DecisionCache& cache, std::uint64_t mask,
+               std::span<const std::int64_t> values, const Decision& decision,
+               std::uint64_t epoch = 0) {
+  const DecisionCache::KeyBlock block{values.data(), &mask, values.size(), 1};
+  const Decision* const source = &decision;
+  const std::uint32_t row = 0;
+  cache.insertMany(block, std::span<const std::uint32_t>(&row, 1), &source,
+                   epoch);
+}
+
 TEST(DecisionCache, HitAndMissCounters) {
   DecisionCache cache(4);
   const auto k = key(9600, 3);
   Decision out;
-  EXPECT_FALSE(cache.find(0b11, k, out));
+  EXPECT_FALSE(findOne(cache, 0b11, k, out));
   EXPECT_EQ(cache.stats().misses, 1u);
   EXPECT_EQ(cache.stats().lookups, 1u);
-  cache.insert(0b11, k, makeDecision(1.0));
+  insertOne(cache, 0b11, k, makeDecision(1.0));
   EXPECT_EQ(cache.stats().insertions, 1u);
-  ASSERT_TRUE(cache.find(0b11, k, out));
+  ASSERT_TRUE(findOne(cache, 0b11, k, out));
   EXPECT_DOUBLE_EQ(out.cpu.seconds, 1.0);
   EXPECT_EQ(cache.stats().hits, 1u);
   // Same values under a different bound mask is a different key.
-  EXPECT_FALSE(cache.find(0b01, k, out));
+  EXPECT_FALSE(findOne(cache, 0b01, k, out));
   EXPECT_EQ(cache.stats().misses, 2u);
   EXPECT_EQ(cache.stats().lookups, 3u);
 }
@@ -59,44 +82,44 @@ TEST(DecisionCache, HitAndMissCounters) {
 TEST(DecisionCache, LruEvictionAtCapacity) {
   DecisionCache cache(2);
   Decision out;
-  cache.insert(0b1, key(1, 0), makeDecision(1.0));
-  cache.insert(0b1, key(2, 0), makeDecision(2.0));
-  ASSERT_TRUE(cache.find(0b1, key(1, 0), out));  // refresh entry 1
-  cache.insert(0b1, key(3, 0), makeDecision(3.0));  // evicts entry 2
+  insertOne(cache, 0b1, key(1, 0), makeDecision(1.0));
+  insertOne(cache, 0b1, key(2, 0), makeDecision(2.0));
+  ASSERT_TRUE(findOne(cache, 0b1, key(1, 0), out));  // refresh entry 1
+  insertOne(cache, 0b1, key(3, 0), makeDecision(3.0));  // evicts entry 2
   EXPECT_EQ(cache.stats().evictions, 1u);
   EXPECT_EQ(cache.size(), 2u);
-  EXPECT_FALSE(cache.find(0b1, key(2, 0), out));
-  EXPECT_TRUE(cache.find(0b1, key(1, 0), out));
-  EXPECT_TRUE(cache.find(0b1, key(3, 0), out));
+  EXPECT_FALSE(findOne(cache, 0b1, key(2, 0), out));
+  EXPECT_TRUE(findOne(cache, 0b1, key(1, 0), out));
+  EXPECT_TRUE(findOne(cache, 0b1, key(3, 0), out));
 }
 
 TEST(DecisionCache, InsertRefreshesExistingKey) {
   DecisionCache cache(2);
   Decision out;
-  cache.insert(0b1, key(7, 0), makeDecision(1.0));
-  cache.insert(0b1, key(7, 0), makeDecision(5.0));
+  insertOne(cache, 0b1, key(7, 0), makeDecision(1.0));
+  insertOne(cache, 0b1, key(7, 0), makeDecision(5.0));
   EXPECT_EQ(cache.size(), 1u);
-  ASSERT_TRUE(cache.find(0b1, key(7, 0), out));
+  ASSERT_TRUE(findOne(cache, 0b1, key(7, 0), out));
   EXPECT_DOUBLE_EQ(out.cpu.seconds, 5.0);
 }
 
 TEST(DecisionCache, CapacityZeroDisablesStorage) {
   DecisionCache cache(0);
   Decision out;
-  cache.insert(0b1, key(1, 0), makeDecision(1.0));
+  insertOne(cache, 0b1, key(1, 0), makeDecision(1.0));
   EXPECT_EQ(cache.size(), 0u);
-  EXPECT_FALSE(cache.find(0b1, key(1, 0), out));
+  EXPECT_FALSE(findOne(cache, 0b1, key(1, 0), out));
   EXPECT_EQ(cache.stats().insertions, 0u);
 }
 
 TEST(DecisionCache, ClearDropsEntriesKeepsCounters) {
   DecisionCache cache(4);
   Decision out;
-  cache.insert(0b1, key(1, 0), makeDecision(1.0));
-  ASSERT_TRUE(cache.find(0b1, key(1, 0), out));
+  insertOne(cache, 0b1, key(1, 0), makeDecision(1.0));
+  ASSERT_TRUE(findOne(cache, 0b1, key(1, 0), out));
   cache.clear();
   EXPECT_EQ(cache.size(), 0u);
-  EXPECT_FALSE(cache.find(0b1, key(1, 0), out));
+  EXPECT_FALSE(findOne(cache, 0b1, key(1, 0), out));
   EXPECT_EQ(cache.stats().hits, 1u);
   EXPECT_EQ(cache.stats().misses, 1u);
   EXPECT_EQ(cache.stats().insertions, 1u);
@@ -106,17 +129,17 @@ TEST(DecisionCache, ClearDropsEntriesKeepsCounters) {
 TEST(DecisionCache, EpochAdvanceDropsEntriesLazily) {
   DecisionCache cache(4);
   Decision out;
-  cache.insert(0b1, key(1, 0), makeDecision(1.0), /*epoch=*/0);
-  ASSERT_TRUE(cache.find(0b1, key(1, 0), out, /*epoch=*/0));
+  insertOne(cache, 0b1, key(1, 0), makeDecision(1.0), /*epoch=*/0);
+  ASSERT_TRUE(findOne(cache, 0b1, key(1, 0), out, /*epoch=*/0));
   // The first access under a newer epoch clears the stale entries.
-  EXPECT_FALSE(cache.find(0b1, key(1, 0), out, /*epoch=*/1));
+  EXPECT_FALSE(findOne(cache, 0b1, key(1, 0), out, /*epoch=*/1));
   EXPECT_EQ(cache.size(), 0u);
   // Counters survive the epoch bump.
   EXPECT_EQ(cache.stats().hits, 1u);
   EXPECT_EQ(cache.stats().misses, 1u);
   // Inserting under the new epoch works normally.
-  cache.insert(0b1, key(1, 0), makeDecision(2.0), /*epoch=*/1);
-  ASSERT_TRUE(cache.find(0b1, key(1, 0), out, /*epoch=*/1));
+  insertOne(cache, 0b1, key(1, 0), makeDecision(2.0), /*epoch=*/1);
+  ASSERT_TRUE(findOne(cache, 0b1, key(1, 0), out, /*epoch=*/1));
   EXPECT_DOUBLE_EQ(out.cpu.seconds, 2.0);
 }
 
@@ -136,12 +159,12 @@ TEST(DecisionCache, ConcurrentStatsAreCoherent) {
         // A handful of shared keys (cross-thread hits) plus per-thread keys
         // (misses + insertions + evictions under the small capacity).
         const auto shared = key(i % 4, 0);
-        if (!cache.find(0b1, shared, out)) {
-          cache.insert(0b1, shared, makeDecision(1.0));
+        if (!findOne(cache, 0b1, shared, out)) {
+          insertOne(cache, 0b1, shared, makeDecision(1.0));
         }
         const auto mine = key(100 + t, i % 16);
-        if (!cache.find(0b1, mine, out)) {
-          cache.insert(0b1, mine, makeDecision(2.0));
+        if (!findOne(cache, 0b1, mine, out)) {
+          insertOne(cache, 0b1, mine, makeDecision(2.0));
         }
       }
     });
@@ -282,9 +305,9 @@ void expectSameState(const DecisionCache& cache, const ReferenceLru& ref) {
   EXPECT_EQ(actual.insertions, expected.insertions);
 }
 
-/// One seeded sequence of find / insert / findMany / insertMany / epoch
-/// bumps / clear, applied to both caches with the results compared after
-/// every step.
+/// One seeded sequence of one-row and multi-row findMany / insertMany
+/// calls, epoch bumps and clears, applied to both caches with the results
+/// compared after every step.
 void runDifferential(std::size_t capacity, std::uint64_t seed) {
   SCOPED_TRACE("capacity " + std::to_string(capacity) + " seed " +
                std::to_string(seed));
@@ -301,13 +324,13 @@ void runDifferential(std::size_t capacity, std::uint64_t seed) {
       const TestKey key = drawKey(rng, capacity, slots);
       Decision actual = sentinel;
       Decision expected = sentinel;
-      ASSERT_EQ(cache.find(key.mask, key.values, actual, epoch),
+      ASSERT_EQ(findOne(cache, key.mask, key.values, actual, epoch),
                 ref.find(key.mask, key.values, expected, epoch));
       expectSameDecision(actual, expected);
     } else if (op < 60) {
       const TestKey key = drawKey(rng, capacity, slots);
       const Decision decision = makeDecision(nextValue++);
-      cache.insert(key.mask, key.values, decision, epoch);
+      insertOne(cache, key.mask, key.values, decision, epoch);
       ref.insert(key.mask, key.values, decision, epoch);
     } else if (op < 95) {
       // A column-major block of rows sharing one key length, duplicates
@@ -400,13 +423,11 @@ TargetRegion streamKernel() {
       .build();
 }
 
-TargetRuntime makeRuntime(RuntimeOptions options = {},
-                          SelectorConfig config = {}) {
+TargetRuntime makeRuntime(RuntimeOptions options = {}) {
   const std::array<mca::MachineModel, 1> models{mca::MachineModel::power9()};
   const std::array<TargetRegion, 1> regions{streamKernel()};
   pad::AttributeDatabase db = compiler::compileAll(regions, models);
-  config.cpuThreads = 160;
-  options.selector = config;
+  options.selector.cpuThreads = 160;
   options.cpuSim = cpusim::CpuSimParams::power9();
   options.gpuSim = gpusim::GpuSimParams::teslaV100();
   TargetRuntime runtime(std::move(db), options);
@@ -473,7 +494,7 @@ TEST(TargetRuntimeDecisionCache, ReRegistrationReplacesPlanAndCache) {
 
 TEST(TargetRuntimeDecisionCache, DisabledCacheNeverHits) {
   RuntimeOptions options;
-  options.decisionCacheEnabled = false;
+  options.decisionCacheCapacity = 0;
   TargetRuntime runtime = makeRuntime(options);
   const symbolic::Bindings bindings{{"n", 96}};
   ArrayStore store = allocateArrays(streamKernel(), bindings);
@@ -489,20 +510,6 @@ TEST(TargetRuntimeDecisionCache, RejectsUnaddressableCacheCapacity) {
   RuntimeOptions options;
   options.decisionCacheCapacity = DecisionCache::kMaxCapacity + 1;
   EXPECT_THROW((void)makeRuntime(options), support::PreconditionError);
-}
-
-TEST(TargetRuntimeDecisionCache, InterpretedModeHasNoPlan) {
-  SelectorConfig config;
-  config.useCompiledPlans = false;
-  TargetRuntime runtime = makeRuntime({}, config);
-  EXPECT_EQ(runtime.plan("stream"), nullptr);
-  const symbolic::Bindings bindings{{"n", 96}};
-  ArrayStore store = allocateArrays(streamKernel(), bindings);
-  const LaunchRecord record =
-      runtime.launch("stream", bindings, store, Policy::ModelGuided);
-  EXPECT_FALSE(record.decisionCompiled);
-  EXPECT_FALSE(record.decisionCacheHit);
-  EXPECT_EQ(record.decision.device, record.chosen);
 }
 
 TEST(TargetRuntimeDecisionCache, CsvReportsDecisionPathColumns) {

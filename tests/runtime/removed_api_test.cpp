@@ -2,13 +2,16 @@
 // entry points — exact-signature decide(RegionAttributes, Bindings) /
 // decide(CompiledRegionPlan, Bindings) overloads and the loose-argument
 // TargetRuntime constructor — were [[deprecated]] forwarders for several
-// releases and are now removed. These are compile-time checks that the
+// releases and are now removed, as are the second (scalar) decide path's
+// knobs and cache/plan entry points. These are compile-time checks that the
 // removed signatures no longer exist, plus behavioral pins that the
 // unified API the shims forwarded to still accepts the old argument types
 // through the intended RegionHandle conversion path.
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstdint>
+#include <span>
 #include <type_traits>
 
 #include "compiler/compiler.h"
@@ -37,6 +40,60 @@ static_assert(!std::is_constructible_v<TargetRuntime, pad::AttributeDatabase,
 static_assert(std::is_constructible_v<TargetRuntime, pad::AttributeDatabase,
                                       RuntimeOptions>,
               "the unified constructor must stay");
+
+// Deciding has one compiled path: scalar decide() is a one-row region group,
+// so the knobs that chose between equivalent paths and the scalar cache and
+// plan entry points are gone. Templates keep each requires-expression a
+// soft (false) check instead of a hard compile error.
+template <typename Config>
+constexpr bool kHasUseCompiledPlans =
+    requires(Config config) { config.useCompiledPlans; };
+template <typename Options>
+constexpr bool kHasDecisionCacheEnabled =
+    requires(Options options) { options.decisionCacheEnabled; };
+template <typename Cache>
+constexpr bool kHasScalarFind =
+    requires(Cache cache, std::uint64_t mask,
+             std::span<const std::int64_t> values, Decision& out) {
+      cache.find(mask, values, out);
+    };
+template <typename Cache>
+constexpr bool kHasScalarInsert =
+    requires(Cache cache, std::uint64_t mask,
+             std::span<const std::int64_t> values, const Decision& decision) {
+      cache.insert(mask, values, decision);
+    };
+template <typename Plan>
+constexpr bool kHasBindSlots =
+    requires(const Plan plan, const symbolic::Bindings& bindings,
+             std::span<std::int64_t> values, std::uint64_t& mask) {
+      plan.bindSlots(bindings, values, mask);
+    };
+template <typename Plan>
+constexpr bool kHasCompleteWorkloads =
+    requires(const Plan plan, std::span<const std::int64_t> values,
+             std::uint64_t mask, cpumodel::CpuWorkload& cpu,
+             gpumodel::GpuWorkload& gpu) {
+      plan.completeWorkloads(values, mask, cpu, gpu);
+    };
+
+static_assert(!kHasUseCompiledPlans<SelectorConfig>,
+              "SelectorConfig::useCompiledPlans was removed: a region with a "
+              "PAD entry always gets a compiled plan");
+static_assert(!kHasDecisionCacheEnabled<RuntimeOptions>,
+              "RuntimeOptions::decisionCacheEnabled was removed; set "
+              "decisionCacheCapacity = 0 to disable memoization");
+static_assert(!kHasScalarFind<DecisionCache>,
+              "DecisionCache::find was removed; probe with a one-row findMany");
+static_assert(!kHasScalarInsert<DecisionCache>,
+              "DecisionCache::insert was removed; back-fill with a one-row "
+              "insertMany");
+static_assert(!kHasBindSlots<CompiledRegionPlan>,
+              "CompiledRegionPlan::bindSlots was removed; bind one row with "
+              "bindSlotsColumn");
+static_assert(!kHasCompleteWorkloads<CompiledRegionPlan>,
+              "CompiledRegionPlan::completeWorkloads was removed; complete "
+              "one row with completeWorkloadsColumns");
 
 TargetRegion streamKernel() {
   return RegionBuilder("stream")
