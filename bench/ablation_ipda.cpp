@@ -9,12 +9,14 @@
 // compared against the ground-truth GPU simulator on prediction error and
 // on the CPU/GPU decision each variant implies.
 #include <array>
+#include <cstdint>
 #include <cstdio>
 #include <vector>
 
 #include "bench/common/platform.h"
 #include "compiler/compiler.h"
 #include "runtime/selector.h"
+#include "support/check.h"
 #include "support/cli.h"
 #include "support/format.h"
 #include "support/statistics.h"
@@ -82,10 +84,24 @@ int main(int argc, char** argv) {
           gpuSim.simulate(kernel, bindings, store).totalSeconds;
       const double actualCpu = cpuSim.simulate(kernel, bindings, store).seconds;
       actualSpeedups.push_back(actualCpu / actualGpu);
-      const auto attr = compiler::analyzeRegion(kernel, models);
-      const auto base = selector.gpuWorkload(attr, bindings);
+      // The workloads the selector decides on: one row of the plan's
+      // column completion.
+      const runtime::CompiledRegionPlan plan =
+          selector.compile(compiler::analyzeRegion(kernel, models));
+      std::array<std::int64_t, runtime::CompiledRegionPlan::kMaxSlots> slots{};
+      std::uint64_t boundMask = 0;
+      support::require(
+          plan.fastPathUsable() &&
+              plan.bindSlotsColumn(bindings, slots.data(), 1, 0, boundMask),
+          "ablation_ipda: kernel bindings do not complete its plan");
+      std::int64_t exprOut = 0;
+      std::int64_t scratch = 0;
+      cpumodel::CpuWorkload cpu;
+      gpumodel::GpuWorkload base;
+      plan.completeWorkloadsColumns(slots.data(), &boundMask, 1, &exprOut,
+                                    &scratch, &cpu, &base);
       const double cpuPredicted =
-          selector.decide(runtime::RegionHandle(attr), bindings).cpu.seconds;
+          selector.decideFromWorkloads(plan, cpu, base).cpu.seconds;
       std::vector<std::string> row{
           kernel.name, support::formatSeconds(actualGpu)};
       for (const Variant v :

@@ -59,9 +59,9 @@ std::vector<KernelMeasurement> measureBenchmark(
     m.actualCpuSeconds = cpuSim.simulate(kernel, bindings, store).seconds;
     m.actualGpuSeconds = gpuSim.simulate(kernel, bindings, store).totalSeconds;
 
-    const pad::RegionAttributes attr = compiler::analyzeRegion(kernel, models);
-    const runtime::Decision decision =
-        selector.decide(runtime::RegionHandle(attr), bindings);
+    const runtime::CompiledRegionPlan plan =
+        selector.compile(compiler::analyzeRegion(kernel, models));
+    const runtime::Decision decision = selector.decide(plan, bindings);
     m.predictedCpuSeconds = decision.cpu.seconds;
     m.predictedGpuSeconds = decision.gpu.totalSeconds;
     results.push_back(m);

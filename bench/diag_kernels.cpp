@@ -49,9 +49,9 @@ int main(int argc, char** argv) {
       std::printf("    bounds: issue=%.2f latency=%.2f bandwidth=%.2f\n",
                   gpu.issueBoundFraction, gpu.latencyBoundFraction,
                   gpu.bandwidthBoundFraction);
-      const auto attr = compiler::analyzeRegion(kernel, models);
-      const auto decision =
-          selector.decide(runtime::RegionHandle(attr), bindings);
+      const runtime::CompiledRegionPlan plan =
+          selector.compile(compiler::analyzeRegion(kernel, models));
+      const auto decision = selector.decide(plan, bindings);
       std::printf("  model: %s\n  model: %s\n",
                   decision.cpu.toString().c_str(),
                   decision.gpu.toString().c_str());

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "compiler/compiler.h"
@@ -41,16 +42,21 @@ const runtime::OffloadSelector& selector() {
   return instance;
 }
 
-void BM_InterpretedDecision(benchmark::State& state) {
-  // The original launch-time path: substitute bindings into the stored
-  // symbolic expressions and walk them (allocates on every call).
-  const symbolic::Bindings bindings{{"n", 9600}};
-  const runtime::RegionHandle region(gemmAttributes());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(selector().decide(region, bindings));
-  }
+/// GEMM's model inputs under `bindings`, completed as one row of its
+/// compiled plan — the workloads every decide evaluates.
+std::pair<cpumodel::CpuWorkload, gpumodel::GpuWorkload> gemmWorkloads(
+    const symbolic::Bindings& bindings) {
+  const runtime::CompiledRegionPlan plan = selector().compile(gemmAttributes());
+  std::array<std::int64_t, runtime::CompiledRegionPlan::kMaxSlots> slots{};
+  std::uint64_t boundMask = 0;
+  plan.bindSlotsColumn(bindings, slots.data(), 1, 0, boundMask);
+  std::int64_t exprOut = 0;
+  std::int64_t scratch = 0;
+  std::pair<cpumodel::CpuWorkload, gpumodel::GpuWorkload> workloads;
+  plan.completeWorkloadsColumns(slots.data(), &boundMask, 1, &exprOut,
+                                &scratch, &workloads.first, &workloads.second);
+  return workloads;
 }
-BENCHMARK(BM_InterpretedDecision);
 
 void BM_CompiledDecision(benchmark::State& state) {
   // The compiled path: slot-based expression evaluation over a stack
@@ -281,8 +287,7 @@ BENCHMARK(BM_ServeDecide)->Arg(0)->Arg(1);
 void BM_CpuModelPredict(benchmark::State& state) {
   const symbolic::Bindings bindings{{"n", 9600}};
   const cpumodel::CpuCostModel model(cpumodel::CpuModelParams::power9(), 160);
-  const cpumodel::CpuWorkload workload =
-      selector().cpuWorkload(gemmAttributes(), bindings);
+  const cpumodel::CpuWorkload workload = gemmWorkloads(bindings).first;
   for (auto _ : state) {
     benchmark::DoNotOptimize(model.predict(workload));
   }
@@ -292,26 +297,12 @@ BENCHMARK(BM_CpuModelPredict);
 void BM_GpuModelPredict(benchmark::State& state) {
   const symbolic::Bindings bindings{{"n", 9600}};
   const gpumodel::GpuCostModel model(gpumodel::GpuDeviceParams::teslaV100());
-  const gpumodel::GpuWorkload workload =
-      selector().gpuWorkload(gemmAttributes(), bindings);
+  const gpumodel::GpuWorkload workload = gemmWorkloads(bindings).second;
   for (auto _ : state) {
     benchmark::DoNotOptimize(model.predict(workload));
   }
 }
 BENCHMARK(BM_GpuModelPredict);
-
-void BM_RuntimeStrideResolution(benchmark::State& state) {
-  // Binding the stored symbolic strides with runtime values — the per-launch
-  // cost of the hybrid IPDA path.
-  const symbolic::Bindings bindings{{"n", 9600}};
-  for (auto _ : state) {
-    for (const pad::StrideAttribute& stride : gemmAttributes().strides) {
-      benchmark::DoNotOptimize(
-          stride.stride.substituteAll(bindings).tryConstant());
-    }
-  }
-}
-BENCHMARK(BM_RuntimeStrideResolution);
 
 void BM_PadSerializeDeserialize(benchmark::State& state) {
   pad::AttributeDatabase db;
@@ -329,7 +320,7 @@ void BM_RenderLogCsv(benchmark::State& state) {
   const symbolic::Bindings bindings{{"n", 9600}};
   std::vector<runtime::LaunchRecord> log(512);
   const runtime::Decision decision =
-      selector().decide(runtime::RegionHandle(gemmAttributes()), bindings);
+      selector().decide(selector().compile(gemmAttributes()), bindings);
   for (std::size_t i = 0; i < log.size(); ++i) {
     log[i].regionName = "gemm_k1";
     log[i].policy = runtime::Policy::ModelGuided;

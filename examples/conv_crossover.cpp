@@ -29,11 +29,11 @@ int main(int argc, char** argv) {
   const ir::TargetRegion& kernel = conv.kernels()[0];
 
   const std::array<mca::MachineModel, 1> hosts{mca::MachineModel::power9()};
-  const pad::RegionAttributes attr = compiler::analyzeRegion(kernel, hosts);
-
   runtime::SelectorConfig config;
   config.cpuThreads = threads;
   const runtime::OffloadSelector selector(config);
+  const runtime::CompiledRegionPlan plan =
+      selector.compile(compiler::analyzeRegion(kernel, hosts));
   const cpusim::CpuSimulator cpuSim(cpusim::CpuSimParams::power9(), threads);
   const gpusim::GpuSimulator gpuSim(gpusim::GpuSimParams::teslaV100());
 
@@ -47,8 +47,7 @@ int main(int argc, char** argv) {
     polybench::initializeInputs(conv, bindings, store);
     const double cpu = cpuSim.simulate(kernel, bindings, store).seconds;
     const double gpu = gpuSim.simulate(kernel, bindings, store).totalSeconds;
-    const runtime::Decision decision =
-        selector.decide(runtime::RegionHandle(attr), bindings);
+    const runtime::Decision decision = selector.decide(plan, bindings);
     const runtime::Device winner =
         gpu < cpu ? runtime::Device::Gpu : runtime::Device::Cpu;
     table.addRow({std::to_string(n), support::formatSeconds(cpu),

@@ -47,10 +47,10 @@ int main(int argc, char** argv) {
       {"Kernel", "n=256", "n=1100", "n=9600", "stride resolution"});
   for (const char* name : {"gemm_k1", "atax_k2", "mvt_k1", "corr_k4"}) {
     const pad::RegionAttributes& attr = db.at(name);
+    const runtime::CompiledRegionPlan plan = selector.compile(attr);
     std::vector<std::string> row{name};
     for (const std::int64_t n : {256, 1100, 9600}) {
-      const runtime::Decision decision =
-          selector.decide(runtime::RegionHandle(attr), {{"n", n}});
+      const runtime::Decision decision = selector.decide(plan, {{"n", n}});
       row.push_back(runtime::toString(decision.device) + " (" +
                     support::formatSpeedup(decision.predictedSpeedup()) + ")");
     }

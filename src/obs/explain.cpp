@@ -9,8 +9,6 @@ namespace osel::obs {
 
 const char* toString(DecisionPath path) {
   switch (path) {
-    case DecisionPath::Interpreted:
-      return "interpreted";
     case DecisionPath::Compiled:
       return "compiled";
     case DecisionPath::Degenerate:

@@ -13,10 +13,10 @@
 // sink" hooks: cpumodel::explainInto / gpumodel::explainInto fold a
 // (workload, prediction) pair into the term structs, and
 // runtime::OffloadSelector::decide takes an optional DecisionExplain* it
-// fills on both the compiled-plan and interpreted paths — identically, as
-// the equivalence suite pins. The ExplainRing mirrors the TraceSession
-// event ring: preallocated, bounded, overwrite-oldest, drop-counting;
-// push() never heap-allocates.
+// fills from the compiled plan — term-identical to the test oracle's
+// interpreted walk, as the equivalence suite pins. The ExplainRing mirrors
+// the TraceSession event ring: preallocated, bounded, overwrite-oldest,
+// drop-counting; push() never heap-allocates.
 #pragma once
 
 #include <array>
@@ -27,11 +27,10 @@
 
 namespace osel::obs {
 
-/// Which decide path actually evaluated the models for this record.
+/// Whether the models produced this record's terms.
 enum class DecisionPath : std::uint8_t {
-  Interpreted,  ///< the symbolic-expression oracle walk
-  Compiled,     ///< the slot-based compiled-plan fast path
-  Degenerate,   ///< no PAD entry / model evaluation failed before predicting
+  Compiled,    ///< the compiled plan completed the workloads, models ran
+  Degenerate,  ///< no PAD entry / plan or model evaluation failed
 };
 
 [[nodiscard]] const char* toString(DecisionPath path);
@@ -81,7 +80,7 @@ struct DecisionExplain {
   std::array<char, kLabelCapacity> region{};  ///< NUL-terminated, truncated
   std::uint64_t seq = 0;   ///< record order, stamped by ExplainRing::push
   std::int64_t atNs = 0;   ///< ns since session start, stamped on record
-  DecisionPath path = DecisionPath::Interpreted;
+  DecisionPath path = DecisionPath::Compiled;
   bool valid = true;       ///< Decision::valid
   bool chosenGpu = false;  ///< selected device
   CpuTerms cpu;

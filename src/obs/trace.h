@@ -4,7 +4,7 @@
 // plus a MetricsRegistry and an online predicted-vs-actual error tracker.
 // The paper's §V.A observability gesture (an OMPT-flavoured hook surface)
 // becomes concrete here: TargetRuntime emits decision spans (tagged
-// compiled / interpreted / cache-hit), execution spans with kernel/transfer
+// compiled / cache-hit / degenerate), execution spans with kernel/transfer
 // sub-spans, retry/backoff/fallback instants, circuit-breaker transitions,
 // and fault-injection hits (TraceSession implements support::FaultObserver).
 //

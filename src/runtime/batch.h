@@ -34,7 +34,6 @@ struct DecideRequest {
 /// per batch (one atomic add per counter) instead of once per request.
 struct BatchCounters {
   std::uint64_t compiled = 0;
-  std::uint64_t interpreted = 0;
   std::uint64_t degenerate = 0;
   std::uint64_t cacheHits = 0;
   std::uint64_t cacheLookups = 0;

@@ -3,17 +3,19 @@
 #include <cstdlib>
 #include <utility>
 
+#include "support/check.h"
+
 namespace osel::runtime {
 
 namespace {
 
-/// Mirrors the interpreted gpuWorkload classification of a resolved stride.
+/// The interpreted walk's coalescing test of a resolved stride.
 [[nodiscard]] bool coalescedStride(std::int64_t stride) {
   return std::abs(stride) <= 1;
 }
 
-/// Mirrors the interpreted cpuWorkload false-sharing test of a resolved
-/// store stride (a non-zero stride below one cache line).
+/// The interpreted walk's false-sharing test of a resolved store stride (a
+/// non-zero stride below one cache line).
 [[nodiscard]] bool falseSharingStride(std::int64_t stride,
                                       std::int64_t elementBytes,
                                       std::int64_t cacheLineBytes) {
@@ -26,22 +28,42 @@ CompiledRegionPlan::CompiledRegionPlan(pad::RegionAttributes attr,
                                        const std::string& mcaModelName,
                                        std::int64_t cacheLineBytes)
     : attributes_(std::move(attr)), cacheLineBytes_(cacheLineBytes) {
-  // A missing MCA host entry must surface through the interpreted path's
-  // exact diagnostic, so the plan simply declines the fast path.
+  // Text identical to the interpreted walk's, which checked the host entry
+  // before evaluating anything.
   const auto cyclesIt = attributes_.machineCyclesPerIter.find(mcaModelName);
-  if (cyclesIt == attributes_.machineCyclesPerIter.end()) return;
+  if (cyclesIt == attributes_.machineCyclesPerIter.end()) {
+    unusableReason_ = "OffloadSelector: PAD entry " + attributes_.regionName +
+                      " has no MCA cycles for host model " + mcaModelName;
+    return;
+  }
 
   symbolic::SlotMap slots;
+  const auto tooManySlots = [&] {
+    if (slots.size() <= kMaxSlots) return false;
+    unusableReason_ = "CompiledRegionPlan: PAD entry " +
+                      attributes_.regionName + " has more than " +
+                      std::to_string(kMaxSlots) +
+                      " distinct runtime symbols (kMaxSlots)";
+    return true;
+  };
+  const auto slotMask = [&](const symbolic::Expr& expr) {
+    std::uint64_t mask = 0;
+    for (const std::string& symbolName : expr.freeSymbols()) {
+      mask |= std::uint64_t{1} << slots.lookup(symbolName);
+    }
+    return mask;
+  };
   // Main expressions first: their slots form the *required* set (the
-  // interpreted path throws when any of their symbols is unbound).
+  // interpreted walk threw when any of their symbols was unbound).
   flatTripCount_ = symbolic::CompiledExpr(attributes_.flatTripCount, slots);
   bytesToDevice_ = symbolic::CompiledExpr(attributes_.bytesToDevice, slots);
   bytesFromDevice_ = symbolic::CompiledExpr(attributes_.bytesFromDevice, slots);
-  const std::size_t requiredSlots = slots.size();
-  if (requiredSlots > kMaxSlots) return;
-  requiredMask_ = requiredSlots == kMaxSlots
-                      ? ~std::uint64_t{0}
-                      : (std::uint64_t{1} << requiredSlots) - 1;
+  if (tooManySlots()) return;
+  flatTripCountMask_ = slotMask(attributes_.flatTripCount);
+  bytesToDeviceMask_ = slotMask(attributes_.bytesToDevice);
+  bytesFromDeviceMask_ = slotMask(attributes_.bytesFromDevice);
+  requiredMask_ =
+      flatTripCountMask_ | bytesToDeviceMask_ | bytesFromDeviceMask_;
 
   // --- Binding-independent workload halves ---------------------------------
   cpuTemplate_.machineCyclesPerIter = cyclesIt->second;
@@ -55,7 +77,7 @@ CompiledRegionPlan::CompiledRegionPlan(pad::RegionAttributes attr,
   // Constant (or non-affine) strides classify at compile time; the leading
   // run of them folds straight into the workload templates. Later constant
   // steps stay in `steps_` so the per-accumulator floating-point addition
-  // order matches the interpreted path exactly.
+  // order matches the interpreted walk exactly.
   bool folding = true;
   for (const pad::StrideAttribute& stride : attributes_.strides) {
     StrideStep step;
@@ -86,14 +108,11 @@ CompiledRegionPlan::CompiledRegionPlan(pad::RegionAttributes attr,
       folding = false;
       step.kind = StrideStep::Kind::Dynamic;
       step.stride = symbolic::CompiledExpr(stride.stride, slots);
-      if (slots.size() > kMaxSlots) return;
-      for (const std::string& symbolName : stride.stride.freeSymbols()) {
-        step.slotsNeeded |= std::uint64_t{1} << slots.lookup(symbolName);
-      }
+      if (tooManySlots()) return;
+      step.slotsNeeded = slotMask(stride.stride);
     }
     steps_.push_back(std::move(step));
   }
-  if (slots.size() > kMaxSlots) return;
 
   slotNames_.reserve(slots.size());
   for (const auto& [name, slot] : slots.entries()) {
@@ -101,7 +120,6 @@ CompiledRegionPlan::CompiledRegionPlan(pad::RegionAttributes attr,
   }
   // SlotMap::entries() iterates its std::map, so slotNames_ is already
   // sorted by symbol name — the order the bindings merge-join needs.
-  fastPathUsable_ = true;
 }
 
 bool CompiledRegionPlan::bindSlotsColumn(const symbolic::Bindings& bindings,
@@ -121,6 +139,20 @@ bool CompiledRegionPlan::bindSlotsColumn(const symbolic::Bindings& bindings,
     }
   }
   return (boundMask & requiredMask_) == requiredMask_;
+}
+
+void CompiledRegionPlan::requireCompletable(
+    const symbolic::Bindings& bindings, std::uint64_t boundMask) const {
+  if (!fastPathUsable()) throw support::PreconditionError(unusableReason_);
+  // The walk's order: trip count, then the two transfer volumes.
+  const std::pair<const symbolic::Expr*, std::uint64_t> required[] = {
+      {&attributes_.flatTripCount, flatTripCountMask_},
+      {&attributes_.bytesToDevice, bytesToDeviceMask_},
+      {&attributes_.bytesFromDevice, bytesFromDeviceMask_},
+  };
+  for (const auto& [expr, mask] : required) {
+    if ((boundMask & mask) != mask) (void)expr->evaluate(bindings);
+  }
 }
 
 void CompiledRegionPlan::completeWorkloadsColumns(
@@ -160,8 +192,8 @@ void CompiledRegionPlan::completeWorkloadsColumns(
           bool coalesced = false;
           bool falseSharing = false;
           // Unbound symbols leave the stride unresolved for that row:
-          // uncoalesced and exempt from the false-sharing test, like the
-          // interpreted path's substituteAll(...).tryConstant() == nullopt.
+          // uncoalesced and exempt from the false-sharing test, like a
+          // stride the interpreted walk could not resolve to a constant.
           if ((masks[r] & step.slotsNeeded) == step.slotsNeeded) {
             const std::int64_t value = exprOut[r];
             coalesced = coalescedStride(value);

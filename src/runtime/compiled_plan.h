@@ -1,13 +1,13 @@
 // osel/runtime/compiled_plan.h — compiled decision plans.
 //
 // The paper's §IV.D pitch is that launch-time model evaluation is
-// "equivalent to solving an equation", yet the interpreted
-// OffloadSelector path re-resolves symbolic expressions through
-// string-keyed maps on every decide(): Expr::substituteAll heap-allocates
-// fresh polynomials per stride per launch and both workload structs are
-// rebuilt from the PAD each time. A CompiledRegionPlan moves all of that to
-// region-registration time (the Kerncraft / OpenMP-Advisor split: expensive
-// analysis once, a cheap closed-form completion at launch):
+// "equivalent to solving an equation". Walking the PAD's symbolic
+// expressions at every launch would resolve them through string-keyed maps
+// (substituting bindings heap-allocates fresh polynomials per stride) and
+// rebuild both workload structs from the PAD each time. A
+// CompiledRegionPlan moves all of that to region-registration time (the
+// Kerncraft / OpenMP-Advisor split: expensive analysis once, a cheap
+// closed-form completion at launch):
 //
 //   * flatTripCount / bytesToDevice / bytesFromDevice and every affine
 //     stride are lowered to slot-based symbolic::CompiledExprs over one
@@ -25,12 +25,13 @@
 // (merge-join against the sorted slot names — string comparisons only), and
 // every compiled expression op then runs over all rows. A scalar decide is a
 // one-row group. The result is bit-identical to the interpreted walk over
-// the PAD entry (decide(RegionHandle(attributes), ...)), which stays as the
-// correctness oracle that CompiledPlanEquivalence.* diffs against.
-// Degenerate inputs (unbound required symbols, a missing MCA host entry,
-// more symbols than kMaxSlots) make the plan report itself unusable for the
-// fast path and the selector falls back to the interpreted walk, so
-// diagnostics stay byte-identical too.
+// the PAD entry, which lives on only as the test oracle
+// (tests/oracle) that CompiledPlanEquivalence.* diffs against.
+// Degenerate inputs produce their diagnostics here, without the walk: a
+// plan that cannot run (missing MCA host entry, more symbols than
+// kMaxSlots) records why, and a row with unbound required symbols gets the
+// error Expr::evaluate raises for the first expression the walk would have
+// failed on.
 #pragma once
 
 #include <cstdint>
@@ -45,8 +46,8 @@
 namespace osel::runtime {
 
 /// Issue-slot weight of one special math instruction (rsqrt/exp/...) in the
-/// GPU model's compute stream. Shared by the interpreted and compiled
-/// workload builders so the two paths agree exactly.
+/// GPU model's compute stream. Shared by the compiled workload builder and
+/// the test oracle's interpreted walk so the two agree exactly.
 inline constexpr double kSpecialInstIssueWeight = 8.0;
 
 /// A PAD region lowered for allocation-free launch-time completion.
@@ -54,9 +55,10 @@ inline constexpr double kSpecialInstIssueWeight = 8.0;
 /// and then read-only: concurrent decide() calls over one plan are safe.
 class CompiledRegionPlan {
  public:
-  /// Slot-vector capacity of the fast path; regions with more distinct
+  /// Slot-vector capacity of the fast path; a region with more distinct
   /// runtime symbols (none in practice — Polybench kernels bind one or two)
-  /// fall back to the interpreted walk.
+  /// gets an unusable plan whose decisions degrade with a diagnostic naming
+  /// the limit.
   static constexpr std::size_t kMaxSlots = 64;
 
   /// Lowers `attr`. `mcaModelName` selects the Machine_cycles_per_iter host
@@ -65,8 +67,7 @@ class CompiledRegionPlan {
   CompiledRegionPlan(pad::RegionAttributes attr, const std::string& mcaModelName,
                      std::int64_t cacheLineBytes);
 
-  /// The PAD entry the plan was compiled from (kept for the interpreted
-  /// fallback path and diagnostics).
+  /// The PAD entry the plan was compiled from (region name, diagnostics).
   [[nodiscard]] const pad::RegionAttributes& attributes() const {
     return attributes_;
   }
@@ -75,19 +76,30 @@ class CompiledRegionPlan {
   [[nodiscard]] std::size_t slotCount() const { return slotNames_.size(); }
 
   /// True when launch-time completion can run on the compiled fast path.
-  [[nodiscard]] bool fastPathUsable() const { return fastPathUsable_; }
+  [[nodiscard]] bool fastPathUsable() const { return unusableReason_.empty(); }
 
   /// Fills row `row` of a slot-major column block (`columns[slot * rows +
   /// row]`, at least slotCount() * rows entries) from `bindings` and sets
   /// bit i of `boundMask` for every bound slot i; unbound slots read 0.
   /// Returns true iff every *required* symbol (trip count / transfer
   /// expressions) is bound — optional stride-only symbols may stay unbound,
-  /// matching the interpreted path's "unresolved stride => uncoalesced"
+  /// matching the interpreted walk's "unresolved stride => uncoalesced"
   /// semantics. With rows == 1 the block is a plain slot vector. No heap
   /// allocation.
   bool bindSlotsColumn(const symbolic::Bindings& bindings,
                        std::int64_t* columns, std::size_t rows,
                        std::size_t row, std::uint64_t& boundMask) const;
+
+  /// Throws the diagnostic of a row that cannot complete, as the
+  /// interpreted walk raised it: support::PreconditionError with the
+  /// recorded reason when !fastPathUsable(); otherwise the error
+  /// Expr::evaluate throws for the first of flatTripCount, bytesToDevice and
+  /// bytesFromDevice with a slot missing from `boundMask` (the row's
+  /// bindSlotsColumn() mask). Returns only when that expression evaluates
+  /// anyway (a bound zero factor absorbs the unbound symbol): the row then
+  /// completes on the fast path exactly as the walk would.
+  void requireCompletable(const symbolic::Bindings& bindings,
+                          std::uint64_t boundMask) const;
 
   /// Completes `rows` workload pairs from a slot-major column block in one
   /// pass, evaluating each compiled expression op over all rows
@@ -96,9 +108,10 @@ class CompiledRegionPlan {
   /// bit-identical to the interpreted walk on that row's bindings: the
   /// stride steps are walked in PAD order per row, so floating-point
   /// accumulation order matches exactly. Precondition: fastPathUsable().
-  /// Rows whose bindSlotsColumn() returned false are completed too (their
-  /// unresolved dynamic strides classify uncoalesced); callers route such
-  /// rows to the interpreted walk for decisions. No heap allocation.
+  /// Rows whose bindSlotsColumn() returned false are completed too (unbound
+  /// slots read 0, unresolved dynamic strides classify uncoalesced);
+  /// callers decide such rows only after requireCompletable(). No heap
+  /// allocation.
   void completeWorkloadsColumns(const std::int64_t* columns,
                                 const std::uint64_t* masks, std::size_t rows,
                                 std::int64_t* exprOut, std::int64_t* scratch,
@@ -133,11 +146,16 @@ class CompiledRegionPlan {
   };
 
   pad::RegionAttributes attributes_;
-  bool fastPathUsable_ = false;
+  /// Why the fast path cannot run; empty when it can.
+  std::string unusableReason_;
   std::int64_t cacheLineBytes_ = 128;
 
   std::vector<SlotBinding> slotNames_;  // sorted by name
-  std::uint64_t requiredMask_ = 0;      // slots the main expressions need
+  /// Slots each main expression reads, and their union (the required set).
+  std::uint64_t flatTripCountMask_ = 0;
+  std::uint64_t bytesToDeviceMask_ = 0;
+  std::uint64_t bytesFromDeviceMask_ = 0;
+  std::uint64_t requiredMask_ = 0;
 
   symbolic::CompiledExpr flatTripCount_;
   symbolic::CompiledExpr bytesToDevice_;
@@ -149,7 +167,7 @@ class CompiledRegionPlan {
   gpumodel::GpuWorkload gpuTemplate_;
 
   /// Strides after the folded constant prefix, in original order (keeps
-  /// floating-point accumulation order identical to the interpreted path).
+  /// floating-point accumulation order identical to the interpreted walk).
   std::vector<StrideStep> steps_;
   std::size_t preResolvedStrides_ = 0;
 };

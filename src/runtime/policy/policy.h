@@ -11,8 +11,8 @@
 // rules behind one seam).
 //
 // Deliberately narrow seam: a SelectionPolicy consumes already-evaluated
-// prediction pairs. Model evaluation — the compiled plans, the SoA batch
-// path, the interpreted oracle — is untouched above it; the policy only
+// prediction pairs. Model evaluation — the compiled plans and the SoA batch
+// path — is untouched above it; the policy only
 // answers "given these two predicted times for this region, which device,
 // and was that a probe?". Degenerate predictions (non-finite/non-positive)
 // never reach a policy: the selector's safe-default degradation handles

@@ -3,15 +3,11 @@
 #include <array>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <utility>
 
-#include "support/check.h"
 #include "support/faultinject.h"
 
 namespace osel::runtime {
-
-using support::require;
 
 std::string toString(Device device) {
   return device == Device::Cpu ? "CPU" : "GPU";
@@ -26,55 +22,6 @@ OffloadSelector::OffloadSelector(SelectorConfig config)
   }
   modelComparePolicy_ =
       config_.policy->kind() == policy::PolicyKind::ModelCompare;
-}
-
-cpumodel::CpuWorkload OffloadSelector::cpuWorkload(
-    const pad::RegionAttributes& attr, const symbolic::Bindings& bindings) const {
-  const auto cyclesIt = attr.machineCyclesPerIter.find(config_.mcaModelName);
-  require(cyclesIt != attr.machineCyclesPerIter.end(),
-          "OffloadSelector: PAD entry " + attr.regionName +
-              " has no MCA cycles for host model " + config_.mcaModelName);
-  cpumodel::CpuWorkload workload;
-  workload.machineCyclesPerIter = cyclesIt->second;
-  workload.parallelTripCount = attr.flatTripCount.evaluate(bindings);
-  workload.bytesTouchedPerIteration = attr.bytesTouchedPerIteration;
-  // False-sharing flag: a resolved store stride below one cache line.
-  for (const pad::StrideAttribute& stride : attr.strides) {
-    if (!stride.isStore || !stride.affine) continue;
-    const auto resolved = stride.stride.substituteAll(bindings).tryConstant();
-    if (!resolved.has_value() || *resolved == 0) continue;
-    if (std::abs(*resolved) * stride.elementBytes <
-        config_.cpuParams.cacheLineBytes) {
-      workload.falseSharingRisk = true;
-      break;
-    }
-  }
-  return workload;
-}
-
-gpumodel::GpuWorkload OffloadSelector::gpuWorkload(
-    const pad::RegionAttributes& attr, const symbolic::Bindings& bindings) const {
-  gpumodel::GpuWorkload workload;
-  // Special math instructions weigh as several issue slots.
-  workload.compInstsPerThread =
-      attr.compInstsPerIter + kSpecialInstIssueWeight * attr.specialInstsPerIter;
-  workload.fp64Fraction = attr.fp64Fraction;
-  for (const pad::StrideAttribute& stride : attr.strides) {
-    bool coalesced = false;
-    if (stride.affine) {
-      const auto resolved = stride.stride.substituteAll(bindings).tryConstant();
-      coalesced = resolved.has_value() && std::abs(*resolved) <= 1;
-    }
-    if (coalesced) {
-      workload.coalMemInstsPerThread += stride.countPerIteration;
-    } else {
-      workload.uncoalMemInstsPerThread += stride.countPerIteration;
-    }
-  }
-  workload.parallelTripCount = attr.flatTripCount.evaluate(bindings);
-  workload.bytesToDevice = attr.bytesToDevice.evaluate(bindings);
-  workload.bytesFromDevice = attr.bytesFromDevice.evaluate(bindings);
-  return workload;
 }
 
 namespace {
@@ -139,9 +86,6 @@ Decision OffloadSelector::decide(const RegionHandle& region,
   if (const CompiledRegionPlan* plan = region.plan()) {
     return decideCompiled(*plan, bindings, explain);
   }
-  if (const pad::RegionAttributes* attr = region.attributes()) {
-    return decideInterpreted(*attr, bindings, explain);
-  }
   // Missing PAD entry: ModelGuided must degrade, not crash. The diagnostic
   // is the same PadLookupError text at() would have thrown.
   Decision decision;
@@ -160,18 +104,18 @@ Decision OffloadSelector::decide(const RegionHandle& region,
 
 template <typename BuildWorkloads>
 Decision OffloadSelector::evaluate(const std::string& regionName,
-                                   obs::DecisionPath path,
                                    obs::DecisionExplain* explain,
                                    BuildWorkloads&& build) const {
   const auto start = std::chrono::steady_clock::now();
   Decision decision;
+  obs::DecisionPath path = obs::DecisionPath::Compiled;
   if (explain != nullptr) *explain = obs::DecisionExplain{};
   try {
     (void)support::faultInjector().hit(support::faultpoints::kSelectorDecide,
                                        "selector");
     cpumodel::CpuWorkload cpu;
     gpumodel::GpuWorkload gpu;
-    build(cpu, gpu, path);
+    build(cpu, gpu);
     decision.cpu = cpuModel_.predict(cpu);
     decision.gpu = gpuModel_.predict(gpu);
     if (explain != nullptr) {
@@ -194,24 +138,12 @@ Decision OffloadSelector::evaluate(const std::string& regionName,
   return decision;
 }
 
-Decision OffloadSelector::decideInterpreted(
-    const pad::RegionAttributes& attr, const symbolic::Bindings& bindings,
-    obs::DecisionExplain* explain) const {
-  return evaluate(attr.regionName, obs::DecisionPath::Interpreted, explain,
-                  [&](cpumodel::CpuWorkload& cpu, gpumodel::GpuWorkload& gpu,
-                      obs::DecisionPath&) {
-                    cpu = cpuWorkload(attr, bindings);
-                    gpu = gpuWorkload(attr, bindings);
-                  });
-}
-
 Decision OffloadSelector::decideFromWorkloads(
     const CompiledRegionPlan& plan, const cpumodel::CpuWorkload& cpu,
     const gpumodel::GpuWorkload& gpu, obs::DecisionExplain* explain) const {
-  return evaluate(plan.attributes().regionName, obs::DecisionPath::Compiled,
-                  explain,
+  return evaluate(plan.attributes().regionName, explain,
                   [&](cpumodel::CpuWorkload& cpuOut,
-                      gpumodel::GpuWorkload& gpuOut, obs::DecisionPath&) {
+                      gpumodel::GpuWorkload& gpuOut) {
                     cpuOut = cpu;
                     gpuOut = gpu;
                   });
@@ -226,26 +158,20 @@ Decision OffloadSelector::decideCompiled(
     const CompiledRegionPlan& plan, const symbolic::Bindings& bindings,
     obs::DecisionExplain* explain) const {
   return evaluate(
-      plan.attributes().regionName, obs::DecisionPath::Compiled, explain,
-      [&](cpumodel::CpuWorkload& cpu, gpumodel::GpuWorkload& gpu,
-          obs::DecisionPath& path) {
+      plan.attributes().regionName, explain,
+      [&](cpumodel::CpuWorkload& cpu, gpumodel::GpuWorkload& gpu) {
         // One SoA row: with rows == 1 the slot-major column block is a
         // plain slot vector, and the expression workspaces are one entry.
         std::array<std::int64_t, CompiledRegionPlan::kMaxSlots> values{};
         std::uint64_t boundMask = 0;
-        if (plan.fastPathUsable() &&
-            plan.bindSlotsColumn(bindings, values.data(), 1, 0, boundMask)) {
-          std::int64_t exprOut = 0;
-          std::int64_t scratch = 0;
-          plan.completeWorkloadsColumns(values.data(), &boundMask, 1, &exprOut,
-                                        &scratch, &cpu, &gpu);
-        } else {
-          // Degenerate plan or bindings: re-run the interpreted walk so the
-          // failure diagnostics are byte-identical to the oracle path.
-          path = obs::DecisionPath::Interpreted;
-          cpu = cpuWorkload(plan.attributes(), bindings);
-          gpu = gpuWorkload(plan.attributes(), bindings);
+        if (!plan.fastPathUsable() ||
+            !plan.bindSlotsColumn(bindings, values.data(), 1, 0, boundMask)) {
+          plan.requireCompletable(bindings, boundMask);
         }
+        std::int64_t exprOut = 0;
+        std::int64_t scratch = 0;
+        plan.completeWorkloadsColumns(values.data(), &boundMask, 1, &exprOut,
+                                      &scratch, &cpu, &gpu);
       });
 }
 

@@ -8,13 +8,13 @@
 // measured overhead is exposed so the negligible-overhead claim can be
 // checked (bench/micro_decision_overhead).
 //
-// Every decide path builds a CPU/GPU workload pair in its own way (the
-// interpreted walk over PAD expressions, one compiled-plan row, or a row the
-// runtime's SoA group already completed) and then runs one shared tail:
-// both model predictions, the explain fill, and the policy choice.
-// TargetRuntime decides on compiled plans only; the interpreted walk stays
-// as the correctness oracle (CompiledPlanEquivalence.*) and the fallback for
-// rows a plan cannot bind.
+// The selector decides only through compiled plans (runtime/compiled_plan.h):
+// a decide() completes one plan row, decideFromWorkloads() takes a row the
+// runtime's SoA group already completed, and both run one shared tail —
+// both model predictions, the explain fill, and the policy choice. A row
+// the plan cannot complete degrades to the safe default with the plan's
+// own diagnostic. The interpreted walk over PAD expressions is a test-only
+// oracle (tests/oracle) that CompiledPlanEquivalence.* diffs against.
 #pragma once
 
 #include <cmath>
@@ -86,22 +86,15 @@ struct Decision {
 };
 
 /// A lightweight, non-owning view naming the region a decide() call is
-/// about. One handle type spans the three launch-time situations:
-///   * a CompiledRegionPlan — the registration-time lowered fast path,
-///   * raw PAD RegionAttributes — the interpreted oracle walk,
-///   * a missing region — no PAD entry; decide() degrades to the safe
-///     default device with a PadLookupError diagnostic.
-/// Handles are views: the referenced plan/attributes (and, for missing(),
-/// the name/suggestion storage) must outlive the decide() call.
+/// about: either a CompiledRegionPlan (the region's PAD entry lowered at
+/// registration), or a missing region — no PAD entry; decide() degrades to
+/// the safe default device with a PadLookupError diagnostic. Handles are
+/// views: the referenced plan (and, for missing(), the name/suggestion
+/// storage) must outlive the decide() call.
 class RegionHandle {
  public:
   /*implicit*/ RegionHandle(const CompiledRegionPlan& plan)
-      : plan_(&plan),
-        attributes_(&plan.attributes()),
-        name_(plan.attributes().regionName) {}
-
-  /*implicit*/ RegionHandle(const pad::RegionAttributes& attributes)
-      : attributes_(&attributes), name_(attributes.regionName) {}
+      : plan_(&plan), name_(plan.attributes().regionName) {}
 
   /// Handle for a region absent from the PAD. `suggestion` is the nearest
   /// known region name (may be empty); it feeds the diagnostic.
@@ -113,14 +106,8 @@ class RegionHandle {
     return handle;
   }
 
-  /// Compiled plan; nullptr when the handle wraps raw attributes or a
-  /// missing region.
+  /// Compiled plan; nullptr for a missing region.
   [[nodiscard]] const CompiledRegionPlan* plan() const { return plan_; }
-  /// PAD attributes; nullptr only for a missing region.
-  [[nodiscard]] const pad::RegionAttributes* attributes() const {
-    return attributes_;
-  }
-  [[nodiscard]] bool resolved() const { return attributes_ != nullptr; }
   [[nodiscard]] std::string_view name() const { return name_; }
   [[nodiscard]] std::string_view suggestion() const { return suggestion_; }
 
@@ -128,7 +115,6 @@ class RegionHandle {
   RegionHandle() = default;
 
   const CompiledRegionPlan* plan_ = nullptr;
-  const pad::RegionAttributes* attributes_ = nullptr;
   std::string_view name_;
   std::string_view suggestion_;
 };
@@ -138,23 +124,13 @@ class OffloadSelector {
  public:
   explicit OffloadSelector(SelectorConfig config);
 
-  /// Builds the CPU model inputs from PAD attributes + runtime values.
-  [[nodiscard]] cpumodel::CpuWorkload cpuWorkload(
-      const pad::RegionAttributes& attr, const symbolic::Bindings& bindings) const;
-
-  /// Builds the GPU model inputs; the coalesced/uncoalesced split comes from
-  /// resolving each stored symbolic stride with the runtime bindings
-  /// (paper §IV.C, case 2).
-  [[nodiscard]] gpumodel::GpuWorkload gpuWorkload(
-      const pad::RegionAttributes& attr, const symbolic::Bindings& bindings) const;
-
   /// THE selection entry point: evaluates both models for the region the
   /// handle names and picks the faster device.
   ///   * handle wraps a CompiledRegionPlan: the allocation-free compiled
-  ///     fast path (slot binding, no string hashing); degenerate inputs
-  ///     (unbound required symbols, unusable plan) re-run the interpreted
-  ///     walk so even diagnostics match the oracle path bit-for-bit,
-  ///   * handle wraps RegionAttributes: the interpreted expression walk,
+  ///     path (slot binding, no string hashing). A row the plan cannot
+  ///     complete (unbound required symbols, an unusable plan) degrades
+  ///     with the diagnostic CompiledRegionPlan::requireCompletable throws,
+  ///     byte-identical to the interpreted oracle's,
   ///   * handle is missing(): degrades to the configured safe default
   ///     device, valid == false, with a PadLookupError diagnostic.
   /// Guardrailed: model/workload-construction failures and degenerate
@@ -163,24 +139,22 @@ class OffloadSelector {
   /// launches behave like AlwaysCpu instead of crashing.
   ///
   /// `explain`, when non-null, is the forensics sink: the call fills it
-  /// with the full model-term breakdown (obs/explain.h) of this decision.
-  /// Both decide paths fill term-identical records — pinned by the
-  /// compiled-plan equivalence suite; only DecisionExplain::path records
-  /// which evaluation strategy actually ran. Filling never allocates.
+  /// with the full model-term breakdown (obs/explain.h) of this decision,
+  /// term-identical to the oracle's record (pinned by the compiled-plan
+  /// equivalence suite). Filling never allocates.
   [[nodiscard]] Decision decide(const RegionHandle& region,
                                 const symbolic::Bindings& bindings,
                                 obs::DecisionExplain* explain = nullptr) const;
 
   /// The shared decide tail — the decide fault point, both model
   /// predictions, explain fill, choice resolution, degradation to the safe
-  /// default on exception — applied to a workload pair the SoA group
-  /// evaluator (CompiledRegionPlan::completeWorkloadsColumns) already
-  /// completed. Given workloads equal to what decide(plan, bindings) would
-  /// build, the returned Decision is bit-identical except overheadSeconds
-  /// (wall time, excluded from the equivalence contract). Precondition: the
-  /// workloads came from a bindSlotsColumn() row that returned true on a
-  /// fastPathUsable() plan — unbindable rows must use decide() so
-  /// diagnostics match the interpreted oracle byte-for-byte.
+  /// default on exception — applied to a workload pair completed outside
+  /// the selector (the runtime's SoA group evaluator,
+  /// CompiledRegionPlan::completeWorkloadsColumns, or the test oracle's
+  /// walk). `plan` names the region. Given workloads equal to what
+  /// decide(plan, bindings) would build, the returned Decision is
+  /// bit-identical except overheadSeconds (wall time, excluded from the
+  /// equivalence contract).
   [[nodiscard]] Decision decideFromWorkloads(
       const CompiledRegionPlan& plan, const cpumodel::CpuWorkload& cpu,
       const gpumodel::GpuWorkload& gpu,
@@ -202,23 +176,18 @@ class OffloadSelector {
   }
 
  private:
-  /// The interpreted expression walk (the correctness oracle).
-  [[nodiscard]] Decision decideInterpreted(const pad::RegionAttributes& attr,
-                                           const symbolic::Bindings& bindings,
-                                           obs::DecisionExplain* explain) const;
-  /// The compiled slot-based fast path: one SoA row on the stack.
+  /// The compiled path: one SoA row on the stack.
   [[nodiscard]] Decision decideCompiled(const CompiledRegionPlan& plan,
                                         const symbolic::Bindings& bindings,
                                         obs::DecisionExplain* explain) const;
   /// The tail every decide path shares. Inside one try block it hits the
-  /// decide fault point, calls `build(cpu, gpu, path)` to fill the workload
-  /// pair (a build may downgrade `path`), predicts both devices, fills
-  /// `explain` and resolves the choice; any exception degrades the decision
-  /// to the safe default. Stamps the wall-time overhead and the explain
-  /// header last. Defined in selector.cpp, its only user.
+  /// decide fault point, calls `build(cpu, gpu)` to fill the workload pair,
+  /// predicts both devices, fills `explain` and resolves the choice; any
+  /// exception degrades the decision to the safe default. Stamps the
+  /// wall-time overhead and the explain header last. Defined in
+  /// selector.cpp, its only user.
   template <typename BuildWorkloads>
   [[nodiscard]] Decision evaluate(const std::string& regionName,
-                                  obs::DecisionPath path,
                                   obs::DecisionExplain* explain,
                                   BuildWorkloads&& build) const;
   /// Stamps the record header (region, path, choice, speedup, overhead)

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <optional>
 #include <span>
 #include <string_view>
 #include <utility>
@@ -114,7 +115,6 @@ void TargetRuntime::initInstruments() {
   if (trace_ == nullptr) return;
   obs::MetricsRegistry& metrics = trace_->metrics();
   instruments_.decisionsCompiled = &metrics.counter("decision.compiled");
-  instruments_.decisionsInterpreted = &metrics.counter("decision.interpreted");
   instruments_.decisionsCacheHit = &metrics.counter("decision.cache_hit");
   instruments_.decisionsDegenerate = &metrics.counter("decision.degenerate");
   instruments_.launchesCpu = &metrics.counter("launch.cpu");
@@ -271,8 +271,7 @@ Decision TargetRuntime::guardedDecision(const std::string& regionName,
   decideGroup(std::span<const DecideRequest>(&request, 1), arena.order,
               std::span<Decision>(&decision, 1), effectiveCacheEpoch(), arena,
               counters);
-  record.decisionCompiled =
-      counters.interpreted == 0 && counters.degenerate == 0;
+  record.decisionCompiled = counters.degenerate == 0;
   record.decisionCacheHit = counters.cacheHits > 0;
   if (record.decisionCacheHit) {
     decision.overheadSeconds =
@@ -287,9 +286,6 @@ Decision TargetRuntime::guardedDecision(const std::string& regionName,
     if (record.decisionCacheHit) {
       path = "cache_hit";
       pathCounter = instruments_.decisionsCacheHit;
-    } else if (counters.interpreted > 0) {
-      path = "interpreted";
-      pathCounter = instruments_.decisionsInterpreted;
     } else if (counters.degenerate > 0) {
       path = "degenerate";
       pathCounter = instruments_.decisionsDegenerate;
@@ -400,9 +396,6 @@ void TargetRuntime::decideBatch(std::span<const DecideRequest> requests,
     if (counters.compiled > 0) {
       instruments_.decisionsCompiled->add(counters.compiled);
     }
-    if (counters.interpreted > 0) {
-      instruments_.decisionsInterpreted->add(counters.interpreted);
-    }
     if (counters.degenerate > 0) {
       instruments_.decisionsDegenerate->add(counters.degenerate);
     }
@@ -435,21 +428,20 @@ void TargetRuntime::decideGroup(std::span<const DecideRequest> requests,
   obs::DecisionExplain* const explain =
       trace_ != nullptr ? &explainStorage : nullptr;
 
-  if (entry == nullptr || entry->plan == nullptr) {
-    // No compiled plan (registration compiles one for every PAD entry, and
-    // the database is immutable, so the PAD probe stays off the hot path):
-    // the selector's interpreted/degenerate paths per request, with the
-    // PAD probe (and nearest-name search for misses) once per group.
+  // A registered region with a PAD entry has a plan and its cache. A region
+  // that has a PAD entry but is not registered decides through a plan
+  // compiled for this group, without a cache; the PAD probe (and the
+  // nearest-name search for misses) runs once per group, off the hot path.
+  const CompiledRegionPlan* plan = nullptr;
+  DecisionCache* cache = nullptr;
+  std::optional<CompiledRegionPlan> groupPlan;
+  if (entry != nullptr && entry->plan != nullptr) {
+    plan = entry->plan.get();
+    cache = entry->cache.get();
+  } else {
     const std::string regionName(region);
-    if (const pad::RegionAttributes* attr = database_.find(regionName)) {
-      for (const std::uint32_t request : group) {
-        out[request] = selector_.decide(RegionHandle(*attr),
-                                        *requests[request].bindings, explain);
-        if (trace_ != nullptr) trace_->recordExplain(explainStorage);
-        if (out[request].probe) ++counters.probes;
-        ++counters.interpreted;
-      }
-    } else {
+    const pad::RegionAttributes* attr = database_.find(regionName);
+    if (attr == nullptr) {
       const std::string suggestion = database_.nearestRegionName(regionName);
       for (const std::uint32_t request : group) {
         out[request] =
@@ -458,17 +450,16 @@ void TargetRuntime::decideGroup(std::span<const DecideRequest> requests,
         if (trace_ != nullptr) trace_->recordExplain(explainStorage);
         ++counters.degenerate;
       }
+      return;
     }
-    return;
+    plan = &groupPlan.emplace(selector_.compile(*attr));
   }
 
-  const CompiledRegionPlan& plan = *entry->plan;
-  if (!plan.fastPathUsable()) {
-    // Degenerate plan: the selector's decide per request (it re-runs the
-    // interpreted walk, keeping diagnostics byte-identical to the oracle).
+  if (!plan->fastPathUsable()) {
+    // Every row degrades with the plan's recorded reason.
     for (const std::uint32_t request : group) {
-      out[request] = selector_.decide(RegionHandle(plan),
-                                      *requests[request].bindings, explain);
+      out[request] = selector_.decide(*plan, *requests[request].bindings,
+                                      explain);
       if (trace_ != nullptr) trace_->recordExplain(explainStorage);
       if (out[request].probe) ++counters.probes;
       ++counters.compiled;
@@ -478,15 +469,14 @@ void TargetRuntime::decideGroup(std::span<const DecideRequest> requests,
 
   // The SoA fast path: bind every row into slot-major columns, bulk-probe
   // the cache, evaluate the misses with one op walk over all rows.
-  DecisionCache& cache = *entry->cache;
   const std::size_t rows = group.size();
-  const std::size_t slots = plan.slotCount();
+  const std::size_t slots = plan->slotCount();
   arena.beginGroup(rows, slots);
   for (std::size_t r = 0; r < rows; ++r) {
     arena.targets[r] = &out[group[r]];
     arena.bindOk[r] =
-        plan.bindSlotsColumn(*requests[group[r]].bindings,
-                             arena.columns.data(), rows, r, arena.masks[r])
+        plan->bindSlotsColumn(*requests[group[r]].bindings,
+                              arena.columns.data(), rows, r, arena.masks[r])
             ? 1
             : 0;
   }
@@ -496,10 +486,11 @@ void TargetRuntime::decideGroup(std::span<const DecideRequest> requests,
   // policy's choices are replayable (EpsilonGreedy's probe draws are not).
   // A hit re-serves a decision whose explain record the populating miss
   // already pushed, so only fresh evaluations record below.
-  const bool useCache = cache.capacity() != 0 && policyCacheable_;
+  const bool useCache =
+      cache != nullptr && cache->capacity() != 0 && policyCacheable_;
   if (useCache) {
     const std::size_t hits =
-        cache.findMany(keys, arena.targets.data(), arena.hits.data(), epoch);
+        cache->findMany(keys, arena.targets.data(), arena.hits.data(), epoch);
     counters.cacheLookups += rows;
     counters.cacheHits += hits;
     counters.compiled += rows - hits;
@@ -518,26 +509,27 @@ void TargetRuntime::decideGroup(std::span<const DecideRequest> requests,
   }
   if (arena.missRows.empty()) return;
 
-  plan.completeWorkloadsColumns(arena.columns.data(), arena.masks.data(), rows,
-                                arena.exprOut.data(), arena.exprScratch.data(),
-                                arena.cpuWorkloads.data(),
-                                arena.gpuWorkloads.data());
+  plan->completeWorkloadsColumns(arena.columns.data(), arena.masks.data(),
+                                 rows, arena.exprOut.data(),
+                                 arena.exprScratch.data(),
+                                 arena.cpuWorkloads.data(),
+                                 arena.gpuWorkloads.data());
   for (const std::uint32_t r : arena.missRows) {
     if (arena.bindOk[r] != 0) {
       *arena.targets[r] = selector_.decideFromWorkloads(
-          plan, arena.cpuWorkloads[r], arena.gpuWorkloads[r], explain);
+          *plan, arena.cpuWorkloads[r], arena.gpuWorkloads[r], explain);
     } else {
-      // Unbindable rows re-run the selector's compiled decide, which falls
-      // back to the interpreted walk for byte-identical diagnostics. Their
-      // key (partial values + mask) is still cached.
-      *arena.targets[r] = selector_.decide(
-          RegionHandle(plan), *requests[group[r]].bindings, explain);
+      // Unbindable rows take the selector's one-row decide, which raises
+      // the plan's diagnostic for them. Their key (partial values + mask)
+      // is still cached.
+      *arena.targets[r] =
+          selector_.decide(*plan, *requests[group[r]].bindings, explain);
     }
     if (trace_ != nullptr) trace_->recordExplain(explainStorage);
     if (arena.targets[r]->probe) ++counters.probes;
   }
   if (useCache) {
-    cache.insertMany(keys, arena.missRows, arena.targets.data(), epoch);
+    cache->insertMany(keys, arena.missRows, arena.targets.data(), epoch);
   }
 }
 
@@ -933,7 +925,7 @@ std::string renderLogCsv(std::span<const LaunchRecord> log) {
     out.push_back(',');
     out.push_back(record.gpuQuarantined ? '1' : '0');
     out.push_back(',');
-    out.append(record.decisionCompiled ? "compiled" : "interpreted");
+    out.append(record.decisionCompiled ? "compiled" : "degenerate");
     out.push_back(',');
     out.append(record.decisionCacheHit ? "hit" : "miss");
     out.push_back(',');

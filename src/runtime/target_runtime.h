@@ -14,8 +14,9 @@
 // decisions are made per region group: bind the group's rows into SoA
 // columns, probe the cache in bulk, complete and evaluate the misses.
 // decideBatch() groups its requests by region; decide() and launch() run a
-// one-row group. Only a region with no plan (decide() before registration,
-// or no PAD entry) takes the interpreted or degenerate selector path.
+// one-row group. A region that has a PAD entry but is not registered yet
+// decides through a plan compiled for that group (no cache); a region with
+// no PAD entry degrades to the safe default.
 //
 // Concurrency: the runtime is safe for concurrent registerRegion / decide /
 // launch callers (the ROADMAP's `oseld` service needs many). The registry
@@ -327,7 +328,6 @@ class TargetRuntime {
   /// no session is attached.
   struct Instruments {
     obs::Counter* decisionsCompiled = nullptr;
-    obs::Counter* decisionsInterpreted = nullptr;
     obs::Counter* decisionsCacheHit = nullptr;
     obs::Counter* decisionsDegenerate = nullptr;
     obs::Counter* launchesCpu = nullptr;
@@ -435,7 +435,7 @@ class TargetRuntime {
 /// chosen device, predicted CPU/GPU seconds, measured seconds, decision
 /// overhead, the fault-tolerance columns (attempts, fallback reason,
 /// accounted backoff, quarantine state), the decision-path columns
-/// (compiled vs interpreted, cache hit), and the admission `shed` flag.
+/// (compiled vs degenerate, cache hit), and the admission `shed` flag.
 /// Region names are RFC-4180 quoted (commas/quotes/newlines cannot shear a
 /// row). Allocation-lean: reserves the output string once and streams rows
 /// through a stack buffer instead of repeated operator+ concatenation.

@@ -136,9 +136,9 @@ TEST(FrontendPolybench, ParsedKernelDrivesSelectorIdentically) {
   const runtime::OffloadSelector selector{runtime::SelectorConfig{}};
   const symbolic::Bindings bindings{{"n", 1100}};
   const auto a = selector.decide(
-      runtime::RegionHandle(compiler::analyzeRegion(parsed, models)), bindings);
+      selector.compile(compiler::analyzeRegion(parsed, models)), bindings);
   const auto b = selector.decide(
-      runtime::RegionHandle(compiler::analyzeRegion(built, models)), bindings);
+      selector.compile(compiler::analyzeRegion(built, models)), bindings);
   EXPECT_EQ(a.device, b.device);
   EXPECT_DOUBLE_EQ(a.cpu.seconds, b.cpu.seconds);
   EXPECT_DOUBLE_EQ(a.gpu.totalSeconds, b.gpu.totalSeconds);

@@ -7,6 +7,7 @@
 #include <array>
 
 #include "compiler/compiler.h"
+#include "oracle/oracle.h"
 #include "polybench/polybench.h"
 #include "runtime/target_runtime.h"
 
@@ -121,9 +122,9 @@ TEST(EndToEnd, RuntimeBindingChangesDecisionForSameRegion) {
   runtime::TargetRuntime rt = buildRuntime({"GEMM"}, 160);
   const auto& attr = rt.database().at("gemm_k1");
   const runtime::Decision small =
-      rt.selector().decide(runtime::RegionHandle(attr), {{"n", 8}});
+      oracle::decide(rt.selector(), attr, {{"n", 8}});
   const runtime::Decision large =
-      rt.selector().decide(runtime::RegionHandle(attr), {{"n", 4096}});
+      oracle::decide(rt.selector(), attr, {{"n", 4096}});
   EXPECT_EQ(large.device, runtime::Device::Gpu);
   // The small case must at minimum predict far smaller GPU benefit.
   EXPECT_LT(small.predictedSpeedup(), large.predictedSpeedup());
@@ -143,8 +144,8 @@ TEST(EndToEnd, AllSuiteKernelsSurvivePadRoundTripAndDecision) {
   const runtime::OffloadSelector selector{runtime::SelectorConfig{}};
   for (const auto& region : regions) {
     const symbolic::Bindings bindings{{"n", 1100}};
-    const runtime::Decision decision = selector.decide(
-        runtime::RegionHandle(parsed.at(region.name)), bindings);
+    const runtime::Decision decision =
+        oracle::decide(selector, parsed.at(region.name), bindings);
     EXPECT_GT(decision.cpu.seconds, 0.0) << region.name;
     EXPECT_GT(decision.gpu.totalSeconds, 0.0) << region.name;
   }

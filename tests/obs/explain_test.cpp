@@ -22,7 +22,6 @@ DecisionExplain record(std::string_view region, double speedup = 1.0) {
 }
 
 TEST(DecisionPathNames, AreStable) {
-  EXPECT_STREQ(toString(DecisionPath::Interpreted), "interpreted");
   EXPECT_STREQ(toString(DecisionPath::Compiled), "compiled");
   EXPECT_STREQ(toString(DecisionPath::Degenerate), "degenerate");
 }

@@ -1,7 +1,7 @@
 // End-to-end observability: a TargetRuntime with a TraceSession attached
 // must narrate the whole launch pipeline — decision spans tagged with the
-// path taken (compiled / cache_hit / interpreted / degenerate), execution
-// spans with GPU kernel/transfer sub-spans, retry and fallback instants
+// path taken (compiled / cache_hit / degenerate), execution spans with GPU
+// kernel/transfer sub-spans, retry and fallback instants
 // under injected faults, per-launch counters, the decision-cache hit-ratio
 // gauge, and the online predicted-vs-actual tracker.
 #include <gtest/gtest.h>
@@ -74,7 +74,6 @@ TEST_F(RuntimeObservability, DecisionPathsAreTaggedAndCounted) {
 
   EXPECT_EQ(session.metrics().counter("decision.compiled").value(), 1u);
   EXPECT_EQ(session.metrics().counter("decision.cache_hit").value(), 1u);
-  EXPECT_EQ(session.metrics().counter("decision.interpreted").value(), 0u);
   EXPECT_DOUBLE_EQ(session.metrics().gauge("decision_cache.hit_ratio").value(),
                    0.5);
   EXPECT_EQ(

@@ -3,10 +3,14 @@
 // — same device, same diagnostics, same prediction fields down to the last
 // mantissa bit — over the full Polybench region × size grid, including
 // degenerate sizes, missing regions, unbound symbols, duplicate rows, and
-// cache hit/miss interleavings. Also pins the steady-state zero-allocation
-// guarantee of the batch path and of scalar decide(), which runs as a
-// one-row region group on the same thread-local arena (own test binary: the
-// counting operator new below must be the only replacement in the link).
+// cache hit/miss interleavings. Regions the runtime decides without a
+// registered plan (PAD entry but no registration) must match the
+// interpreted test oracle, and a plan over more than kMaxSlots symbols must
+// degrade with the limit in its diagnostic. Also pins the steady-state
+// zero-allocation guarantee of the batch path and of scalar decide(), which
+// runs as a one-row region group on the same thread-local arena (own test
+// binary: the counting operator new below must be the only replacement in
+// the link).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,6 +24,8 @@
 #include <vector>
 
 #include "compiler/compiler.h"
+#include "obs/trace.h"
+#include "oracle/oracle.h"
 #include "polybench/polybench.h"
 #include "runtime/target_runtime.h"
 #include "support/check.h"
@@ -453,6 +459,118 @@ TEST(ScalarDecide, FullCacheEvictingMissesDoNotAllocate) {
   EXPECT_EQ(stats.hits, 0u);
   EXPECT_EQ(stats.evictions, kFresh);
   EXPECT_EQ(stats.insertions, capacity + kFresh);
+}
+
+
+/// The i-th extra runtime symbol of the widened GEMM entry below.
+std::string extraSymbol(std::size_t i) {
+  return std::string("s").append(std::to_string(i));
+}
+
+/// GEMM's PAD entry widened to CompiledRegionPlan::kMaxSlots + 1 runtime
+/// symbols: the trip count gains a term per extra symbol.
+pad::RegionAttributes wideGemmAttributes(const std::string& name) {
+  const std::array<mca::MachineModel, 1> models{mca::MachineModel::power9()};
+  pad::RegionAttributes attr = compiler::analyzeRegion(
+      polybench::benchmarkByName("GEMM").kernels()[0], models);
+  attr.regionName = name;
+  for (std::size_t i = 0; i < CompiledRegionPlan::kMaxSlots; ++i) {
+    attr.flatTripCount += symbolic::Expr::symbol(extraSymbol(i));
+  }
+  return attr;
+}
+
+TEST(SlotLimit, MoreThanMaxSlotsSymbolsDegradesToSafeDefault) {
+  // One symbol past the slot capacity: no plan can bind the region, so
+  // every decide path degrades to the safe default with a diagnostic that
+  // names the limit — even though every symbol is bound.
+  const std::string registered = "wide_registered";
+  const std::string unregistered = "wide_unregistered";
+  pad::AttributeDatabase db;
+  db.insert(wideGemmAttributes(registered));
+  db.insert(wideGemmAttributes(unregistered));
+  RuntimeOptions options;
+  options.selector.safeDefaultDevice = Device::Gpu;  // non-default: proves use
+  TargetRuntime runtime(db, options);
+  ir::TargetRegion kernel = polybench::benchmarkByName("GEMM").kernels()[0];
+  kernel.name = registered;
+  runtime.registerRegion(kernel);
+
+  symbolic::Bindings bindings{{"n", 256}};
+  for (std::size_t i = 0; i < CompiledRegionPlan::kMaxSlots; ++i) {
+    bindings[extraSymbol(i)] = 1;
+  }
+  ASSERT_EQ(bindings.size(), CompiledRegionPlan::kMaxSlots + 1);
+  const auto expectLimitDegraded = [&](const Decision& decision) {
+    EXPECT_FALSE(decision.valid);
+    EXPECT_EQ(decision.device, Device::Gpu);
+    EXPECT_NE(decision.diagnostic.find("more than 64 distinct runtime symbols"),
+              std::string::npos)
+        << decision.diagnostic;
+  };
+
+  const CompiledRegionPlan* plan = runtime.plan(registered);
+  ASSERT_NE(plan, nullptr);
+  EXPECT_FALSE(plan->fastPathUsable());
+  expectLimitDegraded(runtime.selector().decide(*plan, bindings));
+  for (const std::string& name : {registered, unregistered}) {
+    SCOPED_TRACE(name);
+    expectLimitDegraded(runtime.decide(name, bindings));
+    const std::vector<DecideRequest> requests{{name, &bindings},
+                                              {name, &bindings}};
+    std::vector<Decision> out(requests.size());
+    runtime.decideBatch(requests, out);
+    for (const Decision& decision : out) expectLimitDegraded(decision);
+  }
+}
+
+TEST(UnregisteredRegion, DecidesThroughAGroupPlanLikeTheOracle) {
+  // Every Polybench region has a PAD entry but none is registered: decide()
+  // and decideBatch() compile a plan per region group, must match the
+  // interpreted oracle bit for bit (unbound symbols included), and count as
+  // compiled decisions with no cache involved.
+  std::vector<ir::TargetRegion> regions;
+  for (const polybench::Benchmark& benchmark : polybench::suite()) {
+    for (const ir::TargetRegion& kernel : benchmark.kernels()) {
+      regions.push_back(kernel);
+    }
+  }
+  const std::array<mca::MachineModel, 1> models{mca::MachineModel::power9()};
+  obs::TraceSession session;
+  RuntimeOptions options;
+  options.trace = &session;
+  TargetRuntime runtime(compiler::compileAll(regions, models), options);
+
+  std::vector<symbolic::Bindings> bindings;
+  std::vector<std::string> names;
+  for (const polybench::Benchmark& benchmark : polybench::suite()) {
+    for (const std::int64_t n : {3, 100, 1100}) {
+      for (const ir::TargetRegion& kernel : benchmark.kernels()) {
+        names.push_back(kernel.name);
+        bindings.push_back(benchmark.bindings(n));
+      }
+    }
+    names.push_back(benchmark.kernels()[0].name);
+    bindings.emplace_back();  // every required symbol unbound
+  }
+  std::vector<DecideRequest> requests(names.size());
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    requests[i] = {names[i], &bindings[i]};
+  }
+  std::vector<Decision> batched(requests.size());
+  runtime.decideBatch(requests, batched);
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    SCOPED_TRACE("row " + std::to_string(i) + " region '" + names[i] + "'");
+    EXPECT_FALSE(runtime.hasRegion(names[i]));
+    const Decision expected = oracle::decide(
+        runtime.selector(), runtime.database().at(names[i]), bindings[i]);
+    expectIdenticalDecisions(runtime.decide(names[i], bindings[i]), expected);
+    expectIdenticalDecisions(batched[i], expected);
+  }
+  obs::MetricsRegistry& metrics = session.metrics();
+  EXPECT_EQ(metrics.counter("decision.compiled").value(), 2 * names.size());
+  EXPECT_EQ(metrics.counter("decision.cache_hit").value(), 0u);
+  EXPECT_EQ(metrics.counter("decision.degenerate").value(), 0u);
 }
 
 }  // namespace

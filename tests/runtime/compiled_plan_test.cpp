@@ -1,8 +1,9 @@
 // Equivalence suite for compiled decision plans: the compiled fast path
-// must produce Decisions bit-identical to the interpreted symbolic walk —
-// same device, same diagnostics, same prediction fields down to the last
-// mantissa bit — for every Polybench region over a grid of sizes, under
-// randomized bindings (including missing symbols), and on degenerate plans.
+// must produce Decisions bit-identical to the interpreted symbolic walk
+// (the test oracle, tests/oracle) — same device, same diagnostics, same
+// prediction fields down to the last mantissa bit — for every Polybench
+// region over a grid of sizes, under randomized bindings (including missing
+// symbols), and on degenerate plans.
 // Also pins the zero-heap-allocation guarantee of the compiled decide().
 #include "runtime/compiled_plan.h"
 
@@ -17,6 +18,7 @@
 
 #include "compiler/compiler.h"
 #include "obs/explain.h"
+#include "oracle/oracle.h"
 #include "polybench/polybench.h"
 #include "runtime/selector.h"
 #include "support/rng.h"
@@ -200,16 +202,16 @@ TEST(CompiledPlanEquivalence, EveryPolybenchRegionOverSizeGrid) {
         // exercise degenerate predictions, which must also match exactly.
         const symbolic::Bindings bindings{{"n", n}};
         expectIdenticalDecisions(selector.decide(RegionHandle(plan), bindings),
-                                 selector.decide(RegionHandle(attr), bindings));
+                                 oracle::decide(selector, attr, bindings));
       }
     }
   }
 }
 
 TEST(CompiledPlanEquivalence, ExplainRecordsMatchOverRegionAndSizeGrid) {
-  // The forensics contract (ISSUE 5): both decide paths must fill the
-  // DecisionExplain sink with bit-identical model terms for every Polybench
-  // region over the size grid. Path/seq/atNs/overheadSeconds differ by
+  // The forensics contract: the compiled decide and the oracle must fill
+  // the DecisionExplain sink with bit-identical model terms for every
+  // Polybench region over the size grid. Seq/atNs/overheadSeconds differ by
   // design; everything else must not.
   const OffloadSelector selector{SelectorConfig{}};
   const std::array<std::int64_t, 6> sizes{1, 2, 16, 100, 1100, 9600};
@@ -224,14 +226,15 @@ TEST(CompiledPlanEquivalence, ExplainRecordsMatchOverRegionAndSizeGrid) {
         obs::DecisionExplain compiled;
         obs::DecisionExplain interpreted;
         (void)selector.decide(RegionHandle(plan), bindings, &compiled);
-        (void)selector.decide(RegionHandle(attr), bindings, &interpreted);
-        // Tiny sizes make some models throw: then BOTH paths must report
-        // Degenerate. Otherwise each reports its own path truthfully.
+        (void)oracle::decide(selector, attr, bindings, &interpreted);
+        // Tiny sizes make some models throw: then BOTH must report
+        // Degenerate. Otherwise both ran the models through the shared
+        // compiled tail.
         EXPECT_EQ(compiled.path == obs::DecisionPath::Degenerate,
                   interpreted.path == obs::DecisionPath::Degenerate);
         if (compiled.path != obs::DecisionPath::Degenerate) {
           EXPECT_EQ(compiled.path, obs::DecisionPath::Compiled);
-          EXPECT_EQ(interpreted.path, obs::DecisionPath::Interpreted);
+          EXPECT_EQ(interpreted.path, obs::DecisionPath::Compiled);
         }
         expectIdenticalExplains(compiled, interpreted);
       }
@@ -240,9 +243,9 @@ TEST(CompiledPlanEquivalence, ExplainRecordsMatchOverRegionAndSizeGrid) {
 }
 
 TEST(CompiledPlanEquivalence, ExplainRecordsMatchOnDegenerateBindings) {
-  // Missing required symbol: the compiled path falls back to the
-  // interpreted walk (and says so in `path`); the term fields must still
-  // agree bit for bit with the pure interpreted decide.
+  // Missing required symbol: the plan raises the walk's diagnostic itself;
+  // the path and term fields must still agree bit for bit with the
+  // oracle's decide.
   const OffloadSelector selector{SelectorConfig{}};
   const polybench::Benchmark& gemm = polybench::benchmarkByName("GEMM");
   const pad::RegionAttributes attr =
@@ -252,7 +255,7 @@ TEST(CompiledPlanEquivalence, ExplainRecordsMatchOnDegenerateBindings) {
   obs::DecisionExplain interpreted;
   const symbolic::Bindings empty;
   (void)selector.decide(RegionHandle(plan), empty, &compiled);
-  (void)selector.decide(RegionHandle(attr), empty, &interpreted);
+  (void)oracle::decide(selector, attr, empty, &interpreted);
   EXPECT_EQ(compiled.path, interpreted.path);
   expectIdenticalExplains(compiled, interpreted);
 }
@@ -276,16 +279,16 @@ TEST(CompiledPlanEquivalence, RandomizedBindingsFuzz) {
         SCOPED_TRACE(kernel.name + " round=" + std::to_string(round) +
                      " n=" + std::to_string(n));
         expectIdenticalDecisions(selector.decide(RegionHandle(plan), bindings),
-                                 selector.decide(RegionHandle(attr), bindings));
+                                 oracle::decide(selector, attr, bindings));
       }
     }
   }
 }
 
-TEST(CompiledPlanEquivalence, UnusablePlanFallsBackToInterpretedWalk) {
+TEST(CompiledPlanEquivalence, UnusablePlanDegradesLikeTheOracle) {
   // An MCA host entry the PAD does not carry makes the fast path unusable;
-  // decide(plan) must route through the interpreted walk and reproduce its
-  // degenerate decision byte for byte.
+  // decide(plan) must reproduce the oracle's degenerate decision byte for
+  // byte, diagnostic included.
   SelectorConfig config;
   config.mcaModelName = "POWER11";
   const OffloadSelector selector{config};
@@ -296,9 +299,27 @@ TEST(CompiledPlanEquivalence, UnusablePlanFallsBackToInterpretedWalk) {
   EXPECT_FALSE(plan.fastPathUsable());
   const symbolic::Bindings bindings = gemm.bindings(128);
   const Decision compiled = selector.decide(RegionHandle(plan), bindings);
-  const Decision interpreted = selector.decide(RegionHandle(attr), bindings);
+  const Decision interpreted = oracle::decide(selector, attr, bindings);
   EXPECT_FALSE(compiled.valid);
   expectIdenticalDecisions(compiled, interpreted);
+}
+
+TEST(CompiledPlanEquivalence, BoundZeroAbsorbsAnUnboundSymbolLikeTheOracle) {
+  // n = 0 zeroes every term of n*n*m, so the walk evaluates the trip count
+  // with m unbound; the plan must then complete the row instead of raising
+  // an unbound-symbol diagnostic.
+  const OffloadSelector selector{SelectorConfig{}};
+  const polybench::Benchmark& gemm = polybench::benchmarkByName("GEMM");
+  pad::RegionAttributes attr =
+      compiler::analyzeRegion(gemm.kernels()[0], hostModels());
+  attr.flatTripCount = attr.flatTripCount * symbolic::Expr::symbol("m");
+  const CompiledRegionPlan plan = selector.compile(attr);
+  ASSERT_TRUE(plan.fastPathUsable());
+  const symbolic::Bindings bindings{{"n", 0}};
+  const Decision compiled = selector.decide(RegionHandle(plan), bindings);
+  EXPECT_EQ(compiled.diagnostic.find("unbound"), std::string::npos)
+      << compiled.diagnostic;
+  expectIdenticalDecisions(compiled, oracle::decide(selector, attr, bindings));
 }
 
 TEST(CompiledPlan, LoweringPreResolvesConstantStridesAndSlots) {

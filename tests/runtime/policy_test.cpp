@@ -29,6 +29,7 @@
 #include "ir/builder.h"
 #include "ir/interpreter.h"
 #include "obs/trace.h"
+#include "oracle/oracle.h"
 #include "polybench/polybench.h"
 #include "runtime/policy/policy.h"
 #include "runtime/target_runtime.h"
@@ -190,10 +191,9 @@ TEST(ModelCompareExtraction, BitIdenticalOverPolybenchGrid) {
             extracted.decide(runtime::RegionHandle(extractedPlan), bindings),
             context + " [compiled]");
         // Interpreted oracle walk.
-        expectBitIdentical(
-            seed.decide(runtime::RegionHandle(attr), bindings),
-            extracted.decide(runtime::RegionHandle(attr), bindings),
-            context + " [interpreted]");
+        expectBitIdentical(oracle::decide(seed, attr, bindings),
+                           oracle::decide(extracted, attr, bindings),
+                           context + " [interpreted]");
         regionNames.push_back(kernel.name);
         allBindings.push_back(bindings);
       }

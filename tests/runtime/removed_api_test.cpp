@@ -3,10 +3,11 @@
 // decide(CompiledRegionPlan, Bindings) overloads and the loose-argument
 // TargetRuntime constructor — were [[deprecated]] forwarders for several
 // releases and are now removed, as are the second (scalar) decide path's
-// knobs and cache/plan entry points. These are compile-time checks that the
-// removed signatures no longer exist, plus behavioral pins that the
-// unified API the shims forwarded to still accepts the old argument types
-// through the intended RegionHandle conversion path.
+// knobs and cache/plan entry points and the interpreted walk (a test-only
+// oracle now). These are compile-time checks that the removed signatures
+// no longer exist, plus behavioral pins that the unified API still decides
+// for the old argument types: a CompiledRegionPlan through the implicit
+// RegionHandle conversion, RegionAttributes through compile().
 #include <gtest/gtest.h>
 
 #include <array>
@@ -16,6 +17,7 @@
 
 #include "compiler/compiler.h"
 #include "ir/builder.h"
+#include "oracle/oracle.h"
 #include "runtime/target_runtime.h"
 
 namespace osel::runtime {
@@ -95,6 +97,33 @@ static_assert(!kHasCompleteWorkloads<CompiledRegionPlan>,
               "CompiledRegionPlan::completeWorkloads was removed; complete "
               "one row with completeWorkloadsColumns");
 
+// The library decides only through compiled plans: the interpreted walk
+// (a handle over raw PAD attributes, the selector's workload builders)
+// lives on as the test oracle in tests/oracle.
+template <typename Selector>
+constexpr bool kHasCpuWorkload =
+    requires(const Selector selector, const pad::RegionAttributes& attr,
+             const symbolic::Bindings& bindings) {
+      selector.cpuWorkload(attr, bindings);
+    };
+template <typename Selector>
+constexpr bool kHasGpuWorkload =
+    requires(const Selector selector, const pad::RegionAttributes& attr,
+             const symbolic::Bindings& bindings) {
+      selector.gpuWorkload(attr, bindings);
+    };
+
+static_assert(!std::is_constructible_v<RegionHandle,
+                                       const pad::RegionAttributes&>,
+              "RegionHandle over raw PAD attributes was removed; decide "
+              "through OffloadSelector::compile(attr)");
+static_assert(!kHasCpuWorkload<OffloadSelector>,
+              "OffloadSelector::cpuWorkload was removed; the interpreted "
+              "walk is the test oracle's oracle::cpuWorkload");
+static_assert(!kHasGpuWorkload<OffloadSelector>,
+              "OffloadSelector::gpuWorkload was removed; the interpreted "
+              "walk is the test oracle's oracle::gpuWorkload");
+
 TargetRegion streamKernel() {
   return RegionBuilder("stream")
       .param("n")
@@ -120,20 +149,23 @@ void expectSameDecision(const Decision& a, const Decision& b) {
   EXPECT_DOUBLE_EQ(a.gpu.totalSeconds, b.gpu.totalSeconds);
 }
 
-// Old call sites that passed RegionAttributes / CompiledRegionPlan by value
-// still compile — but through the implicit RegionHandle conversion into the
-// unified overload, not a shim. Pin that the conversion path decides
-// identically to an explicit RegionHandle.
-TEST(RemovedApi, AttributesConvertIntoUnifiedDecide) {
+// Old call sites that passed RegionAttributes now compile a plan first.
+// Pin that this decides identically to the interpreted walk they used to
+// reach.
+TEST(RemovedApi, AttributesDecideThroughACompiledPlan) {
   const pad::AttributeDatabase db = makeDatabase();
   const OffloadSelector selector{SelectorConfig{}};
   const pad::RegionAttributes* attr = db.find("stream");
   ASSERT_NE(attr, nullptr);
   const symbolic::Bindings bindings{{"n", 96}};
-  expectSameDecision(selector.decide(*attr, bindings),
-                     selector.decide(RegionHandle(*attr), bindings));
+  expectSameDecision(selector.decide(selector.compile(*attr), bindings),
+                     oracle::decide(selector, *attr, bindings));
 }
 
+// A CompiledRegionPlan passed by value still compiles — through the
+// implicit RegionHandle conversion into the unified overload, not a shim.
+// Pin that the conversion path decides identically to an explicit
+// RegionHandle.
 TEST(RemovedApi, CompiledPlanConvertsIntoUnifiedDecide) {
   const pad::AttributeDatabase db = makeDatabase();
   const OffloadSelector selector{SelectorConfig{}};

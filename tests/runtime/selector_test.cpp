@@ -8,6 +8,7 @@
 
 #include "compiler/compiler.h"
 #include "ir/builder.h"
+#include "oracle/oracle.h"
 #include "support/check.h"
 #include "support/faultinject.h"
 
@@ -56,7 +57,7 @@ TEST(OffloadSelector, CpuWorkloadPullsMcaCyclesForConfiguredHost) {
   config.mcaModelName = "POWER9";
   const OffloadSelector selector(config);
   const cpumodel::CpuWorkload workload =
-      selector.cpuWorkload(attr, {{"n", 1100}});
+      oracle::cpuWorkload(selector, attr, {{"n", 1100}});
   EXPECT_DOUBLE_EQ(workload.machineCyclesPerIter,
                    attr.machineCyclesPerIter.at("POWER9"));
   EXPECT_EQ(workload.parallelTripCount, 1100 * 1100);
@@ -67,14 +68,14 @@ TEST(OffloadSelector, MissingMcaModelThrows) {
   SelectorConfig config;
   config.mcaModelName = "XEON";  // never analyzed
   const OffloadSelector selector(config);
-  EXPECT_THROW((void)selector.cpuWorkload(attr, {{"n", 100}}),
+  EXPECT_THROW((void)oracle::cpuWorkload(selector, attr, {{"n", 100}}),
                support::PreconditionError);
 }
 
 TEST(OffloadSelector, GpuWorkloadSplitsCoalescedUncoalesced) {
   const pad::RegionAttributes attr = attributesFor(gemmKernel());
-  const OffloadSelector selector(SelectorConfig{});
-  const gpumodel::GpuWorkload workload = selector.gpuWorkload(attr, {{"n", 1100}});
+  const gpumodel::GpuWorkload workload =
+      oracle::gpuWorkload(attr, {{"n", 1100}});
   // A[i][k] (uniform, 128x) + B[k][j] (coalesced, 128x) + C store (1x) are
   // all "coalesced" in the binary split.
   EXPECT_DOUBLE_EQ(workload.coalMemInstsPerThread, 257.0);
@@ -86,12 +87,11 @@ TEST(OffloadSelector, RuntimeValueFlipsCoalescingSplit) {
   // The hybrid payoff: the same PAD entry classifies differently under
   // different runtime bindings.
   const pad::RegionAttributes attr = attributesFor(paperExample());
-  const OffloadSelector selector(SelectorConfig{});
-  const gpumodel::GpuWorkload wide = selector.gpuWorkload(attr, {{"max", 4096}});
+  const gpumodel::GpuWorkload wide = oracle::gpuWorkload(attr, {{"max", 4096}});
   EXPECT_GT(wide.uncoalMemInstsPerThread, 0.0);
   EXPECT_DOUBLE_EQ(wide.coalMemInstsPerThread, 0.0);
   const gpumodel::GpuWorkload degenerate =
-      selector.gpuWorkload(attr, {{"max", 1}});
+      oracle::gpuWorkload(attr, {{"max", 1}});
   EXPECT_DOUBLE_EQ(degenerate.uncoalMemInstsPerThread, 0.0);
   EXPECT_GT(degenerate.coalMemInstsPerThread, 0.0);
 }
@@ -100,23 +100,27 @@ TEST(OffloadSelector, FalseSharingFlagFromStoreStride) {
   const pad::RegionAttributes attr = attributesFor(gemmKernel());
   const OffloadSelector selector(SelectorConfig{});
   // C store stride 1 x 4B << 128B line -> adjacent iterations share lines.
-  EXPECT_TRUE(selector.cpuWorkload(attr, {{"n", 100}}).falseSharingRisk);
+  EXPECT_TRUE(
+      oracle::cpuWorkload(selector, attr, {{"n", 100}}).falseSharingRisk);
   // The paper example at max=4096: stride 16 KiB -> no false sharing.
   const pad::RegionAttributes wide = attributesFor(paperExample());
-  EXPECT_FALSE(selector.cpuWorkload(wide, {{"max", 4096}}).falseSharingRisk);
+  EXPECT_FALSE(
+      oracle::cpuWorkload(selector, wide, {{"max", 4096}}).falseSharingRisk);
 }
 
 TEST(OffloadSelector, LargeGemmPrefersGpuSmallPrefersCpu) {
   const pad::RegionAttributes attr = attributesFor(gemmKernel());
   const OffloadSelector bigHost(SelectorConfig{});
-  const Decision large = bigHost.decide(RegionHandle(attr), {{"n", 4096}});
+  const Decision large = bigHost.decide(bigHost.compile(attr), {{"n", 4096}});
   EXPECT_EQ(large.device, Device::Gpu);
   // At 160 threads even tiny kernels lose to the fork cost, so the
   // CPU-stays case needs a modest host configuration (the paper's 4-thread
   // scenario, Figs. 6-7).
   SelectorConfig smallHost;
   smallHost.cpuThreads = 4;
-  const Decision tiny = OffloadSelector(smallHost).decide(RegionHandle(attr), {{"n", 16}});
+  const OffloadSelector smallSelector(smallHost);
+  const Decision tiny =
+      smallSelector.decide(smallSelector.compile(attr), {{"n", 16}});
   EXPECT_EQ(tiny.device, Device::Cpu);
 }
 
@@ -124,14 +128,16 @@ TEST(OffloadSelector, DecisionOverheadIsMicroseconds) {
   // §IV.D: evaluating two closed-form models must be negligible.
   const pad::RegionAttributes attr = attributesFor(gemmKernel());
   const OffloadSelector selector(SelectorConfig{});
-  const Decision decision = selector.decide(RegionHandle(attr), {{"n", 1100}});
+  const Decision decision =
+      selector.decide(selector.compile(attr), {{"n", 1100}});
   EXPECT_LT(decision.overheadSeconds, 1e-3);
 }
 
 TEST(OffloadSelector, PredictedSpeedupConsistent) {
   const pad::RegionAttributes attr = attributesFor(gemmKernel());
   const OffloadSelector selector(SelectorConfig{});
-  const Decision decision = selector.decide(RegionHandle(attr), {{"n", 1100}});
+  const Decision decision =
+      selector.decide(selector.compile(attr), {{"n", 1100}});
   EXPECT_NEAR(decision.predictedSpeedup(),
               decision.cpu.seconds / decision.gpu.totalSeconds, 1e-12);
   if (decision.predictedSpeedup() > 1.0) {
@@ -143,8 +149,9 @@ TEST(OffloadSelector, PredictedSpeedupConsistent) {
 
 TEST(OffloadSelector, ValidDecisionsCarryNoDiagnostic) {
   const pad::RegionAttributes attr = attributesFor(gemmKernel());
+  const OffloadSelector selector(SelectorConfig{});
   const Decision decision =
-      OffloadSelector(SelectorConfig{}).decide(RegionHandle(attr), {{"n", 1100}});
+      selector.decide(selector.compile(attr), {{"n", 1100}});
   EXPECT_TRUE(decision.valid);
   EXPECT_TRUE(decision.diagnostic.empty());
 }
@@ -155,7 +162,9 @@ TEST(OffloadSelector, ModelFaultDegradesToSafeDefault) {
                                    {.kind = support::FaultKind::DeviceLost});
   SelectorConfig config;
   config.safeDefaultDevice = Device::Gpu;  // non-default, to prove it is used
-  const Decision decision = OffloadSelector(config).decide(RegionHandle(attr), {{"n", 1100}});
+  const OffloadSelector selector(config);
+  const Decision decision =
+      selector.decide(selector.compile(attr), {{"n", 1100}});
   EXPECT_FALSE(decision.valid);
   EXPECT_EQ(decision.device, Device::Gpu);
   EXPECT_FALSE(decision.diagnostic.empty());

@@ -492,8 +492,10 @@ TEST(CodecTrace, TraceBlockRoundTripsOnEveryDecideFrame) {
 
   std::string bytes;
   encodeDecideRequest(bytes, 5, "gemm_k1", bindings, &trace);
+  // Each payload is a named local: the views below point into it.
+  const std::string requestPayload = decodeOne(bytes, header);
   DecideRequestView request;
-  parseDecideRequest(decodeOne(bytes, header), request, true);
+  parseDecideRequest(requestPayload, request, true);
   EXPECT_TRUE(request.hasTrace);
   EXPECT_EQ(request.trace.traceId, trace.traceId);
   EXPECT_EQ(request.trace.flags, kTraceFlagSampled);
@@ -503,16 +505,18 @@ TEST(CodecTrace, TraceBlockRoundTripsOnEveryDecideFrame) {
 
   bytes.clear();
   encodeDecideBatch(bytes, 5, "gemm_k1", slots, 2, values, &trace);
+  const std::string batchPayload = decodeOne(bytes, header);
   DecideBatchView batch;
-  parseDecideBatch(decodeOne(bytes, header), batch, true);
+  parseDecideBatch(batchPayload, batch, true);
   EXPECT_TRUE(batch.hasTrace);
   EXPECT_EQ(batch.trace.traceId, trace.traceId);
   EXPECT_EQ(batch.value(0, 1), 2);
 
   bytes.clear();
   encodeDecision(bytes, 5, sampleDecision(), &trace);
+  const std::string decisionPayload = decodeOne(bytes, header);
   DecisionView decision;
-  parseDecision(decodeOne(bytes, header), decision, true);
+  parseDecision(decisionPayload, decision, true);
   EXPECT_TRUE(decision.hasTrace);
   EXPECT_EQ(decision.trace.traceId, trace.traceId);
   EXPECT_EQ(decision.decision.diagnostic, "all models agree");
@@ -521,8 +525,9 @@ TEST(CodecTrace, TraceBlockRoundTripsOnEveryDecideFrame) {
   encodeDecisionBatch(bytes, 1000,
                       std::vector<runtime::Decision>(2, sampleDecision()),
                       &trace);
+  const std::string decisionBatchPayload = decodeOne(bytes, header);
   std::vector<DecisionView> views;
-  parseDecisionBatch(decodeOne(bytes, header), views, true);
+  parseDecisionBatch(decisionBatchPayload, views, true);
   ASSERT_EQ(views.size(), 2u);
   // One shared frame-level block, echoed into every row view.
   EXPECT_TRUE(views[0].hasTrace);
@@ -531,7 +536,8 @@ TEST(CodecTrace, TraceBlockRoundTripsOnEveryDecideFrame) {
 
   bytes.clear();
   encodeError(bytes, WireCode::Shed, "queue full", &trace);
-  const ErrorView error = parseError(decodeOne(bytes, header), true);
+  const std::string errorPayload = decodeOne(bytes, header);
+  const ErrorView error = parseError(errorPayload, true);
   EXPECT_TRUE(error.hasTrace);
   EXPECT_EQ(error.trace.traceId, trace.traceId);
   EXPECT_EQ(error.message, "queue full");

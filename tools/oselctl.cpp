@@ -182,11 +182,11 @@ runtime::SelectorConfig selectorConfig(const Config& config) {
 int cmdDecide(const KernelRef& ref, const Config& config) {
   const std::array<mca::MachineModel, 2> hosts{mca::MachineModel::power9(),
                                                mca::MachineModel::power8()};
-  const pad::RegionAttributes attr = compiler::analyzeRegion(*ref.region, hosts);
   const runtime::OffloadSelector selector(selectorConfig(config));
+  const runtime::CompiledRegionPlan plan =
+      selector.compile(compiler::analyzeRegion(*ref.region, hosts));
   const symbolic::Bindings bindings = bindingsFor(ref, config);
-  const runtime::Decision decision =
-      selector.decide(runtime::RegionHandle(attr), bindings);
+  const runtime::Decision decision = selector.decide(plan, bindings);
   std::printf("%s\n%s\n", decision.cpu.toString().c_str(),
               decision.gpu.toString().c_str());
   std::printf("predicted offloading speedup: %s\n",
