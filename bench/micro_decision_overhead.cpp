@@ -179,13 +179,12 @@ void BM_ConcurrentDecide(benchmark::State& state) {
 }
 BENCHMARK(BM_ConcurrentDecide)->ThreadRange(1, 8)->UseRealTime();
 
-runtime::TargetRuntime makeGemmRuntime() {
+runtime::TargetRuntime makeGemmRuntime(runtime::RuntimeOptions options = {}) {
   const std::array<mca::MachineModel, 1> models{mca::MachineModel::power9()};
   const ir::TargetRegion& kernel =
       polybench::benchmarkByName("GEMM").kernels()[0];
   const std::array<ir::TargetRegion, 1> regions{kernel};
-  runtime::TargetRuntime rt(compiler::compileAll(regions, models),
-                            runtime::RuntimeOptions{});
+  runtime::TargetRuntime rt(compiler::compileAll(regions, models), options);
   rt.registerRegion(kernel);
   return rt;
 }
@@ -248,6 +247,43 @@ void BM_BatchDecide(benchmark::State& state) {
                           static_cast<std::int64_t>(batch));
 }
 BENCHMARK(BM_BatchDecide)->Arg(1)->Arg(8)->Arg(64)->Arg(512);
+
+/// GEMM runtime as oseld runs it — a trace session attached — with the
+/// decision cache off, so every decided row is fresh and fills an explain
+/// record. Shared by every thread of BM_BatchDecideTraced.
+runtime::TargetRuntime& tracedMissRuntime() {
+  static obs::TraceSession session;
+  static runtime::TargetRuntime rt =
+      makeGemmRuntime({.decisionCacheCapacity = 0, .trace = &session});
+  return rt;
+}
+
+void BM_BatchDecideTraced(benchmark::State& state) {
+  // oseld's decide stage per row, explain capture included: each thread
+  // decides batches of fresh rows on one shared traced runtime. With two
+  // threads the explain publishes of both workers contend for the ring.
+  const std::size_t batch = static_cast<std::size_t>(state.range(0));
+  runtime::TargetRuntime& rt = tracedMissRuntime();
+  const std::string name =
+      polybench::benchmarkByName("GEMM").kernels()[0].name;
+  std::vector<symbolic::Bindings> bindings;
+  for (const std::int64_t n : kBatchSizesCycle) {
+    bindings.push_back(symbolic::Bindings{{"n", n}});
+  }
+  std::vector<runtime::DecideRequest> requests(batch);
+  for (std::size_t i = 0; i < batch; ++i) {
+    requests[i] = {name, &bindings[i % bindings.size()]};
+  }
+  std::vector<runtime::Decision> out(batch);
+  rt.decideBatch(requests, out);  // size this thread's arena
+  for (auto _ : state) {
+    rt.decideBatch(requests, out);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(batch));
+}
+BENCHMARK(BM_BatchDecideTraced)->Arg(64)->ThreadRange(1, 2)->UseRealTime();
 
 void BM_ServeDecide(benchmark::State& state) {
   // One scalar decide over the oseld wire (loopback Unix socket): client

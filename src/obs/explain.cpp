@@ -28,12 +28,22 @@ ExplainRing::ExplainRing(std::size_t capacity) {
   ring_.resize(capacity);
 }
 
-void ExplainRing::push(const DecisionExplain& record) noexcept {
+void ExplainRing::pushMany(std::span<const DecisionExplain> records,
+                           std::int64_t stampNs) noexcept {
+  const std::size_t capacity = ring_.size();
+  // Only the last `capacity` records survive the call; the ones before
+  // them take their seq numbers (recorded, then dropped) uncopied.
+  const std::size_t skipped =
+      records.size() > capacity ? records.size() - capacity : 0;
   const std::lock_guard<std::mutex> lock(mutex_);
-  DecisionExplain& slot = ring_[nextSeq_ % ring_.size()];
-  slot = record;
-  slot.seq = nextSeq_;
-  nextSeq_ += 1;
+  nextSeq_ += skipped;
+  for (const DecisionExplain& record : records.subspan(skipped)) {
+    DecisionExplain& slot = ring_[nextSeq_ % capacity];
+    slot = record;
+    slot.seq = nextSeq_;
+    if (slot.atNs == 0) slot.atNs = stampNs;
+    nextSeq_ += 1;
+  }
 }
 
 std::vector<DecisionExplain> ExplainRing::snapshot() const {

@@ -16,12 +16,15 @@
 // fills from the compiled plan — term-identical to the test oracle's
 // interpreted walk, as the equivalence suite pins. The ExplainRing mirrors
 // the TraceSession event ring: preallocated, bounded, overwrite-oldest,
-// drop-counting; push() never heap-allocates.
+// drop-counting; pushing never heap-allocates. The runtime publishes the
+// records of one region group with a single pushMany() — one lock and one
+// timestamp per group, not per row; a lone push() is its one-record case.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <mutex>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -78,8 +81,10 @@ struct DecisionExplain {
   static constexpr std::size_t kLabelCapacity = 48;
 
   std::array<char, kLabelCapacity> region{};  ///< NUL-terminated, truncated
-  std::uint64_t seq = 0;   ///< record order, stamped by ExplainRing::push
-  std::int64_t atNs = 0;   ///< ns since session start, stamped on record
+  std::uint64_t seq = 0;   ///< record order, stamped by ExplainRing::pushMany
+  /// ns since session start, stamped on record; the records of one region
+  /// group share one stamp.
+  std::int64_t atNs = 0;
   DecisionPath path = DecisionPath::Compiled;
   bool valid = true;       ///< Decision::valid
   bool chosenGpu = false;  ///< selected device
@@ -97,14 +102,25 @@ struct DecisionExplain {
 
 /// Bounded ring of DecisionExplain records, oldest-overwritten. Same
 /// contract as the TraceSession event ring: preallocated at construction,
-/// push() never allocates, drops are counted. Thread-safe.
+/// pushing never allocates, drops are counted. Thread-safe.
 class ExplainRing {
  public:
   /// Precondition: capacity > 0.
   explicit ExplainRing(std::size_t capacity);
 
-  /// Copies `record` into the ring, stamping its seq. Never allocates.
-  void push(const DecisionExplain& record) noexcept;
+  /// Copies `records` into the ring under one lock, stamping seq in record
+  /// order and atNs = `stampNs` on every record that left atNs at 0. The
+  /// ring ends up exactly as after one push() per record: records that a
+  /// later record of the same call would overwrite (more records than
+  /// capacity()) count as recorded and dropped without being copied.
+  /// Never allocates.
+  void pushMany(std::span<const DecisionExplain> records,
+                std::int64_t stampNs = 0) noexcept;
+
+  /// Copies `record` into the ring, stamping its seq (its atNs is kept).
+  void push(const DecisionExplain& record) noexcept {
+    pushMany(std::span<const DecisionExplain>(&record, 1));
+  }
 
   /// Buffered records, oldest first (at most capacity()).
   [[nodiscard]] std::vector<DecisionExplain> snapshot() const;

@@ -152,14 +152,9 @@ PolicyStatus TraceSession::policyStatus() const {
   return policyStatus_;
 }
 
-void TraceSession::recordExplain(const DecisionExplain& record) {
-  if (record.atNs == 0) {
-    DecisionExplain stamped = record;
-    stamped.atNs = nowNs();
-    explain_.push(stamped);
-    return;
-  }
-  explain_.push(record);
+void TraceSession::recordExplains(std::span<const DecisionExplain> records) {
+  if (records.empty()) return;
+  explain_.pushMany(records, nowNs());
 }
 
 void TraceSession::recordSlow(const SlowRequestRecord& record) {

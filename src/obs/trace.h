@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -167,9 +168,16 @@ class TraceSession : public support::FaultObserver {
   [[nodiscard]] std::vector<PredictionStats> predictionStats() const;
 
   // --- Decision forensics --------------------------------------------------
-  /// Copies one decision's term breakdown into the explain ring, stamping
-  /// its timestamp when the caller left atNs at 0. Never heap-allocates.
-  void recordExplain(const DecisionExplain& record);
+  /// Copies a batch of decision term breakdowns — one region group's fresh
+  /// decisions — into the explain ring with one clock read and one ring
+  /// lock: records the caller left at atNs == 0 share that timestamp, seq
+  /// follows record order. Ring capacity and drop counting are exactly as
+  /// for one recordExplain() per record. Never heap-allocates.
+  void recordExplains(std::span<const DecisionExplain> records);
+  /// The one-record case of recordExplains().
+  void recordExplain(const DecisionExplain& record) {
+    recordExplains(std::span<const DecisionExplain>(&record, 1));
+  }
   [[nodiscard]] ExplainRing& explainRing() { return explain_; }
   [[nodiscard]] const ExplainRing& explainRing() const { return explain_; }
 

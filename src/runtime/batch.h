@@ -7,7 +7,10 @@
 // closed-form model evaluation itself. TargetRuntime::decideBatch amortizes
 // those costs across a batch; the types here are its request unit and the
 // preallocated per-thread scratch that keeps the steady-state path free of
-// per-request allocation.
+// per-request allocation. TargetRuntime::decideColumns shares the same
+// arena: a group that arrives as wire columns only differs in how its
+// `columns` are filled. With a trace session attached, a group's fresh
+// decisions fill `explains` and publish to the explain ring in one call.
 #pragma once
 
 #include <cstdint>
@@ -17,6 +20,7 @@
 
 #include "cpumodel/cpu_model.h"
 #include "gpumodel/gpu_model.h"
+#include "obs/explain.h"
 #include "runtime/selector.h"
 #include "symbolic/expr.h"
 
@@ -68,6 +72,10 @@ struct BatchArena {
   std::vector<gpumodel::GpuWorkload> gpuWorkloads;
   std::vector<std::uint32_t> missRows;      ///< rows needing evaluation
   std::vector<Decision*> targets;           ///< row -> &out[request]
+  /// One explain record per freshly decided row of the group, published
+  /// together (TraceSession::recordExplains) once the group is decided.
+  /// Grown by explainRows(), never shrunk; untouched when untraced.
+  std::vector<obs::DecisionExplain> explains;
 
   /// Starts a batch of `requests` requests: order becomes the identity
   /// permutation (sorted by the caller), hit bookkeeping resets. The hit
@@ -94,6 +102,13 @@ struct BatchArena {
     gpuWorkloads.resize(rows);
     targets.resize(rows);
     missRows.clear();
+  }
+
+  /// The explain buffer for a group of `rows` rows: record k belongs to the
+  /// k-th freshly decided row.
+  obs::DecisionExplain* explainRows(std::size_t rows) {
+    if (explains.size() < rows) explains.resize(rows);
+    return explains.data();
   }
 };
 

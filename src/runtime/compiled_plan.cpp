@@ -1,6 +1,9 @@
 #include "runtime/compiled_plan.h"
 
+#include <algorithm>
+#include <bit>
 #include <cstdlib>
+#include <cstring>
 #include <utility>
 
 #include "support/check.h"
@@ -137,6 +140,30 @@ bool CompiledRegionPlan::bindSlotsColumn(const symbolic::Bindings& bindings,
     } else {
       columns[slot.slot * rows + row] = 0;
     }
+  }
+  return (boundMask & requiredMask_) == requiredMask_;
+}
+
+bool CompiledRegionPlan::bindColumns(std::span<const std::string_view> names,
+                                     const char* values, std::size_t rows,
+                                     std::int64_t* columns,
+                                     std::uint64_t& boundMask) const {
+  // The wire's little-endian int64s are copied as host int64s.
+  static_assert(std::endian::native == std::endian::little,
+                "CompiledRegionPlan::bindColumns assumes a little-endian host");
+  boundMask = 0;
+  for (const SlotBinding& slot : slotNames_) {
+    std::int64_t* column = columns + slot.slot * rows;
+    // The last occurrence wins, as when the names are assigned into a map.
+    std::size_t source = names.size();
+    while (source > 0 && names[source - 1] != slot.name) --source;
+    if (source == 0) {
+      std::fill_n(column, rows, std::int64_t{0});
+      continue;
+    }
+    std::memcpy(column, values + (source - 1) * rows * sizeof(std::int64_t),
+                rows * sizeof(std::int64_t));
+    boundMask |= std::uint64_t{1} << slot.slot;
   }
   return (boundMask & requiredMask_) == requiredMask_;
 }

@@ -22,11 +22,13 @@
 //
 // Launch-time completion has one form, structure-of-arrays over a region
 // group: each request's bindings fill one row of a slot-major column block
-// (merge-join against the sorted slot names — string comparisons only), and
-// every compiled expression op then runs over all rows. A scalar decide is a
-// one-row group. The result is bit-identical to the interpreted walk over
-// the PAD entry, which lives on only as the test oracle
-// (tests/oracle) that CompiledPlanEquivalence.* diffs against.
+// (merge-join against the sorted slot names — string comparisons only), or,
+// when the group arrives as wire columns (an oseld DecideBatch frame), each
+// slot's column is copied in whole; every compiled expression op then runs
+// over all rows. A scalar decide is a one-row group. The result is
+// bit-identical to the interpreted walk over the PAD entry, which lives on
+// only as the test oracle (tests/oracle) that CompiledPlanEquivalence.*
+// diffs against.
 // Degenerate inputs produce their diagnostics here, without the walk: a
 // plan that cannot run (missing MCA host entry, more symbols than
 // kMaxSlots) records why, and a row with unbound required symbols gets the
@@ -35,7 +37,9 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cpumodel/cpu_model.h"
@@ -89,6 +93,20 @@ class CompiledRegionPlan {
   bool bindSlotsColumn(const symbolic::Bindings& bindings,
                        std::int64_t* columns, std::size_t rows,
                        std::size_t row, std::uint64_t& boundMask) const;
+
+  /// Binds a whole group of `rows` rows that all name the same symbols, in
+  /// the DecideBatch wire layout: `values` holds names.size() * rows
+  /// little-endian int64s, slot-major (`names[i]`'s column starts at int64
+  /// index i * rows), with no alignment guarantee. Each plan slot copies the
+  /// column of the *last* entry of `names` carrying its symbol into
+  /// `columns[slot * rows ...]`; names the plan does not read are ignored and
+  /// absent slots read 0 — exactly what bindSlotsColumn() fills for each row
+  /// from a Bindings map built by assigning the names in order. `boundMask`
+  /// is then every row's mask. Returns true iff every required symbol is
+  /// bound. No heap allocation.
+  bool bindColumns(std::span<const std::string_view> names,
+                   const char* values, std::size_t rows,
+                   std::int64_t* columns, std::uint64_t& boundMask) const;
 
   /// Throws the diagnostic of a row that cannot complete, as the
   /// interpreted walk raised it: support::PreconditionError with the

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <optional>
 #include <span>
 #include <string_view>
@@ -380,6 +381,71 @@ void TargetRuntime::decideBatch(std::span<const DecideRequest> requests,
     ++groups;
     i = j;
   }
+  finishBatch(requests[arena.order[0]].region, n, groups, startNs, wallStart,
+              arena, counters, out);
+}
+
+void TargetRuntime::decideColumns(std::string_view region,
+                                  std::span<const std::string_view> slotNames,
+                                  const char* values, std::size_t rows,
+                                  std::span<Decision> out) {
+  require(out.size() >= rows,
+          "TargetRuntime::decideColumns: output span smaller than row count");
+  if (rows == 0) return;
+  require(values != nullptr || slotNames.empty(),
+          "TargetRuntime::decideColumns: value columns missing");
+  const std::int64_t startNs = trace_ != nullptr ? trace_->nowNs() : 0;
+  const auto wallStart = std::chrono::steady_clock::now();
+  const std::shared_ptr<const RegionEntry> entry = findEntry(region);
+  const CompiledRegionPlan* plan =
+      entry != nullptr ? entry->plan.get() : nullptr;
+  BatchArena& arena = threadBatchArena();
+  std::uint64_t mask = 0;
+  bool bound = false;
+  if (plan != nullptr && plan->fastPathUsable()) {
+    arena.begin(rows);
+    arena.beginGroup(rows, plan->slotCount());
+    bound = plan->bindColumns(slotNames, values, rows, arena.columns.data(),
+                              mask);
+  }
+  if (!bound) {
+    // Off the fast path every row takes decideBatch() over its own
+    // Bindings, so the decisions and diagnostics are decideBatch()'s.
+    std::vector<symbolic::Bindings> bindings(rows);
+    for (std::size_t slot = 0; slot < slotNames.size(); ++slot) {
+      const std::string name(slotNames[slot]);
+      for (std::size_t row = 0; row < rows; ++row) {
+        std::int64_t value = 0;
+        std::memcpy(&value,
+                    values + (slot * rows + row) * sizeof(std::int64_t),
+                    sizeof(value));
+        bindings[row][name] = value;
+      }
+    }
+    std::vector<DecideRequest> requests(rows);
+    for (std::size_t row = 0; row < rows; ++row) {
+      requests[row] = {region, &bindings[row]};
+    }
+    decideBatch(requests, out);
+    return;
+  }
+  for (std::size_t r = 0; r < rows; ++r) {
+    arena.masks[r] = mask;
+    arena.bindOk[r] = 1;
+    arena.targets[r] = &out[r];
+  }
+  BatchCounters counters;
+  evaluateGroup(*plan, entry->cache.get(), {}, arena.order,
+                effectiveCacheEpoch(), arena, counters);
+  finishBatch(region, rows, 1, startNs, wallStart, arena, counters, out);
+}
+
+void TargetRuntime::finishBatch(std::string_view label, std::size_t n,
+                                std::size_t groups, std::int64_t startNs,
+                                std::chrono::steady_clock::time_point wallStart,
+                                const BatchArena& arena,
+                                const BatchCounters& counters,
+                                std::span<Decision> out) {
   // Cache hits re-serve a memoized decision; their overheadSeconds reports
   // this batch's amortized per-decision cost (fresh evaluations keep the
   // wall time decideFromWorkloads measured for them).
@@ -410,8 +476,7 @@ void TargetRuntime::decideBatch(std::span<const DecideRequest> requests,
     // histogram carries the request volume).
     instruments_.decisionOverhead->record(amortized);
     instruments_.batchSize->record(static_cast<double>(n));
-    trace_->recordSpan("decide.batch", "batch",
-                       requests[arena.order[0]].region, startNs,
+    trace_->recordSpan("decide.batch", "batch", label, startNs,
                        trace_->nowNs() - startNs,
                        {"requests", static_cast<double>(n)},
                        {"groups", static_cast<double>(groups)});
@@ -424,9 +489,7 @@ void TargetRuntime::decideGroup(std::span<const DecideRequest> requests,
                                 BatchArena& arena, BatchCounters& counters) {
   const std::string_view region = requests[group.front()].region;
   const std::shared_ptr<const RegionEntry> entry = findEntry(region);
-  obs::DecisionExplain explainStorage;
-  obs::DecisionExplain* const explain =
-      trace_ != nullptr ? &explainStorage : nullptr;
+  const std::size_t rows = group.size();
 
   // A registered region with a PAD entry has a plan and its cache. A region
   // that has a PAD entry but is not registered decides through a plan
@@ -443,13 +506,16 @@ void TargetRuntime::decideGroup(std::span<const DecideRequest> requests,
     const pad::RegionAttributes* attr = database_.find(regionName);
     if (attr == nullptr) {
       const std::string suggestion = database_.nearestRegionName(regionName);
-      for (const std::uint32_t request : group) {
-        out[request] =
+      obs::DecisionExplain* const explains =
+          trace_ != nullptr ? arena.explainRows(rows) : nullptr;
+      for (std::size_t r = 0; r < rows; ++r) {
+        out[group[r]] =
             selector_.decide(RegionHandle::missing(regionName, suggestion),
-                             *requests[request].bindings, explain);
-        if (trace_ != nullptr) trace_->recordExplain(explainStorage);
+                             *requests[group[r]].bindings,
+                             explains != nullptr ? explains + r : nullptr);
         ++counters.degenerate;
       }
+      publishExplains(arena, rows);
       return;
     }
     plan = &groupPlan.emplace(selector_.compile(*attr));
@@ -457,21 +523,22 @@ void TargetRuntime::decideGroup(std::span<const DecideRequest> requests,
 
   if (!plan->fastPathUsable()) {
     // Every row degrades with the plan's recorded reason.
-    for (const std::uint32_t request : group) {
-      out[request] = selector_.decide(*plan, *requests[request].bindings,
-                                      explain);
-      if (trace_ != nullptr) trace_->recordExplain(explainStorage);
-      if (out[request].probe) ++counters.probes;
+    obs::DecisionExplain* const explains =
+        trace_ != nullptr ? arena.explainRows(rows) : nullptr;
+    for (std::size_t r = 0; r < rows; ++r) {
+      Decision& decision = out[group[r]];
+      decision = selector_.decide(*plan, *requests[group[r]].bindings,
+                                  explains != nullptr ? explains + r : nullptr);
+      if (decision.probe) ++counters.probes;
       ++counters.compiled;
     }
+    publishExplains(arena, rows);
     return;
   }
 
-  // The SoA fast path: bind every row into slot-major columns, bulk-probe
-  // the cache, evaluate the misses with one op walk over all rows.
-  const std::size_t rows = group.size();
-  const std::size_t slots = plan->slotCount();
-  arena.beginGroup(rows, slots);
+  // The SoA fast path: bind every row into slot-major columns, then the
+  // shared group evaluator.
+  arena.beginGroup(rows, plan->slotCount());
   for (std::size_t r = 0; r < rows; ++r) {
     arena.targets[r] = &out[group[r]];
     arena.bindOk[r] =
@@ -480,12 +547,22 @@ void TargetRuntime::decideGroup(std::span<const DecideRequest> requests,
             ? 1
             : 0;
   }
+  evaluateGroup(*plan, cache, requests, group, epoch, arena, counters);
+}
+
+void TargetRuntime::evaluateGroup(const CompiledRegionPlan& plan,
+                                  DecisionCache* cache,
+                                  std::span<const DecideRequest> requests,
+                                  std::span<const std::uint32_t> group,
+                                  std::uint64_t epoch, BatchArena& arena,
+                                  BatchCounters& counters) {
+  const std::size_t rows = group.size();
   const DecisionCache::KeyBlock keys{arena.columns.data(), arena.masks.data(),
-                                     slots, rows};
+                                     plan.slotCount(), rows};
   // The key (bound slot values) determines the decision only while the
   // policy's choices are replayable (EpsilonGreedy's probe draws are not).
   // A hit re-serves a decision whose explain record the populating miss
-  // already pushed, so only fresh evaluations record below.
+  // already published, so only fresh evaluations record below.
   const bool useCache =
       cache != nullptr && cache->capacity() != 0 && policyCacheable_;
   if (useCache) {
@@ -509,28 +586,39 @@ void TargetRuntime::decideGroup(std::span<const DecideRequest> requests,
   }
   if (arena.missRows.empty()) return;
 
-  plan->completeWorkloadsColumns(arena.columns.data(), arena.masks.data(),
-                                 rows, arena.exprOut.data(),
-                                 arena.exprScratch.data(),
-                                 arena.cpuWorkloads.data(),
-                                 arena.gpuWorkloads.data());
-  for (const std::uint32_t r : arena.missRows) {
+  plan.completeWorkloadsColumns(arena.columns.data(), arena.masks.data(), rows,
+                                arena.exprOut.data(), arena.exprScratch.data(),
+                                arena.cpuWorkloads.data(),
+                                arena.gpuWorkloads.data());
+  obs::DecisionExplain* const explains =
+      trace_ != nullptr ? arena.explainRows(arena.missRows.size()) : nullptr;
+  for (std::size_t k = 0; k < arena.missRows.size(); ++k) {
+    const std::uint32_t r = arena.missRows[k];
+    obs::DecisionExplain* const explain =
+        explains != nullptr ? explains + k : nullptr;
     if (arena.bindOk[r] != 0) {
       *arena.targets[r] = selector_.decideFromWorkloads(
-          *plan, arena.cpuWorkloads[r], arena.gpuWorkloads[r], explain);
+          plan, arena.cpuWorkloads[r], arena.gpuWorkloads[r], explain);
     } else {
       // Unbindable rows take the selector's one-row decide, which raises
       // the plan's diagnostic for them. Their key (partial values + mask)
       // is still cached.
       *arena.targets[r] =
-          selector_.decide(*plan, *requests[group[r]].bindings, explain);
+          selector_.decide(plan, *requests[group[r]].bindings, explain);
     }
-    if (trace_ != nullptr) trace_->recordExplain(explainStorage);
     if (arena.targets[r]->probe) ++counters.probes;
   }
+  publishExplains(arena, arena.missRows.size());
   if (useCache) {
     cache->insertMany(keys, arena.missRows, arena.targets.data(), epoch);
   }
+}
+
+void TargetRuntime::publishExplains(const BatchArena& arena,
+                                    std::size_t count) {
+  if (trace_ == nullptr) return;
+  trace_->recordExplains(
+      std::span<const obs::DecisionExplain>(arena.explains.data(), count));
 }
 
 void TargetRuntime::recordExecution(LaunchRecord& record,

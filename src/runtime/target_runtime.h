@@ -14,9 +14,13 @@
 // decisions are made per region group: bind the group's rows into SoA
 // columns, probe the cache in bulk, complete and evaluate the misses.
 // decideBatch() groups its requests by region; decide() and launch() run a
-// one-row group. A region that has a PAD entry but is not registered yet
-// decides through a plan compiled for that group (no cache); a region with
-// no PAD entry degrades to the safe default.
+// one-row group; decideColumns() takes one group already laid out as wire
+// columns (oseld's DecideBatch frames) and skips the per-row maps. With a
+// trace session attached, each group's fresh decisions publish their
+// explain records together, one ring lock and one timestamp per group. A
+// region that has a PAD entry but is not registered yet decides through a
+// plan compiled for that group (no cache); a region with no PAD entry
+// degrades to the safe default.
 //
 // Concurrency: the runtime is safe for concurrent registerRegion / decide /
 // launch callers (the ROADMAP's `oseld` service needs many). The registry
@@ -31,6 +35,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -215,6 +220,30 @@ class TargetRuntime {
   void decideBatch(std::span<const DecideRequest> requests,
                    std::span<Decision> out);
 
+  /// decideBatch() for `rows` requests that all name `region` and bind the
+  /// same symbols, given as columns rather than per-row maps — the layout
+  /// of an oseld DecideBatch frame, which the server passes straight
+  /// through. `values` holds slotNames.size() * rows little-endian int64s,
+  /// slot-major (slotNames[i]'s column starts at int64 index i * rows), with
+  /// no alignment guarantee. A duplicate name binds its last occurrence and
+  /// a name the region does not read is ignored, as when the names are
+  /// assigned into one Bindings map per row. Fills out[0, rows)
+  /// (out.size() >= rows, else support::PreconditionError).
+  ///
+  /// A registered region whose plan runs and whose required symbols are all
+  /// named copies each slot's column into the group's SoA block and runs the
+  /// same group evaluator as decideBatch(). Every other frame (unregistered
+  /// or PAD-less region, unusable plan, a required symbol missing) builds
+  /// the per-row Bindings and calls decideBatch(), so its decisions and
+  /// diagnostics are decideBatch()'s by construction. Either way each
+  /// decision is bit-identical to decideBatch() over per-row maps (wall-time
+  /// overheadSeconds aside), with the same cache traffic, counters, span and
+  /// explain records.
+  void decideColumns(std::string_view region,
+                     std::span<const std::string_view> slotNames,
+                     const char* values, std::size_t rows,
+                     std::span<Decision> out);
+
   /// Measures one execution of a region on a specific device (ground-truth
   /// simulation against `store`).
   [[nodiscard]] double measure(const std::string& regionName,
@@ -364,15 +393,40 @@ class TargetRuntime {
                                          const symbolic::Bindings& bindings,
                                          LaunchRecord& record);
   /// One region group — of a decideBatch() call, or the single row of a
-  /// decide(): a single registry lookup, one bulk cache probe/back-fill,
-  /// SoA evaluation for the misses, selector fallbacks for rows without a
-  /// usable plan. `group` lists the request indices (all naming the same
-  /// region); tallies land in `counters` for the caller to publish; cache
-  /// hits are appended to arena.hitRequests.
+  /// decide(): a single registry lookup, then either the selector's
+  /// degraded decide per row (no PAD entry, unusable plan) or each row's
+  /// bindings merge-joined into the arena's SoA columns and evaluateGroup().
+  /// `group` lists the request indices (all naming the same region);
+  /// tallies land in `counters` for the caller to publish; cache hits are
+  /// appended to arena.hitRequests. With a session attached, the group's
+  /// explain records are published in one TraceSession::recordExplains().
   void decideGroup(std::span<const DecideRequest> requests,
                    std::span<const std::uint32_t> group,
                    std::span<Decision> out, std::uint64_t epoch,
                    BatchArena& arena, BatchCounters& counters);
+  /// The group evaluator after binding, shared by decideGroup() and
+  /// decideColumns(): arena.columns/masks/bindOk/targets hold the group's
+  /// bound rows (row r is request group[r]). One bulk cache probe, SoA
+  /// completion and the selector's shared tail for the misses, one bulk
+  /// back-fill, one explain publish. `requests` is read only for rows whose
+  /// bindOk is 0, which take the selector's one-row decide for their
+  /// diagnostic.
+  void evaluateGroup(const CompiledRegionPlan& plan, DecisionCache* cache,
+                     std::span<const DecideRequest> requests,
+                     std::span<const std::uint32_t> group, std::uint64_t epoch,
+                     BatchArena& arena, BatchCounters& counters);
+  /// Publishes the first `count` records of arena.explains to the session
+  /// (one ring lock, one clock read); no-op when detached.
+  void publishExplains(const BatchArena& arena, std::size_t count);
+  /// The tail of a decideBatch()/decideColumns() call over `n` requests in
+  /// `groups` region groups: stamps cache hits with the amortized cost,
+  /// publishes the cache and path counters and, with a session attached,
+  /// the overhead/batch-size samples and the `decide.batch` span.
+  void finishBatch(std::string_view label, std::size_t n, std::size_t groups,
+                   std::int64_t startNs,
+                   std::chrono::steady_clock::time_point wallStart,
+                   const BatchArena& arena, const BatchCounters& counters,
+                   std::span<Decision> out);
   /// Adds one decide()/decideBatch() call's cache tallies to the
   /// runtime-wide counters and, with a session attached, republishes the
   /// decision_cache.hit_ratio gauge from them.

@@ -1,3 +1,11 @@
+// oseld's server loop (service/server.h). Each connection is served by one
+// worker: decode a frame, decide, encode the reply, flush. The decide stage
+// hands the runtime what the frame already holds: a DecideRequest's bindings
+// map goes to TargetRuntime::decide, and a DecideBatch frame's slot-major
+// value columns go to TargetRuntime::decideColumns as they are, with no
+// per-row Bindings map in between. The runtime decides the frame as one
+// region group and publishes its explain records to the server's session
+// in one call.
 #include "service/server.h"
 
 #include <algorithm>
@@ -233,8 +241,6 @@ void Server::serveConnection(Socket socket, std::uint64_t clientId) {
   symbolic::Bindings bindings;
   DecideRequestView requestView;
   DecideBatchView batchView;
-  std::vector<symbolic::Bindings> rowBindings;
-  std::vector<runtime::DecideRequest> requests;
   std::vector<runtime::Decision> decisions;
   std::vector<PendingCapture> pendingCaptures;
   char buffer[64 * 1024];
@@ -388,21 +394,10 @@ void Server::serveConnection(Socket socket, std::uint64_t clientId) {
               if (batchView.hasTrace) frameTrace = batchView.trace;
               const std::size_t rows = batchView.rows;
               regionName.assign(batchView.region);
-              if (rowBindings.size() < rows) rowBindings.resize(rows);
-              requests.resize(rows);
               decisions.assign(rows, runtime::Decision{});
-              for (std::size_t row = 0; row < rows; ++row) {
-                symbolic::Bindings& rowBound = rowBindings[row];
-                rowBound.clear();
-                for (std::size_t slot = 0; slot < batchView.slots.size();
-                     ++slot) {
-                  rowBound[std::string(batchView.slots[slot])] =
-                      batchView.value(slot, row);
-                }
-                requests[row] = {regionName, &rowBound};
-              }
               const std::int64_t t1 = session_.nowNs();
-              runtime_.decideBatch(requests, decisions);
+              runtime_.decideColumns(regionName, batchView.slots,
+                                     batchView.values, rows, decisions);
               const std::int64_t t2 = session_.nowNs();
               encodeDecisionBatch(out, batchView.requestId,
                                   std::span(decisions.data(), rows), echo);

@@ -9,17 +9,13 @@
 // degrade with the limit in its diagnostic. Also pins the steady-state
 // zero-allocation guarantee of the batch path and of scalar decide(), which
 // runs as a one-row region group on the same thread-local arena (own test
-// binary: the counting operator new below must be the only replacement in
-// the link).
+// binary: the counting operator new in counting_new.cpp must be the only
+// replacement in the link).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
-#include <atomic>
-#include <bit>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 #include <string>
 #include <vector>
 
@@ -30,91 +26,13 @@
 #include "runtime/target_runtime.h"
 #include "support/check.h"
 
-// --- Global allocation counter ----------------------------------------------
-// Replaces the global non-aligned new/delete for this test binary so the
-// steady-state test below can assert decideBatch never touches the heap.
-// Counting only; allocation behaviour is unchanged.
-
-namespace {
-std::atomic<std::uint64_t> gAllocations{0};
-
-// noinline keeps GCC from tracking malloc/free provenance through the
-// replaced operators and raising a spurious -Wmismatched-new-delete.
-[[gnu::noinline]] void* countedAlloc(std::size_t size) {
-  gAllocations.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size ? size : 1);
-}
-[[gnu::noinline]] void countedFree(void* p) noexcept { std::free(p); }
-}  // namespace
-
-void* operator new(std::size_t size) {
-  if (void* p = countedAlloc(size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { countedFree(p); }
-void operator delete[](void* p) noexcept { countedFree(p); }
-void operator delete(void* p, std::size_t) noexcept { countedFree(p); }
-void operator delete[](void* p, std::size_t) noexcept { countedFree(p); }
+#include "batch_test_support.h"
 
 namespace osel::runtime {
 namespace {
 
-void expectSameBits(double batched, double scalar, const char* field) {
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(batched),
-            std::bit_cast<std::uint64_t>(scalar))
-      << field << ": batched=" << batched << " scalar=" << scalar;
-}
-
-/// Bit-identical equality of everything except overheadSeconds (wall time;
-/// batch cache hits deliberately report the amortized batch cost).
-void expectIdenticalDecisions(const Decision& batched, const Decision& scalar) {
-  EXPECT_EQ(batched.device, scalar.device);
-  EXPECT_EQ(batched.valid, scalar.valid);
-  EXPECT_EQ(batched.diagnostic, scalar.diagnostic);
-
-  expectSameBits(batched.cpu.forkJoinCycles, scalar.cpu.forkJoinCycles,
-                 "cpu.forkJoinCycles");
-  expectSameBits(batched.cpu.scheduleCycles, scalar.cpu.scheduleCycles,
-                 "cpu.scheduleCycles");
-  expectSameBits(batched.cpu.workCycles, scalar.cpu.workCycles,
-                 "cpu.workCycles");
-  expectSameBits(batched.cpu.loopOverheadCycles, scalar.cpu.loopOverheadCycles,
-                 "cpu.loopOverheadCycles");
-  expectSameBits(batched.cpu.tlbCycles, scalar.cpu.tlbCycles, "cpu.tlbCycles");
-  expectSameBits(batched.cpu.falseSharingCycles, scalar.cpu.falseSharingCycles,
-                 "cpu.falseSharingCycles");
-  expectSameBits(batched.cpu.totalCycles, scalar.cpu.totalCycles,
-                 "cpu.totalCycles");
-  expectSameBits(batched.cpu.seconds, scalar.cpu.seconds, "cpu.seconds");
-
-  EXPECT_EQ(batched.gpu.threadsPerBlock, scalar.gpu.threadsPerBlock);
-  EXPECT_EQ(batched.gpu.blocks, scalar.gpu.blocks);
-  expectSameBits(batched.gpu.ompRep, scalar.gpu.ompRep, "gpu.ompRep");
-  expectSameBits(batched.gpu.rep, scalar.gpu.rep, "gpu.rep");
-  EXPECT_EQ(batched.gpu.activeSms, scalar.gpu.activeSms);
-  expectSameBits(batched.gpu.activeWarpsPerSm, scalar.gpu.activeWarpsPerSm,
-                 "gpu.activeWarpsPerSm");
-  expectSameBits(batched.gpu.memCycles, scalar.gpu.memCycles, "gpu.memCycles");
-  expectSameBits(batched.gpu.compCycles, scalar.gpu.compCycles,
-                 "gpu.compCycles");
-  expectSameBits(batched.gpu.mwpWithoutBw, scalar.gpu.mwpWithoutBw,
-                 "gpu.mwpWithoutBw");
-  expectSameBits(batched.gpu.mwpPeakBw, scalar.gpu.mwpPeakBw, "gpu.mwpPeakBw");
-  expectSameBits(batched.gpu.mwp, scalar.gpu.mwp, "gpu.mwp");
-  expectSameBits(batched.gpu.cwp, scalar.gpu.cwp, "gpu.cwp");
-  EXPECT_EQ(batched.gpu.execCase, scalar.gpu.execCase);
-  expectSameBits(batched.gpu.kernelCycles, scalar.gpu.kernelCycles,
-                 "gpu.kernelCycles");
-  expectSameBits(batched.gpu.kernelSeconds, scalar.gpu.kernelSeconds,
-                 "gpu.kernelSeconds");
-  expectSameBits(batched.gpu.transferSeconds, scalar.gpu.transferSeconds,
-                 "gpu.transferSeconds");
-  expectSameBits(batched.gpu.launchSeconds, scalar.gpu.launchSeconds,
-                 "gpu.launchSeconds");
-  expectSameBits(batched.gpu.totalSeconds, scalar.gpu.totalSeconds,
-                 "gpu.totalSeconds");
-}
+using batch_test::allocationCount;
+using batch_test::expectIdenticalDecisions;
 
 /// One runtime over every Polybench kernel. `scalarTwin()` is constructed
 /// identically; both see each key for the first time in the same test, so
@@ -339,21 +257,23 @@ TEST(BatchDecide, SteadyStateBatchDoesNotAllocate) {
   }
   std::vector<Decision> out(requests.size());
   batchRuntime().decideBatch(requests, out);  // warm caches + arena
-  const std::uint64_t before = gAllocations.load(std::memory_order_relaxed);
+  const std::uint64_t before = allocationCount();
   batchRuntime().decideBatch(requests, out);
-  const std::uint64_t after = gAllocations.load(std::memory_order_relaxed);
+  const std::uint64_t after = allocationCount();
   EXPECT_EQ(after - before, 0u)
       << "steady-state decideBatch allocated " << (after - before) << " times";
   for (const Decision& decision : out) EXPECT_TRUE(decision.valid);
 }
 
 /// A runtime over GEMM's kernel alone, so one region's cache fills and
-/// evicts under the default capacity.
-TargetRuntime makeGemmRuntime(const ir::TargetRegion& kernel) {
+/// evicts under the default capacity; `trace` is attached when given.
+TargetRuntime makeGemmRuntime(const ir::TargetRegion& kernel,
+                              obs::TraceSession* trace = nullptr) {
   const std::array<ir::TargetRegion, 1> regions{kernel};
   const std::array<mca::MachineModel, 1> models{mca::MachineModel::power9()};
   RuntimeOptions options;
   options.selector.cpuThreads = 160;
+  options.trace = trace;
   TargetRuntime runtime(compiler::compileAll(regions, models), options);
   runtime.registerRegion(kernel);
   return runtime;
@@ -385,9 +305,9 @@ TEST(BatchDecide, FullCacheMissBatchDoesNotAllocate) {
   ASSERT_EQ(runtime.decisionCacheStats(region).insertions, capacity);
   ASSERT_EQ(runtime.decisionCacheStats(region).evictions, 0u);
 
-  const std::uint64_t before = gAllocations.load(std::memory_order_relaxed);
+  const std::uint64_t before = allocationCount();
   runtime.decideBatch(fresh, out);
-  const std::uint64_t after = gAllocations.load(std::memory_order_relaxed);
+  const std::uint64_t after = allocationCount();
   EXPECT_EQ(after - before, 0u)
       << "evicting decideBatch allocated " << (after - before) << " times";
   const DecisionCache::Stats stats = runtime.decisionCacheStats(region);
@@ -395,6 +315,44 @@ TEST(BatchDecide, FullCacheMissBatchDoesNotAllocate) {
   EXPECT_EQ(stats.evictions, kRows);
   EXPECT_EQ(stats.insertions, capacity + kRows);
   for (std::size_t i = 0; i < kRows; ++i) EXPECT_TRUE(out[i].valid);
+}
+
+TEST(BatchDecide, TracedFullMissBatchDoesNotAllocate) {
+  // FullCacheMissBatchDoesNotAllocate with a trace session attached, as
+  // oseld runs: the 64 fresh rows also fill the arena's explain buffer and
+  // publish it to the explain ring in one call, and the batch records its
+  // span and histogram samples — still without touching the heap.
+  const polybench::Benchmark& gemm = polybench::benchmarkByName("GEMM");
+  const ir::TargetRegion& kernel = gemm.kernels()[0];
+  obs::TraceSession session;
+  TargetRuntime runtime = makeGemmRuntime(kernel, &session);
+  constexpr std::size_t kRows = 64;
+  ASSERT_EQ(RuntimeOptions{}.decisionCacheCapacity, kRows);
+  std::vector<symbolic::Bindings> bindings;
+  for (std::size_t i = 0; i < 2 * kRows; ++i) {
+    bindings.push_back(gemm.bindings(64 + 4 * static_cast<std::int64_t>(i)));
+  }
+  std::vector<DecideRequest> warm(kRows);
+  std::vector<DecideRequest> fresh(kRows);
+  for (std::size_t i = 0; i < kRows; ++i) {
+    warm[i] = {kernel.name, &bindings[i]};
+    fresh[i] = {kernel.name, &bindings[kRows + i]};
+  }
+  std::vector<Decision> out(kRows);
+  runtime.decideBatch(warm, out);
+  const std::uint64_t explained = session.explainRing().recorded();
+
+  const std::uint64_t before = allocationCount();
+  runtime.decideBatch(fresh, out);
+  const std::uint64_t after = allocationCount();
+  EXPECT_EQ(after - before, 0u)
+      << "traced full-miss decideBatch allocated " << (after - before)
+      << " times";
+  EXPECT_EQ(session.explainRing().recorded() - explained, kRows);
+  const DecisionCache::Stats stats = runtime.decisionCacheStats(kernel.name);
+  EXPECT_EQ(stats.hits, 0u);
+  EXPECT_EQ(stats.evictions, kRows);
+  for (const Decision& decision : out) EXPECT_TRUE(decision.valid);
 }
 
 TEST(ScalarDecide, SteadyStateHitsDoNotAllocate) {
@@ -411,13 +369,13 @@ TEST(ScalarDecide, SteadyStateHitsDoNotAllocate) {
   for (const symbolic::Bindings& b : bindings) (void)runtime.decide(region, b);
   const DecisionCache::Stats warm = runtime.decisionCacheStats(region);
   bool allValid = true;
-  const std::uint64_t before = gAllocations.load(std::memory_order_relaxed);
+  const std::uint64_t before = allocationCount();
   for (int pass = 0; pass < 4; ++pass) {
     for (const symbolic::Bindings& b : bindings) {
       allValid = runtime.decide(region, b).valid && allValid;
     }
   }
-  const std::uint64_t after = gAllocations.load(std::memory_order_relaxed);
+  const std::uint64_t after = allocationCount();
   EXPECT_EQ(after - before, 0u)
       << "steady-state scalar decide allocated " << (after - before)
       << " times";
@@ -447,11 +405,11 @@ TEST(ScalarDecide, FullCacheEvictingMissesDoNotAllocate) {
   ASSERT_EQ(runtime.decisionCacheStats(region).evictions, 0u);
 
   bool allValid = true;
-  const std::uint64_t before = gAllocations.load(std::memory_order_relaxed);
+  const std::uint64_t before = allocationCount();
   for (std::size_t i = capacity; i < capacity + kFresh; ++i) {
     allValid = runtime.decide(region, bindings[i]).valid && allValid;
   }
-  const std::uint64_t after = gAllocations.load(std::memory_order_relaxed);
+  const std::uint64_t after = allocationCount();
   EXPECT_EQ(after - before, 0u)
       << "evicting scalar decide allocated " << (after - before) << " times";
   EXPECT_TRUE(allValid);

@@ -1,6 +1,7 @@
 // Concurrency stress coverage for the sharded runtime (run under the tsan
 // preset: `ctest --preset tsan`): registration storms, decide storms, mixed
-// register+decide traffic, fault injection under concurrent launches, and
+// register+decide traffic, traced column/batch storms against explain-ring
+// readers, fault injection under concurrent launches, and
 // the admission controller's shed/drain/quiesce semantics. Thread counts
 // stay modest — the point is interleaving coverage under TSan, not load.
 #include <gtest/gtest.h>
@@ -11,12 +12,14 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "compiler/compiler.h"
 #include "ir/builder.h"
 #include "ir/interpreter.h"
+#include "obs/trace.h"
 #include "runtime/admission.h"
 #include "runtime/target_runtime.h"
 #include "support/check.h"
@@ -225,6 +228,80 @@ TEST(RuntimeConcurrency, BatchDecideRacesRegistrationAndInvalidation) {
     const DecisionCache::Stats stats = runtime.decisionCacheStats(name);
     EXPECT_EQ(stats.hits + stats.misses, stats.lookups) << name;
   }
+}
+
+TEST(RuntimeConcurrency, TracedColumnsAndBatchStormRecordEveryFreshExplain) {
+  // oseld's shape under contention: four workers decide traced region
+  // groups on one runtime — half through decideColumns (wire columns), half
+  // through decideBatch (per-row maps) — over more sizes than a region's
+  // cache holds, so hits, misses and evictions interleave, while a reader
+  // snapshots the explain ring and looks up per-region records. Each group
+  // publishes its fresh decisions' records in one call: the ring must count
+  // exactly one record per fresh decision and every snapshot must be a
+  // gap-free seq run.
+  obs::TraceSession session;
+  RuntimeOptions options;
+  options.trace = &session;
+  TargetRuntime runtime = makeRuntime({"colsa", "colsb"}, options);
+  const std::array<std::string, 2> names{"colsa", "colsb"};
+  constexpr int kRounds = 120;
+  constexpr std::size_t kRows = 16;
+  std::atomic<bool> done{false};
+  std::atomic<int> gaps{0};
+  std::thread reader([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      const std::vector<obs::DecisionExplain> records =
+          session.explainRing().snapshot();
+      for (std::size_t i = 1; i < records.size(); ++i) {
+        if (records[i].seq != records[i - 1].seq + 1) gaps.fetch_add(1);
+      }
+      obs::DecisionExplain latest;
+      (void)session.explainRing().latestFor(names[records.size() % 2], latest);
+    }
+  });
+  std::atomic<int> invalid{0};
+  runThreads(kThreads, [&](int t) {
+    const std::array<std::string_view, 1> slot{"n"};
+    std::array<std::int64_t, kRows> values{};
+    std::array<symbolic::Bindings, kRows> bindings;
+    std::array<DecideRequest, kRows> requests;
+    std::array<Decision, kRows> out;
+    for (int round = 0; round < kRounds; ++round) {
+      const std::string& region = names[static_cast<std::size_t>(round) % 2];
+      for (std::size_t j = 0; j < kRows; ++j) {
+        const int pick = (t * kRounds + round * 7 + static_cast<int>(j)) % 97;
+        values[j] = 64 + 8 * static_cast<std::int64_t>(pick);
+        bindings[j] = symbolic::Bindings{{"n", values[j]}};
+        requests[j] = {region, &bindings[j]};
+      }
+      if (t % 2 == 0) {
+        runtime.decideColumns(region, slot,
+                              reinterpret_cast<const char*>(values.data()),
+                              kRows, out);
+      } else {
+        runtime.decideBatch(requests, out);
+      }
+      for (const Decision& decision : out) {
+        if (!decision.valid) invalid.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
+  });
+  done.store(true, std::memory_order_release);
+  reader.join();
+  EXPECT_EQ(invalid.load(), 0);
+  EXPECT_EQ(gaps.load(), 0);
+  obs::MetricsRegistry& metrics = session.metrics();
+  const std::uint64_t fresh = metrics.counter("decision.compiled").value() +
+                              metrics.counter("decision.degenerate").value();
+  const std::uint64_t hits = metrics.counter("decision.cache_hit").value();
+  EXPECT_EQ(fresh + hits,
+            static_cast<std::uint64_t>(kThreads) * kRounds * kRows);
+  EXPECT_GT(hits, 0u);
+  // More fresh decisions than the ring holds: the drop count is exercised.
+  ASSERT_GT(fresh, session.explainRing().capacity());
+  EXPECT_EQ(session.explainRing().recorded(), fresh);
+  EXPECT_EQ(session.explainRing().dropped(),
+            fresh - session.explainRing().capacity());
 }
 
 // --- Fault injection under concurrency --------------------------------------

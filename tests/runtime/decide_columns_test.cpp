@@ -1,0 +1,423 @@
+// Equivalence pins for TargetRuntime::decideColumns, the entry point oseld
+// hands DecideBatch frames to: deciding a group straight from slot-major
+// wire columns must be bit-identical to decideBatch over the per-row
+// Bindings maps the same frame describes — decisions, cache traffic,
+// decision counters and, with a trace session attached, the explain records
+// (all but seq, atNs and overheadSeconds). Covers every Polybench region over
+// a size grid (misses, then hits with amortized overhead), duplicate and
+// unknown slot names, a missing required slot, regions without a usable
+// plan, and the empty frame; plus the traced full-miss allocation pin.
+#include <gtest/gtest.h>
+
+#include <array>
+#include <cstdint>
+#include <cstring>
+#include <memory>
+#include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
+
+#include "compiler/compiler.h"
+#include "ir/builder.h"
+#include "obs/trace.h"
+#include "polybench/polybench.h"
+#include "runtime/target_runtime.h"
+#include "support/check.h"
+
+#include "batch_test_support.h"
+
+namespace osel::runtime {
+namespace {
+
+using batch_test::allocationCount;
+using batch_test::expectIdenticalDecisions;
+using batch_test::expectIdenticalExplains;
+
+/// One DecideBatch-shaped group: a region, its slot names, and the value
+/// matrix, slot-major (`values[slot * rows + row]`).
+struct Frame {
+  std::string region;
+  std::vector<std::string> names;
+  std::vector<std::int64_t> values;
+  std::size_t rows = 0;
+};
+
+/// Frame over `region` binding each of `names` per row: rows[r][i] is
+/// names[i]'s value in row r.
+Frame makeFrame(std::string region, std::vector<std::string> names,
+                const std::vector<std::vector<std::int64_t>>& rows) {
+  Frame frame{std::move(region), std::move(names), {}, rows.size()};
+  frame.values.resize(frame.names.size() * frame.rows);
+  for (std::size_t r = 0; r < frame.rows; ++r) {
+    for (std::size_t i = 0; i < frame.names.size(); ++i) {
+      frame.values[i * frame.rows + r] = rows[r][i];
+    }
+  }
+  return frame;
+}
+
+/// Kernel over two runtime symbols, so column binding covers a plan with
+/// more than one slot.
+ir::TargetRegion pairKernel() {
+  using namespace osel::ir;
+  return RegionBuilder("pair_mn")
+      .param("m")
+      .param("n")
+      .array("x", ScalarType::F32, {sym("m"), sym("n")}, Transfer::To)
+      .array("y", ScalarType::F32, {sym("m"), sym("n")}, Transfer::From)
+      .parallelFor("i", sym("m"))
+      .parallelFor("j", sym("n"))
+      .statement(Stmt::store("y", {sym("i"), sym("j")},
+                             read("x", {sym("i"), sym("j")}) * num(3.0)))
+      .build();
+}
+
+std::vector<ir::TargetRegion> allRegions() {
+  std::vector<ir::TargetRegion> regions;
+  for (const polybench::Benchmark& benchmark : polybench::suite()) {
+    for (const ir::TargetRegion& kernel : benchmark.kernels()) {
+      regions.push_back(kernel);
+    }
+  }
+  regions.push_back(pairKernel());
+  return regions;
+}
+
+/// Two identically built runtimes — decideColumns runs on one, decideBatch
+/// on the other — each with its own trace session when traced.
+struct Twins {
+  std::unique_ptr<obs::TraceSession> columnsTrace;
+  std::unique_ptr<obs::TraceSession> batchTrace;
+  std::unique_ptr<TargetRuntime> columns;
+  std::unique_ptr<TargetRuntime> batch;
+};
+
+/// Registers every region except `unregistered` (whose PAD entries stay).
+Twins makeTwins(bool traced, RuntimeOptions options = {},
+                const std::vector<std::string>& unregistered = {}) {
+  const std::vector<ir::TargetRegion> regions = allRegions();
+  const std::array<mca::MachineModel, 1> models{mca::MachineModel::power9()};
+  const pad::AttributeDatabase db = compiler::compileAll(regions, models);
+  options.selector.cpuThreads = 160;
+  Twins twins;
+  const auto build = [&](std::unique_ptr<obs::TraceSession>& session) {
+    if (traced) {
+      session = std::make_unique<obs::TraceSession>(
+          obs::TraceOptions{.explainCapacity = 8192});
+    }
+    RuntimeOptions own = options;
+    own.trace = session.get();
+    auto runtime = std::make_unique<TargetRuntime>(db, own);
+    for (const ir::TargetRegion& region : regions) {
+      bool skip = false;
+      for (const std::string& name : unregistered) skip |= name == region.name;
+      if (!skip) runtime->registerRegion(region);
+    }
+    return runtime;
+  };
+  twins.columns = build(twins.columnsTrace);
+  twins.batch = build(twins.batchTrace);
+  return twins;
+}
+
+/// The per-row Bindings a frame describes: each row assigns the names in
+/// order, so a duplicate name keeps its last value.
+std::vector<symbolic::Bindings> rowBindings(const Frame& frame) {
+  std::vector<symbolic::Bindings> rows(frame.rows);
+  for (std::size_t i = 0; i < frame.names.size(); ++i) {
+    for (std::size_t r = 0; r < frame.rows; ++r) {
+      rows[r][frame.names[i]] = frame.values[i * frame.rows + r];
+    }
+  }
+  return rows;
+}
+
+/// decideColumns over the frame, with the value matrix deliberately placed
+/// at an odd address (the wire gives no alignment guarantee).
+std::vector<Decision> decideColumns(TargetRuntime& runtime,
+                                    const Frame& frame) {
+  std::vector<std::string_view> names(frame.names.begin(), frame.names.end());
+  const std::size_t bytes = frame.values.size() * sizeof(std::int64_t);
+  std::vector<char> unaligned(bytes + 1);
+  if (bytes > 0) std::memcpy(unaligned.data() + 1, frame.values.data(), bytes);
+  std::vector<Decision> out(frame.rows);
+  runtime.decideColumns(frame.region, names, unaligned.data() + 1, frame.rows,
+                        out);
+  return out;
+}
+
+std::vector<Decision> decideBatch(TargetRuntime& runtime, const Frame& frame) {
+  const std::vector<symbolic::Bindings> bindings = rowBindings(frame);
+  std::vector<DecideRequest> requests(frame.rows);
+  for (std::size_t r = 0; r < frame.rows; ++r) {
+    requests[r] = {frame.region, &bindings[r]};
+  }
+  std::vector<Decision> out(frame.rows);
+  runtime.decideBatch(requests, out);
+  return out;
+}
+
+/// Decides `frame` on both twins and asserts row-by-row bit-identity;
+/// returns the decideColumns decisions.
+std::vector<Decision> expectColumnsMatchBatch(Twins& twins,
+                                              const Frame& frame) {
+  const std::vector<Decision> columns = decideColumns(*twins.columns, frame);
+  const std::vector<Decision> batched = decideBatch(*twins.batch, frame);
+  for (std::size_t r = 0; r < frame.rows; ++r) {
+    SCOPED_TRACE("region '" + frame.region + "' row " + std::to_string(r));
+    expectIdenticalDecisions(columns[r], batched[r]);
+  }
+  return columns;
+}
+
+/// Both twins' cache traffic, decision counters and explain rings agree.
+void expectTwinsAgree(const Twins& twins) {
+  for (const ir::TargetRegion& region : allRegions()) {
+    const DecisionCache::Stats a =
+        twins.columns->decisionCacheStats(region.name);
+    const DecisionCache::Stats b = twins.batch->decisionCacheStats(region.name);
+    EXPECT_EQ(a.lookups, b.lookups) << region.name;
+    EXPECT_EQ(a.hits, b.hits) << region.name;
+    EXPECT_EQ(a.insertions, b.insertions) << region.name;
+    EXPECT_EQ(a.evictions, b.evictions) << region.name;
+  }
+  if (twins.columnsTrace == nullptr) return;
+  obs::TraceSession& a = *twins.columnsTrace;
+  obs::TraceSession& b = *twins.batchTrace;
+  for (const char* counter :
+       {"decision.compiled", "decision.cache_hit", "decision.degenerate"}) {
+    EXPECT_EQ(a.metrics().counter(counter).value(),
+              b.metrics().counter(counter).value())
+        << counter;
+  }
+  EXPECT_EQ(a.explainRing().recorded(), b.explainRing().recorded());
+  EXPECT_EQ(a.explainRing().dropped(), b.explainRing().dropped());
+  const std::vector<obs::DecisionExplain> recordsA = a.explainRing().snapshot();
+  const std::vector<obs::DecisionExplain> recordsB = b.explainRing().snapshot();
+  ASSERT_EQ(recordsA.size(), recordsB.size());
+  for (std::size_t i = 0; i < recordsA.size(); ++i) {
+    SCOPED_TRACE("explain record " + std::to_string(i));
+    EXPECT_EQ(recordsA[i].seq, i);
+    expectIdenticalExplains(recordsA[i], recordsB[i]);
+  }
+}
+
+/// Every region as one frame over a size grid: degenerate sizes, a
+/// duplicate row, sizes far apart. pair_mn binds two symbols.
+std::vector<Frame> gridFrames() {
+  const std::vector<std::int64_t> sizes{0, 1, 2, 3, 7, 32, 256, 1100, 4096, 32};
+  std::vector<Frame> frames;
+  for (const ir::TargetRegion& region : allRegions()) {
+    std::vector<std::vector<std::int64_t>> rows;
+    const bool pair = region.name == "pair_mn";
+    for (const std::int64_t n : sizes) {
+      rows.push_back(pair ? std::vector<std::int64_t>{n, 3 * n + 1}
+                          : std::vector<std::int64_t>{n});
+    }
+    std::vector<std::string> names{"n"};
+    if (pair) names.push_back("m");
+    frames.push_back(makeFrame(region.name, names, rows));
+  }
+  return frames;
+}
+
+void runGrid(bool traced) {
+  Twins twins = makeTwins(traced);
+  const std::vector<Frame> frames = gridFrames();
+  for (const Frame& frame : frames) (void)expectColumnsMatchBatch(twins, frame);
+  expectTwinsAgree(twins);
+  if (traced) {
+    // Every row is a fresh decision, the duplicate included: a group probes
+    // the cache for all its rows before back-filling any of them.
+    EXPECT_EQ(twins.columnsTrace->explainRing().recorded(),
+              frames.size() * frames.front().rows);
+  }
+
+  // Second pass: every row is a cache hit, served at the amortized cost of
+  // its call — one shared, positive overheadSeconds per frame.
+  for (const Frame& frame : frames) {
+    const DecisionCache::Stats before =
+        twins.columns->decisionCacheStats(frame.region);
+    const std::vector<Decision> columns = expectColumnsMatchBatch(twins, frame);
+    const DecisionCache::Stats after =
+        twins.columns->decisionCacheStats(frame.region);
+    EXPECT_EQ(after.hits - before.hits, frame.rows) << frame.region;
+    for (const Decision& decision : columns) {
+      EXPECT_GT(decision.overheadSeconds, 0.0);
+      EXPECT_EQ(decision.overheadSeconds, columns.front().overheadSeconds);
+    }
+  }
+  expectTwinsAgree(twins);
+}
+
+TEST(DecideColumns, MatchesDecideBatchOverPolybenchGrid) { runGrid(false); }
+
+TEST(DecideColumns, MatchesDecideBatchOverPolybenchGridTraced) {
+  runGrid(true);
+}
+
+TEST(DecideColumns, DuplicateAndUnknownSlotNamesBindLikeAMap) {
+  for (const bool traced : {false, true}) {
+    SCOPED_TRACE(traced ? "traced" : "untraced");
+    Twins twins = makeTwins(traced);
+    // "n" twice (the last column wins) and a name no plan reads.
+    const Frame noisy = makeFrame("pair_mn", {"n", "bogus", "m", "n"},
+                                  {{1, 99, 64, 128},
+                                   {2, 98, 96, 256},
+                                   {3, 97, 64, 128},
+                                   {4, 96, 8, 1100}});
+    const std::vector<Decision> columns = expectColumnsMatchBatch(twins, noisy);
+    // The same rows without the noise decide identically.
+    const Frame clean = makeFrame(
+        "pair_mn", {"m", "n"}, {{64, 128}, {96, 256}, {64, 128}, {8, 1100}});
+    Twins fresh = makeTwins(traced);
+    const std::vector<Decision> reference =
+        decideColumns(*fresh.columns, clean);
+    for (std::size_t r = 0; r < clean.rows; ++r) {
+      expectIdenticalDecisions(columns[r], reference[r]);
+      EXPECT_TRUE(columns[r].valid);
+    }
+    // The GEMM kernel ignores the unknown name too.
+    const std::string gemm =
+        polybench::benchmarkByName("GEMM").kernels()[0].name;
+    (void)expectColumnsMatchBatch(
+        twins, makeFrame(gemm, {"bogus", "n", "n"}, {{5, 7, 640}, {6, 9, 48}}));
+    expectTwinsAgree(twins);
+  }
+}
+
+TEST(DecideColumns, MissingRequiredSlotDegradesLikeDecideBatch) {
+  for (const bool traced : {false, true}) {
+    SCOPED_TRACE(traced ? "traced" : "untraced");
+    Twins twins = makeTwins(traced);
+    const std::string gemm =
+        polybench::benchmarkByName("GEMM").kernels()[0].name;
+    // "n" is required; "m" is no symbol of GEMM's.
+    const std::vector<Decision> wrong =
+        expectColumnsMatchBatch(twins, makeFrame(gemm, {"m"}, {{64}, {128}}));
+    for (const Decision& decision : wrong) {
+      EXPECT_FALSE(decision.valid);
+      EXPECT_FALSE(decision.diagnostic.empty());
+    }
+    // pair_mn with only one of its two required symbols.
+    (void)expectColumnsMatchBatch(
+        twins, makeFrame("pair_mn", {"n"}, {{64}, {0}, {64}}));
+    // No names at all.
+    (void)expectColumnsMatchBatch(twins, makeFrame(gemm, {}, {{}, {}}));
+    expectTwinsAgree(twins);
+  }
+}
+
+TEST(DecideColumns, RegionsWithoutARegisteredPlanMatchDecideBatch) {
+  const std::string gemm = polybench::benchmarkByName("GEMM").kernels()[0].name;
+  const std::string mvt = polybench::benchmarkByName("MVT").kernels()[0].name;
+  for (const bool traced : {false, true}) {
+    SCOPED_TRACE(traced ? "traced" : "untraced");
+    // MVT's first kernel has a PAD entry but is not registered: a plan
+    // compiled for the group decides it. no_such_region and the near miss
+    // have no PAD entry at all: they degrade to the safe default.
+    Twins twins = makeTwins(traced, {}, {mvt});
+    ASSERT_FALSE(twins.columns->hasRegion(mvt));
+    const std::vector<std::vector<std::int64_t>> rows{{3}, {64}, {1100}, {64}};
+    (void)expectColumnsMatchBatch(twins, makeFrame(mvt, {"n"}, rows));
+    const std::vector<Decision> missing = expectColumnsMatchBatch(
+        twins, makeFrame("no_such_region", {"n"}, rows));
+    for (const Decision& decision : missing) EXPECT_FALSE(decision.valid);
+    (void)expectColumnsMatchBatch(twins, makeFrame(gemm + "x", {"n"}, rows));
+    expectTwinsAgree(twins);
+  }
+}
+
+TEST(DecideColumns, UnusablePlansMatchDecideBatch) {
+  // A selector whose MCA host model has no PAD entry: every registered plan
+  // is unusable and every row degrades with the plan's recorded reason.
+  RuntimeOptions options;
+  options.selector.mcaModelName = "NO_SUCH_HOST";
+  for (const bool traced : {false, true}) {
+    SCOPED_TRACE(traced ? "traced" : "untraced");
+    Twins twins = makeTwins(traced, options);
+    const std::string gemm =
+        polybench::benchmarkByName("GEMM").kernels()[0].name;
+    ASSERT_FALSE(twins.columns->plan(gemm)->fastPathUsable());
+    const std::vector<Decision> out =
+        expectColumnsMatchBatch(twins, makeFrame(gemm, {"n"}, {{64}, {128}}));
+    for (const Decision& decision : out) {
+      EXPECT_FALSE(decision.valid);
+      EXPECT_NE(decision.diagnostic.find("NO_SUCH_HOST"), std::string::npos)
+          << decision.diagnostic;
+    }
+    expectTwinsAgree(twins);
+  }
+}
+
+TEST(DecideColumns, ZeroRowsIsANoOp) {
+  Twins twins = makeTwins(true);
+  const std::string gemm = polybench::benchmarkByName("GEMM").kernels()[0].name;
+  const std::array<std::string_view, 1> names{"n"};
+  std::vector<Decision> out;
+  twins.columns->decideColumns(gemm, names, nullptr, 0, out);
+  EXPECT_EQ(twins.columnsTrace->recorded(), 0u);
+  EXPECT_EQ(twins.columnsTrace->explainRing().recorded(), 0u);
+  EXPECT_EQ(twins.columns->decisionCacheStats(gemm).lookups, 0u);
+}
+
+TEST(DecideColumns, RejectsUndersizedOutputSpan) {
+  Twins twins = makeTwins(false);
+  const std::string gemm = polybench::benchmarkByName("GEMM").kernels()[0].name;
+  const std::array<std::string_view, 1> names{"n"};
+  const std::array<std::int64_t, 2> values{64, 128};
+  std::vector<Decision> out(1);
+  EXPECT_THROW(twins.columns->decideColumns(
+                   gemm, names, reinterpret_cast<const char*>(values.data()),
+                   values.size(), out),
+               support::PreconditionError);
+}
+
+TEST(DecideColumns, TracedFullMissGroupDoesNotAllocate) {
+  // The oseld shape: a traced runtime, one 64-row frame of sizes its cache
+  // has never seen. Once the arena, the explain buffer and the cache are
+  // sized by a first such frame, a second one misses on every row, records
+  // 64 explain records in one publish and evicts 64 entries — all without
+  // touching the heap.
+  const polybench::Benchmark& gemm = polybench::benchmarkByName("GEMM");
+  const ir::TargetRegion& kernel = gemm.kernels()[0];
+  const std::array<ir::TargetRegion, 1> regions{kernel};
+  const std::array<mca::MachineModel, 1> models{mca::MachineModel::power9()};
+  obs::TraceSession session;
+  RuntimeOptions options;
+  options.selector.cpuThreads = 160;
+  options.trace = &session;
+  TargetRuntime runtime(compiler::compileAll(regions, models), options);
+  runtime.registerRegion(kernel);
+  constexpr std::size_t kRows = 64;
+  ASSERT_EQ(RuntimeOptions{}.decisionCacheCapacity, kRows);
+  std::array<std::int64_t, kRows> warm{};
+  std::array<std::int64_t, kRows> fresh{};
+  for (std::size_t r = 0; r < kRows; ++r) {
+    warm[r] = 64 + 4 * static_cast<std::int64_t>(r);
+    fresh[r] = 64 + 4 * static_cast<std::int64_t>(kRows + r);
+  }
+  const std::array<std::string_view, 1> names{"n"};
+  std::vector<Decision> out(kRows);
+  runtime.decideColumns(kernel.name, names,
+                        reinterpret_cast<const char*>(warm.data()), kRows, out);
+  const std::uint64_t explained = session.explainRing().recorded();
+
+  const std::uint64_t before = allocationCount();
+  runtime.decideColumns(kernel.name, names,
+                        reinterpret_cast<const char*>(fresh.data()), kRows,
+                        out);
+  const std::uint64_t after = allocationCount();
+  EXPECT_EQ(after - before, 0u)
+      << "traced full-miss decideColumns allocated " << (after - before)
+      << " times";
+  EXPECT_EQ(session.explainRing().recorded() - explained, kRows);
+  const DecisionCache::Stats stats = runtime.decisionCacheStats(kernel.name);
+  EXPECT_EQ(stats.hits, 0u);
+  EXPECT_EQ(stats.evictions, kRows);
+  for (const Decision& decision : out) EXPECT_TRUE(decision.valid);
+}
+
+}  // namespace
+}  // namespace osel::runtime
