@@ -25,10 +25,9 @@ void Client::handshake(std::uint32_t featureRequest) {
   hello.versionMax = kProtocolVersion;
   hello.featureBits = featureRequest;
   encodeHello(outBuffer_, hello);
-  std::string payload;
-  const FrameHeader header = exchange(payload);
-  expectType(header, payload, FrameType::HelloAck);
-  const HelloAckFrame ack = parseHelloAck(payload);
+  const FrameHeader header = exchange();
+  expectType(header, payload_, FrameType::HelloAck);
+  const HelloAckFrame ack = parseHelloAck(payload_);
   version_ = ack.version;
   featureBits_ = ack.featureBits;
   // The negotiated limit bounds frames *we send*; replies may legally be
@@ -39,9 +38,8 @@ void Client::handshake(std::uint32_t featureRequest) {
 
 void Client::ping() {
   encodePing(outBuffer_);
-  std::string payload;
-  const FrameHeader header = exchange(payload);
-  expectType(header, payload, FrameType::Pong);
+  const FrameHeader header = exchange();
+  expectType(header, payload_, FrameType::Pong);
 }
 
 runtime::Decision Client::decide(std::string_view region,
@@ -58,11 +56,10 @@ runtime::Decision Client::decide(std::string_view region,
     wire = &block;
   }
   encodeDecideRequest(outBuffer_, id, region, bindings, wire);
-  std::string payload;
-  const FrameHeader header = exchange(payload);
-  expectType(header, payload, FrameType::Decision);
+  const FrameHeader header = exchange();
+  expectType(header, payload_, FrameType::Decision);
   DecisionView view;
-  parseDecision(payload, view, traceContextGranted());
+  parseDecision(payload_, view, traceContextGranted());
   if (view.requestId != id) {
     throw CodecError(WireCode::BadFrame,
                      "client: Decision answered request " +
@@ -104,53 +101,50 @@ void Client::decideBatch(std::string_view region,
   const std::uint64_t id = nextRequestId_;
   nextRequestId_ += rows == 0 ? 1 : rows;  // rows echo id..id+rows-1
   encodeDecideBatch(outBuffer_, id, region, slots, rows, values, wire);
-  std::string payload;
-  const FrameHeader header = exchange(payload);
-  expectType(header, payload, FrameType::DecisionBatch);
-  std::vector<DecisionView> views;
-  parseDecisionBatch(payload, views, traceContextGranted());
-  if (views.size() != rows) {
+  const FrameHeader header = exchange();
+  expectType(header, payload_, FrameType::DecisionBatch);
+  parseDecisionBatch(payload_, batchViews_, traceContextGranted());
+  if (batchViews_.size() != rows) {
     throw CodecError(WireCode::BadFrame,
                      "client: DecisionBatch carried " +
-                         std::to_string(views.size()) + " rows, expected " +
-                         std::to_string(rows));
+                         std::to_string(batchViews_.size()) +
+                         " rows, expected " + std::to_string(rows));
   }
-  if (wire != nullptr && !views.empty() && views.front().hasTrace &&
-      views.front().trace.traceId != wire->traceId) {
+  if (wire != nullptr && !batchViews_.empty() &&
+      batchViews_.front().hasTrace &&
+      batchViews_.front().trace.traceId != wire->traceId) {
     throw CodecError(WireCode::BadFrame,
                      "client: DecisionBatch echoed trace id " +
-                         std::to_string(views.front().trace.traceId) +
+                         std::to_string(batchViews_.front().trace.traceId) +
                          ", expected " + std::to_string(wire->traceId));
   }
-  out.resize(views.size());
-  for (std::size_t row = 0; row < views.size(); ++row) {
-    if (views[row].requestId != id + row) {
+  out.resize(batchViews_.size());
+  for (std::size_t row = 0; row < batchViews_.size(); ++row) {
+    if (batchViews_[row].requestId != id + row) {
       throw CodecError(WireCode::BadFrame,
                        "client: DecisionBatch row " + std::to_string(row) +
                            " echoed request " +
-                           std::to_string(views[row].requestId));
+                           std::to_string(batchViews_[row].requestId));
     }
-    out[row] = views[row].decision;
+    out[row] = batchViews_[row].decision;
   }
 }
 
 std::string Client::stats(StatsFormat format) {
   encodeStatsRequest(outBuffer_, format);
-  std::string payload;
-  const FrameHeader header = exchange(payload);
-  expectType(header, payload, FrameType::Stats);
-  return std::string(parseStats(payload));
+  const FrameHeader header = exchange();
+  expectType(header, payload_, FrameType::Stats);
+  return std::string(parseStats(payload_));
 }
 
 std::string Client::slowLog(std::uint32_t maxRecords) {
   encodeSlowLogRequest(outBuffer_, maxRecords);
-  std::string payload;
-  const FrameHeader header = exchange(payload);
-  expectType(header, payload, FrameType::SlowLog);
-  return std::string(parseSlowLog(payload));
+  const FrameHeader header = exchange();
+  expectType(header, payload_, FrameType::SlowLog);
+  return std::string(parseSlowLog(payload_));
 }
 
-FrameHeader Client::exchange(std::string& payload) {
+FrameHeader Client::exchange() {
   // Enforce the server's negotiated request ceiling before sending: a
   // frame it would refuse must fail here with a clear error, not desync
   // the connection. Discarding it keeps the client usable.
@@ -165,14 +159,14 @@ FrameHeader Client::exchange(std::string& payload) {
   }
   sendAll(socket_, outBuffer_);
   outBuffer_.clear();
-  return readFrame(payload);
+  return readFrame();
 }
 
-FrameHeader Client::readFrame(std::string& payload) {
+FrameHeader Client::readFrame() {
   FrameHeader header;
   char buffer[64 * 1024];
   for (;;) {
-    if (decoder_.next(header, payload)) return header;
+    if (decoder_.next(header, payload_)) return header;
     const std::size_t got = recvSome(socket_, buffer, sizeof(buffer));
     if (got == 0) {
       throw SocketError("client: server closed the connection mid-exchange");

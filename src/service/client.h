@@ -112,10 +112,11 @@ class Client {
   explicit Client(Socket socket);
 
   void handshake(std::uint32_t featureRequest);
-  /// Sends `outBuffer_` and blocks until one complete frame arrives.
-  FrameHeader exchange(std::string& payload);
-  /// Blocks until one complete frame arrives (no send).
-  FrameHeader readFrame(std::string& payload);
+  /// Sends `outBuffer_` and blocks until one complete frame arrives; its
+  /// payload lands in `payload_`.
+  FrameHeader exchange();
+  /// Blocks until one complete frame arrives into `payload_` (no send).
+  FrameHeader readFrame();
   /// Throws ServiceError if the frame is an ErrorFrame; CodecError if its
   /// type is not `expected`.
   void expectType(const FrameHeader& header, std::string_view payload,
@@ -125,7 +126,11 @@ class Client {
   /// Receive-side decoder. HelloAck::maxFrameBytes bounds what we *send*;
   /// server replies are bounded only by the absolute ceiling.
   FrameDecoder decoder_{kAbsoluteMaxFrameBytes};
+  // Per-connection scratch reused by every exchange, so a warmed-up client
+  // decides without touching the heap.
   std::string outBuffer_;
+  std::string payload_;
+  std::vector<DecisionView> batchViews_;
   std::uint64_t nextRequestId_ = 1;
   std::uint16_t version_ = 0;
   std::uint32_t featureBits_ = 0;

@@ -478,13 +478,17 @@ void parseDecisionBatch(std::string_view payload,
     throw CodecError(WireCode::BadFrame,
                      "service codec: DecisionBatch count exceeds payload");
   }
-  std::vector<DecisionRecord> records(frame.count);
-  for (DecisionRecord& record : records) {
-    record = cursor.read<DecisionRecord>();
-  }
+  // The fixed-size records come first, their diagnostics after them; read
+  // each record in place rather than copying them all out first, so a
+  // reused `views` makes parsing allocation-free.
+  const std::string_view records =
+      cursor.take(frame.count * sizeof(DecisionRecord));
   views.resize(frame.count);
   for (std::uint32_t i = 0; i < frame.count; ++i) {
-    fillDecision(records[i], takeString(cursor, records[i].diagnosticBytes),
+    DecisionRecord record;
+    std::memcpy(&record, records.data() + i * sizeof(DecisionRecord),
+                sizeof(DecisionRecord));
+    fillDecision(record, takeString(cursor, record.diagnosticBytes),
                  views[i]);
     views[i].hasTrace = hasTrace;
     views[i].trace = trace;

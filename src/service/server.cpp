@@ -142,7 +142,16 @@ void Server::start() {
 
 void Server::stop() {
   if (!running() && threads_.empty()) return;
-  stopping_.store(true, std::memory_order_release);
+  {
+    // Under queueMutex_, or the notify_all() below can be lost: a worker
+    // that has just found workerLoop's wait predicate false, but has not yet
+    // parked, still holds the mutex. Storing the flag under it means that
+    // worker either sees the flag or is already parked when we notify;
+    // stored outside, the notify can land in that gap and join() then
+    // waits forever.
+    std::lock_guard<std::mutex> lock(queueMutex_);
+    stopping_.store(true, std::memory_order_release);
+  }
   // Wake the accept loops (shutdown, not close: the fds must stay reserved
   // until those threads observed the wakeup, or a racing open could reuse
   // the number under them).

@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <cstring>
 #include <netinet/in.h>
+#include <sched.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <sys/un.h>
@@ -152,9 +153,39 @@ void sendAll(const Socket& socket, std::string_view bytes) {
 }
 
 std::size_t recvSome(const Socket& socket, void* buffer, std::size_t size) {
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point start = Clock::now();
+  if (socket.spinsAt(start)) {
+    // sched_yield(), not a pause loop: the peer's thread is often woken on
+    // this very CPU, and a pause loop keeps it off the CPU for the whole
+    // budget.
+    for (;;) {
+      const ssize_t n = ::recv(socket.fd(), buffer, size, MSG_DONTWAIT);
+      if (n < 0 && errno == EINTR) continue;
+      if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK) {
+        throw SocketError(withErrno("recvSome: recv"));
+      }
+      const Clock::time_point now = Clock::now();
+      const Clock::duration waited = now - start;
+      // Polling alone cannot overrun the budget this far: another task
+      // took the CPU during a sched_yield() and ran for a scheduler slice.
+      if (waited > 2 * kRecvSpinBudget) {
+        socket.spinPausedUntil_ = now + kRecvSpinPauseFactor * waited;
+      }
+      if (n >= 0) {
+        socket.lastWaitShort_ = waited < kRecvSpinBudget;
+        return static_cast<std::size_t>(n);
+      }
+      if (waited >= kRecvSpinBudget) break;
+      ::sched_yield();
+    }
+  }
   for (;;) {
     const ssize_t n = ::recv(socket.fd(), buffer, size, 0);
-    if (n >= 0) return static_cast<std::size_t>(n);
+    if (n >= 0) {
+      socket.lastWaitShort_ = Clock::now() - start < kRecvSpinBudget;
+      return static_cast<std::size_t>(n);
+    }
     if (errno == EINTR) continue;
     throw SocketError(withErrno("recvSome: recv"));
   }

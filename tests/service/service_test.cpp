@@ -1,5 +1,6 @@
 // The oseld server end to end over real sockets: lifecycle storms,
-// handshake negotiation, socket-vs-in-process decision equivalence
+// stop() against spinning and blocked workers, the CPU an idle daemon
+// burns, handshake negotiation, socket-vs-in-process decision equivalence
 // (bit-identical on the wire-stable subset), admission shed, concurrent
 // clients racing registerRegion, and the HTTP metrics endpoint. Labelled
 // test_service; the tsan preset runs this binary under ThreadSanitizer.
@@ -13,6 +14,8 @@
 #include <thread>
 #include <vector>
 
+#include <sys/resource.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include "compiler/compiler.h"
@@ -25,6 +28,7 @@ namespace osel::service {
 namespace {
 
 using namespace osel::ir;
+using namespace std::chrono_literals;
 
 TargetRegion streamKernel(const std::string& name) {
   return RegionBuilder(name)
@@ -98,6 +102,103 @@ TEST(Service, StartStopStorm) {
     server.stop();
     EXPECT_FALSE(server.running());
   }
+}
+
+TEST(Service, IdleWorkersStartStopStorm) {
+  // Many workers, no connections, stop() right behind start(): the workers
+  // are still on their way into the queue wait when stop() flags them. With
+  // the flag stored outside queueMutex_, a worker between its wait predicate
+  // and parking missed the notify and this join hung.
+  ServiceOptions options;
+  options.workerThreads = 8;
+  TestServer fixture(options);
+  Server& server = *fixture.server;
+  for (int cycle = 0; cycle < 200; ++cycle) {
+    server.start();
+    server.stop();
+    ASSERT_FALSE(server.running()) << "cycle " << cycle;
+  }
+}
+
+TEST(Service, StopUnblocksASpinningAndABlockedWorker) {
+  ServiceOptions options;
+  options.workerThreads = 2;
+  TestServer fixture(options);
+  Server& server = *fixture.server;
+  server.start();
+  const std::string& path = server.options().socketPath;
+
+  // Worker one: its client pings back to back, so each of its waits ends
+  // within the spin budget and it keeps spinning right up to stop().
+  std::atomic<bool> pinging{true};
+  std::atomic<int> pings{0};
+  Client busyClient = Client::connect(path);
+  std::thread busy([&, client = std::move(busyClient)]() mutable {
+    try {
+      while (pinging.load()) {
+        client.ping();
+        pings.fetch_add(1);
+      }
+    } catch (const SocketError&) {
+      // stop() hung up on us: expected.
+    }
+  });
+  // Worker two: connected, then idle, so it has given up spinning and is
+  // parked in the blocking recv(2).
+  Client idle = Client::connect(path);
+  idle.ping();
+  while (pings.load() < 100) std::this_thread::sleep_for(1ms);
+  std::this_thread::sleep_for(20ms);
+
+  const auto t0 = std::chrono::steady_clock::now();
+  server.stop();
+  const double seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+  pinging.store(false);
+  busy.join();
+  EXPECT_FALSE(server.running());
+  EXPECT_LT(seconds, 10.0) << "stop() waited on a receiving worker";
+}
+
+/// CPU time (user + system) the whole process has consumed.
+double processCpuSeconds() {
+  rusage usage{};
+  ::getrusage(RUSAGE_SELF, &usage);
+  const auto seconds = [](const timeval& time) {
+    return static_cast<double>(time.tv_sec) +
+           static_cast<double>(time.tv_usec) * 1e-6;
+  };
+  return seconds(usage.ru_utime) + seconds(usage.ru_stime);
+}
+
+TEST(Service, IdleConnectionsBurnNoCpu) {
+  // Eight connected, idle clients, each served by its own worker. Each
+  // worker polls for at most one spin budget after its client's last reply,
+  // then blocks: 8 x 50 us = 0.4 ms of CPU. Permanent spinning would burn
+  // the whole window on every core the workers got; even one spinning core
+  // is 300 ms. The bound, 30 ms, is a tenth of that one core and leaves
+  // room for the test's own threads, the accept loop and sanitizer
+  // overhead.
+  constexpr std::size_t kClients = 8;
+  ServiceOptions options;
+  options.workerThreads = kClients;
+  TestServer fixture(options);
+  fixture.server->start();
+  std::vector<Client> clients;
+  for (std::size_t i = 0; i < kClients; ++i) {
+    clients.push_back(Client::connect(fixture.server->options().socketPath));
+    clients.back().ping();
+  }
+  std::this_thread::sleep_for(10ms);  // let every worker settle into recv
+
+  const double before = processCpuSeconds();
+  std::this_thread::sleep_for(300ms);
+  const double spent = processCpuSeconds() - before;
+  EXPECT_LT(spent, 0.030) << "process burned " << spent * 1e3
+                          << " ms of CPU in 300 ms with " << kClients
+                          << " idle connections";
+  for (Client& client : clients) client.ping();  // still served
 }
 
 TEST(Service, HandshakeNegotiatesVersionAndFeatures) {
