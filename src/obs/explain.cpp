@@ -20,7 +20,9 @@ const char* toString(DecisionPath path) {
 void DecisionExplain::setRegion(std::string_view name) noexcept {
   const std::size_t n = std::min(name.size(), region.size() - 1);
   std::memcpy(region.data(), name.data(), n);
-  region[n] = '\0';
+  // Clear the tail too: a reused record must not keep a longer old name's
+  // bytes past the terminator.
+  std::memset(region.data() + n, 0, region.size() - n);
 }
 
 ExplainRing::ExplainRing(std::size_t capacity) {

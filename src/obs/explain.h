@@ -17,8 +17,8 @@
 // interpreted walk, as the equivalence suite pins. The ExplainRing mirrors
 // the TraceSession event ring: preallocated, bounded, overwrite-oldest,
 // drop-counting; pushing never heap-allocates. The runtime publishes the
-// records of one region group with a single pushMany() — one lock and one
-// timestamp per group, not per row; a lone push() is its one-record case.
+// records of one decide call with a single pushMany() — one lock and one
+// timestamp per call, not per row; a lone push() is its one-record case.
 #pragma once
 
 #include <array>
@@ -82,8 +82,8 @@ struct DecisionExplain {
 
   std::array<char, kLabelCapacity> region{};  ///< NUL-terminated, truncated
   std::uint64_t seq = 0;   ///< record order, stamped by ExplainRing::pushMany
-  /// ns since session start, stamped on record; the records of one region
-  /// group share one stamp.
+  /// ns since session start, stamped on record; the records of one decide
+  /// call share one stamp.
   std::int64_t atNs = 0;
   DecisionPath path = DecisionPath::Compiled;
   bool valid = true;       ///< Decision::valid

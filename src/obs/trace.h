@@ -168,7 +168,7 @@ class TraceSession : public support::FaultObserver {
   [[nodiscard]] std::vector<PredictionStats> predictionStats() const;
 
   // --- Decision forensics --------------------------------------------------
-  /// Copies a batch of decision term breakdowns — one region group's fresh
+  /// Copies a batch of decision term breakdowns — one decide call's fresh
   /// decisions — into the explain ring with one clock read and one ring
   /// lock: records the caller left at atNs == 0 share that timestamp, seq
   /// follows record order. Ring capacity and drop counting are exactly as

@@ -9,8 +9,9 @@
 // preallocated per-thread scratch that keeps the steady-state path free of
 // per-request allocation. TargetRuntime::decideColumns shares the same
 // arena: a group that arrives as wire columns only differs in how its
-// `columns` are filled. With a trace session attached, a group's fresh
-// decisions fill `explains` and publish to the explain ring in one call.
+// `columns` are filled. With a trace session attached, the explain records
+// of every row a call decides afresh collect in `explains` and publish to
+// the explain ring once per call, after the call's overhead is stamped.
 #pragma once
 
 #include <cstdint>
@@ -57,9 +58,6 @@ struct BatchCounters {
 struct BatchArena {
   /// Request indices sorted by region name — the per-region groups.
   std::vector<std::uint32_t> order;
-  /// Request indices served from the decision cache (whole batch); their
-  /// Decision::overheadSeconds is stamped with the amortized batch cost.
-  std::vector<std::uint32_t> hitRequests;
 
   // --- Per-group state (row r is the r-th request of the group) -----------
   std::vector<std::int64_t> columns;        ///< slot-major bound values
@@ -72,22 +70,25 @@ struct BatchArena {
   std::vector<gpumodel::GpuWorkload> gpuWorkloads;
   std::vector<std::uint32_t> missRows;      ///< rows needing evaluation
   std::vector<Decision*> targets;           ///< row -> &out[request]
-  /// One explain record per freshly decided row of the group, published
-  /// together (TraceSession::recordExplains) once the group is decided.
+
+  // --- Per-call explain records -------------------------------------------
+  /// One explain record per row the call decided afresh, in decide order;
+  /// the first `explained` are this call's. Published together
+  /// (TraceSession::recordExplains) once the call has stamped its overhead.
   /// Grown by explainRows(), never shrunk; untouched when untraced.
   std::vector<obs::DecisionExplain> explains;
+  std::size_t explained = 0;
 
   /// Starts a batch of `requests` requests: order becomes the identity
-  /// permutation (sorted by the caller), hit bookkeeping resets. The hit
-  /// and miss row lists are reserved up front — they are push_back'd on
-  /// data-dependent paths, so growing them lazily would allocate on the
-  /// first batch whose hit/miss mix differs from the warm-up's.
+  /// permutation (sorted by the caller), the call's explain records reset.
+  /// The miss row list is reserved up front — it is push_back'd on a
+  /// data-dependent path, so growing it lazily would allocate on the first
+  /// batch whose hit/miss mix differs from the warm-up's.
   void begin(std::size_t requests) {
     order.resize(requests);
     std::iota(order.begin(), order.end(), 0U);
-    hitRequests.clear();
-    hitRequests.reserve(requests);
     missRows.reserve(requests);
+    explained = 0;
   }
 
   /// Sizes the per-group state for `rows` requests over `slots` slots.
@@ -104,11 +105,14 @@ struct BatchArena {
     missRows.clear();
   }
 
-  /// The explain buffer for a group of `rows` rows: record k belongs to the
-  /// k-th freshly decided row.
+  /// Claims the call's next `rows` explain records: record k belongs to
+  /// the k-th row decided afresh by the caller. The pointer is valid until
+  /// the next claim.
   obs::DecisionExplain* explainRows(std::size_t rows) {
-    if (explains.size() < rows) explains.resize(rows);
-    return explains.data();
+    if (explains.size() < explained + rows) explains.resize(explained + rows);
+    obs::DecisionExplain* const claimed = explains.data() + explained;
+    explained += rows;
+    return claimed;
   }
 };
 

@@ -3,6 +3,7 @@
 #include <array>
 #include <chrono>
 #include <cmath>
+#include <tuple>
 #include <utility>
 
 #include "support/faultinject.h"
@@ -73,6 +74,8 @@ void OffloadSelector::finishExplain(obs::DecisionExplain& explain,
                                     obs::DecisionPath path,
                                     const Decision& decision) noexcept {
   explain.setRegion(regionName);
+  explain.seq = 0;
+  explain.atNs = 0;
   explain.path = path;
   explain.valid = decision.valid;
   explain.chosenGpu = decision.device == Device::Gpu;
@@ -80,15 +83,85 @@ void OffloadSelector::finishExplain(obs::DecisionExplain& explain,
   explain.overheadSeconds = decision.overheadSeconds;
 }
 
+template <typename BuildWorkloads>
+void OffloadSelector::evaluateInto(const std::string& regionName,
+                                   Decision& decision,
+                                   obs::DecisionExplain* explain,
+                                   BuildWorkloads&& build) const {
+  // `decision` may hold an earlier row's result: reset what the healthy
+  // path below does not assign. The explain terms are all written by the
+  // explainInto calls, so the record is not cleared up front.
+  decision.valid = true;
+  decision.diagnostic.clear();
+  decision.overheadSeconds = 0.0;
+  decision.probe = false;
+  bool cpuPredicted = false;
+  bool gpuPredicted = false;
+  obs::DecisionPath path = obs::DecisionPath::Compiled;
+  try {
+    (void)support::faultInjector().hit(support::faultpoints::kSelectorDecide,
+                                       "selector");
+    const auto& [cpu, gpu] = build();
+    decision.cpu = cpuModel_.predict(cpu);
+    cpuPredicted = true;
+    decision.gpu = gpuModel_.predict(gpu);
+    gpuPredicted = true;
+    if (explain != nullptr) {
+      cpumodel::explainInto(cpu, decision.cpu, explain->cpu);
+      gpumodel::explainInto(gpu, decision.gpu, explain->gpu);
+    }
+    resolveChoice(decision, regionName);
+  } catch (const std::exception& error) {
+    // Leave the row as a fresh Decision the failed evaluation wrote into
+    // would hold it: predictions the models did not return are defaults.
+    if (!cpuPredicted) decision.cpu = cpumodel::CpuPrediction{};
+    if (!gpuPredicted) decision.gpu = gpumodel::GpuPrediction{};
+    decision.device = config_.safeDefaultDevice;
+    decision.valid = false;
+    decision.diagnostic = error.what();
+    path = obs::DecisionPath::Degenerate;
+    // The (noexcept) explain fill runs right after both predictions.
+    if (explain != nullptr && !gpuPredicted) {
+      explain->cpu = obs::CpuTerms{};
+      explain->gpu = obs::GpuTerms{};
+    }
+  }
+  if (explain != nullptr) {
+    finishExplain(*explain, regionName, path, decision);
+  }
+}
+
 Decision OffloadSelector::decide(const RegionHandle& region,
                                  const symbolic::Bindings& bindings,
                                  obs::DecisionExplain* explain) const {
+  Decision decision;
   if (const CompiledRegionPlan* plan = region.plan()) {
-    return decideCompiled(*plan, bindings, explain);
+    const auto start = std::chrono::steady_clock::now();
+    cpumodel::CpuWorkload cpu;
+    gpumodel::GpuWorkload gpu;
+    evaluateInto(plan->attributes().regionName, decision, explain, [&] {
+      // One SoA row: with rows == 1 the slot-major column block is a plain
+      // slot vector, and the expression workspaces are one entry.
+      std::array<std::int64_t, CompiledRegionPlan::kMaxSlots> values{};
+      std::uint64_t boundMask = 0;
+      if (!plan->fastPathUsable() ||
+          !plan->bindSlotsColumn(bindings, values.data(), 1, 0, boundMask)) {
+        plan->requireCompletable(bindings, boundMask);
+      }
+      std::int64_t exprOut = 0;
+      std::int64_t scratch = 0;
+      plan->completeWorkloadsColumns(values.data(), &boundMask, 1, &exprOut,
+                                     &scratch, &cpu, &gpu);
+      return std::forward_as_tuple(std::as_const(cpu), std::as_const(gpu));
+    });
+    decision.overheadSeconds = std::chrono::duration<double>(
+                                   std::chrono::steady_clock::now() - start)
+                                   .count();
+    if (explain != nullptr) explain->overheadSeconds = decision.overheadSeconds;
+    return decision;
   }
   // Missing PAD entry: ModelGuided must degrade, not crash. The diagnostic
   // is the same PadLookupError text at() would have thrown.
-  Decision decision;
   decision.valid = false;
   decision.device = config_.safeDefaultDevice;
   decision.diagnostic = pad::PadLookupError(std::string(region.name()),
@@ -102,77 +175,26 @@ Decision OffloadSelector::decide(const RegionHandle& region,
   return decision;
 }
 
-template <typename BuildWorkloads>
-Decision OffloadSelector::evaluate(const std::string& regionName,
-                                   obs::DecisionExplain* explain,
-                                   BuildWorkloads&& build) const {
-  const auto start = std::chrono::steady_clock::now();
-  Decision decision;
-  obs::DecisionPath path = obs::DecisionPath::Compiled;
-  if (explain != nullptr) *explain = obs::DecisionExplain{};
-  try {
-    (void)support::faultInjector().hit(support::faultpoints::kSelectorDecide,
-                                       "selector");
-    cpumodel::CpuWorkload cpu;
-    gpumodel::GpuWorkload gpu;
-    build(cpu, gpu);
-    decision.cpu = cpuModel_.predict(cpu);
-    decision.gpu = gpuModel_.predict(gpu);
-    if (explain != nullptr) {
-      cpumodel::explainInto(cpu, decision.cpu, explain->cpu);
-      gpumodel::explainInto(gpu, decision.gpu, explain->gpu);
-    }
-    resolveChoice(decision, regionName);
-  } catch (const std::exception& error) {
-    decision.device = config_.safeDefaultDevice;
-    decision.valid = false;
-    decision.diagnostic = error.what();
-    path = obs::DecisionPath::Degenerate;
-  }
-  const auto end = std::chrono::steady_clock::now();
-  decision.overheadSeconds =
-      std::chrono::duration<double>(end - start).count();
-  if (explain != nullptr) {
-    finishExplain(*explain, regionName, path, decision);
-  }
-  return decision;
+void OffloadSelector::decideInto(const CompiledRegionPlan& plan,
+                                 const cpumodel::CpuWorkload& cpu,
+                                 const gpumodel::GpuWorkload& gpu,
+                                 Decision& out,
+                                 obs::DecisionExplain* explain) const {
+  evaluateInto(plan.attributes().regionName, out, explain,
+               [&] { return std::forward_as_tuple(cpu, gpu); });
 }
 
 Decision OffloadSelector::decideFromWorkloads(
     const CompiledRegionPlan& plan, const cpumodel::CpuWorkload& cpu,
     const gpumodel::GpuWorkload& gpu, obs::DecisionExplain* explain) const {
-  return evaluate(plan.attributes().regionName, explain,
-                  [&](cpumodel::CpuWorkload& cpuOut,
-                      gpumodel::GpuWorkload& gpuOut) {
-                    cpuOut = cpu;
-                    gpuOut = gpu;
-                  });
+  Decision decision;
+  decideInto(plan, cpu, gpu, decision, explain);
+  return decision;
 }
 
 CompiledRegionPlan OffloadSelector::compile(pad::RegionAttributes attr) const {
   return CompiledRegionPlan(std::move(attr), config_.mcaModelName,
                             config_.cpuParams.cacheLineBytes);
-}
-
-Decision OffloadSelector::decideCompiled(
-    const CompiledRegionPlan& plan, const symbolic::Bindings& bindings,
-    obs::DecisionExplain* explain) const {
-  return evaluate(
-      plan.attributes().regionName, explain,
-      [&](cpumodel::CpuWorkload& cpu, gpumodel::GpuWorkload& gpu) {
-        // One SoA row: with rows == 1 the slot-major column block is a
-        // plain slot vector, and the expression workspaces are one entry.
-        std::array<std::int64_t, CompiledRegionPlan::kMaxSlots> values{};
-        std::uint64_t boundMask = 0;
-        if (!plan.fastPathUsable() ||
-            !plan.bindSlotsColumn(bindings, values.data(), 1, 0, boundMask)) {
-          plan.requireCompletable(bindings, boundMask);
-        }
-        std::int64_t exprOut = 0;
-        std::int64_t scratch = 0;
-        plan.completeWorkloadsColumns(values.data(), &boundMask, 1, &exprOut,
-                                      &scratch, &cpu, &gpu);
-      });
 }
 
 }  // namespace osel::runtime

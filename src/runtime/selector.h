@@ -9,12 +9,14 @@
 // checked (bench/micro_decision_overhead).
 //
 // The selector decides only through compiled plans (runtime/compiled_plan.h):
-// a decide() completes one plan row, decideFromWorkloads() takes a row the
-// runtime's SoA group already completed, and both run one shared tail —
-// both model predictions, the explain fill, and the policy choice. A row
-// the plan cannot complete degrades to the safe default with the plan's
-// own diagnostic. The interpreted walk over PAD expressions is a test-only
-// oracle (tests/oracle) that CompiledPlanEquivalence.* diffs against.
+// a decide() completes one plan row, decideInto() takes a row the runtime's
+// SoA group already completed and writes the decision straight into the
+// caller's row, and both run one shared, untimed tail — both model
+// predictions, the explain fill, and the policy choice. Only decide(), the
+// one-off entry, reads the clock. A row the plan cannot complete degrades
+// to the safe default with the plan's own diagnostic. The interpreted walk
+// over PAD expressions is a test-only oracle (tests/oracle) that
+// CompiledPlanEquivalence.* diffs against.
 #pragma once
 
 #include <cmath>
@@ -66,7 +68,11 @@ struct Decision {
   std::string diagnostic;
   cpumodel::CpuPrediction cpu;
   gpumodel::GpuPrediction gpu;
-  /// Wall time spent evaluating both models and comparing.
+  /// Decision overhead in seconds. OffloadSelector::decide() reports its
+  /// own wall time; everything TargetRuntime serves (decide, launch,
+  /// decideBatch, decideColumns) reports the call's wall time divided by
+  /// the rows it served, cache hits and fresh rows alike; decideInto() and
+  /// decideFromWorkloads() leave 0.
   double overheadSeconds = 0.0;
   /// True when the policy deliberately picked the predicted-slower device to
   /// keep the feedback channel informed about it (EpsilonGreedy). Excluded
@@ -142,6 +148,9 @@ class OffloadSelector {
   /// with the full model-term breakdown (obs/explain.h) of this decision,
   /// term-identical to the oracle's record (pinned by the compiled-plan
   /// equivalence suite). Filling never allocates.
+  ///
+  /// The one-off entry point, so it times itself: overheadSeconds (and the
+  /// explain record's) is this call's wall time; 0 for a missing region.
   [[nodiscard]] Decision decide(const RegionHandle& region,
                                 const symbolic::Bindings& bindings,
                                 obs::DecisionExplain* explain = nullptr) const;
@@ -150,11 +159,23 @@ class OffloadSelector {
   /// predictions, explain fill, choice resolution, degradation to the safe
   /// default on exception — applied to a workload pair completed outside
   /// the selector (the runtime's SoA group evaluator,
-  /// CompiledRegionPlan::completeWorkloadsColumns, or the test oracle's
-  /// walk). `plan` names the region. Given workloads equal to what
-  /// decide(plan, bindings) would build, the returned Decision is
-  /// bit-identical except overheadSeconds (wall time, excluded from the
-  /// equivalence contract).
+  /// CompiledRegionPlan::completeWorkloadsColumns). `plan` names the
+  /// region. Writes the decision in place: every field of `out` is
+  /// overwritten, so `out` may hold any earlier decision, and `explain`
+  /// (when non-null) gets every term and header field without being
+  /// cleared first. Reads no clock: out.overheadSeconds and
+  /// explain->overheadSeconds are 0, for the caller to stamp. Given
+  /// workloads equal to what decide(plan, bindings) would build, `out` is
+  /// bit-identical to decide()'s result except overheadSeconds (excluded
+  /// from the equivalence contract).
+  void decideInto(const CompiledRegionPlan& plan,
+                  const cpumodel::CpuWorkload& cpu,
+                  const gpumodel::GpuWorkload& gpu, Decision& out,
+                  obs::DecisionExplain* explain = nullptr) const;
+
+  /// decideInto() into a fresh Decision, returned by value (the test
+  /// oracle's walk and the benches use this form). Untimed:
+  /// overheadSeconds is 0.
   [[nodiscard]] Decision decideFromWorkloads(
       const CompiledRegionPlan& plan, const cpumodel::CpuWorkload& cpu,
       const gpumodel::GpuWorkload& gpu,
@@ -176,22 +197,19 @@ class OffloadSelector {
   }
 
  private:
-  /// The compiled path: one SoA row on the stack.
-  [[nodiscard]] Decision decideCompiled(const CompiledRegionPlan& plan,
-                                        const symbolic::Bindings& bindings,
-                                        obs::DecisionExplain* explain) const;
-  /// The tail every decide path shares. Inside one try block it hits the
-  /// decide fault point, calls `build(cpu, gpu)` to fill the workload pair,
-  /// predicts both devices, fills `explain` and resolves the choice; any
-  /// exception degrades the decision to the safe default. Stamps the
-  /// wall-time overhead and the explain header last. Defined in
+  /// The tail every decide path shares, writing into `decision` in place.
+  /// Inside one try block it hits the decide fault point, calls `build()`
+  /// for the workload pair (a tuple of references), predicts both devices,
+  /// fills `explain` and resolves the choice; any exception degrades the
+  /// decision to the safe default, leaving it as a fresh Decision would
+  /// hold it. Stamps the explain header last. Reads no clock. Defined in
   /// selector.cpp, its only user.
   template <typename BuildWorkloads>
-  [[nodiscard]] Decision evaluate(const std::string& regionName,
-                                  obs::DecisionExplain* explain,
-                                  BuildWorkloads&& build) const;
-  /// Stamps the record header (region, path, choice, speedup, overhead)
-  /// once a decide path has finished.
+  void evaluateInto(const std::string& regionName, Decision& decision,
+                    obs::DecisionExplain* explain,
+                    BuildWorkloads&& build) const;
+  /// Writes every header field of the record (region, seq and atNs zeroed,
+  /// path, choice, speedup, overhead) once a decide path has finished.
   static void finishExplain(obs::DecisionExplain& explain,
                             std::string_view regionName,
                             obs::DecisionPath path,

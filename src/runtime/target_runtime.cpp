@@ -274,12 +274,11 @@ Decision TargetRuntime::guardedDecision(const std::string& regionName,
               counters);
   record.decisionCompiled = counters.degenerate == 0;
   record.decisionCacheHit = counters.cacheHits > 0;
-  if (record.decisionCacheHit) {
-    decision.overheadSeconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      wallStart)
-            .count();
-  }
+  decision.overheadSeconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                    wallStart)
+          .count();
+  publishExplains(arena, decision.overheadSeconds);
 
   if (trace_ != nullptr) {
     const char* path = "compiled";
@@ -443,20 +442,18 @@ void TargetRuntime::decideColumns(std::string_view region,
 void TargetRuntime::finishBatch(std::string_view label, std::size_t n,
                                 std::size_t groups, std::int64_t startNs,
                                 std::chrono::steady_clock::time_point wallStart,
-                                const BatchArena& arena,
+                                BatchArena& arena,
                                 const BatchCounters& counters,
                                 std::span<Decision> out) {
-  // Cache hits re-serve a memoized decision; their overheadSeconds reports
-  // this batch's amortized per-decision cost (fresh evaluations keep the
-  // wall time decideFromWorkloads measured for them).
+  // Every row, cache hit or fresh, reports the call's amortized
+  // per-decision cost, and so does every explain record the call filled.
   const double batchSeconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     wallStart)
           .count();
   const double amortized = batchSeconds / static_cast<double>(n);
-  for (const std::uint32_t request : arena.hitRequests) {
-    out[request].overheadSeconds = amortized;
-  }
+  for (std::size_t i = 0; i < n; ++i) out[i].overheadSeconds = amortized;
+  publishExplains(arena, amortized);
   publishCacheCounters(counters.cacheLookups, counters.cacheHits);
   if (trace_ != nullptr) {
     if (counters.compiled > 0) {
@@ -515,7 +512,6 @@ void TargetRuntime::decideGroup(std::span<const DecideRequest> requests,
                              explains != nullptr ? explains + r : nullptr);
         ++counters.degenerate;
       }
-      publishExplains(arena, rows);
       return;
     }
     plan = &groupPlan.emplace(selector_.compile(*attr));
@@ -532,7 +528,6 @@ void TargetRuntime::decideGroup(std::span<const DecideRequest> requests,
       if (decision.probe) ++counters.probes;
       ++counters.compiled;
     }
-    publishExplains(arena, rows);
     return;
   }
 
@@ -562,7 +557,7 @@ void TargetRuntime::evaluateGroup(const CompiledRegionPlan& plan,
   // The key (bound slot values) determines the decision only while the
   // policy's choices are replayable (EpsilonGreedy's probe draws are not).
   // A hit re-serves a decision whose explain record the populating miss
-  // already published, so only fresh evaluations record below.
+  // already published, so only fresh evaluations fill records below.
   const bool useCache =
       cache != nullptr && cache->capacity() != 0 && policyCacheable_;
   if (useCache) {
@@ -572,9 +567,7 @@ void TargetRuntime::evaluateGroup(const CompiledRegionPlan& plan,
     counters.cacheHits += hits;
     counters.compiled += rows - hits;
     for (std::size_t r = 0; r < rows; ++r) {
-      if (arena.hits[r] != 0) {
-        arena.hitRequests.push_back(group[r]);
-      } else {
+      if (arena.hits[r] == 0) {
         arena.missRows.push_back(static_cast<std::uint32_t>(r));
       }
     }
@@ -597,8 +590,9 @@ void TargetRuntime::evaluateGroup(const CompiledRegionPlan& plan,
     obs::DecisionExplain* const explain =
         explains != nullptr ? explains + k : nullptr;
     if (arena.bindOk[r] != 0) {
-      *arena.targets[r] = selector_.decideFromWorkloads(
-          plan, arena.cpuWorkloads[r], arena.gpuWorkloads[r], explain);
+      // Decided in place: no workload copy, no temporary, no clock read.
+      selector_.decideInto(plan, arena.cpuWorkloads[r], arena.gpuWorkloads[r],
+                           *arena.targets[r], explain);
     } else {
       // Unbindable rows take the selector's one-row decide, which raises
       // the plan's diagnostic for them. Their key (partial values + mask)
@@ -608,17 +602,20 @@ void TargetRuntime::evaluateGroup(const CompiledRegionPlan& plan,
     }
     if (arena.targets[r]->probe) ++counters.probes;
   }
-  publishExplains(arena, arena.missRows.size());
   if (useCache) {
     cache->insertMany(keys, arena.missRows, arena.targets.data(), epoch);
   }
 }
 
-void TargetRuntime::publishExplains(const BatchArena& arena,
-                                    std::size_t count) {
+void TargetRuntime::publishExplains(BatchArena& arena,
+                                    double overheadSeconds) {
   if (trace_ == nullptr) return;
-  trace_->recordExplains(
-      std::span<const obs::DecisionExplain>(arena.explains.data(), count));
+  const std::span<obs::DecisionExplain> records(arena.explains.data(),
+                                                arena.explained);
+  for (obs::DecisionExplain& record : records) {
+    record.overheadSeconds = overheadSeconds;
+  }
+  trace_->recordExplains(records);
 }
 
 void TargetRuntime::recordExecution(LaunchRecord& record,

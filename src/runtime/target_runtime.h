@@ -15,9 +15,12 @@
 // columns, probe the cache in bulk, complete and evaluate the misses.
 // decideBatch() groups its requests by region; decide() and launch() run a
 // one-row group; decideColumns() takes one group already laid out as wire
-// columns (oseld's DecideBatch frames) and skips the per-row maps. With a
-// trace session attached, each group's fresh decisions publish their
-// explain records together, one ring lock and one timestamp per group. A
+// columns (oseld's DecideBatch frames) and skips the per-row maps. A fresh
+// row is decided in place, straight into the caller's output row, with no
+// clock read of its own: every row a call serves reports the call's wall
+// time divided by its rows. With a trace session attached, the call's
+// fresh decisions publish their explain records together, after that
+// stamp: one ring lock and one timestamp per call. A
 // region that has a PAD entry but is not registered yet decides through a
 // plan compiled for that group (no cache); a region with no PAD entry
 // degrades to the safe default.
@@ -190,9 +193,11 @@ class TargetRuntime {
   /// Model evaluation only — the decide hot path without execution: a
   /// one-row region group, exactly as launch() decides; lock-free on the
   /// registry (one shard-snapshot load). Emits one `decide` span and one
-  /// `decision.overhead_s` sample per call. A cache hit's overheadSeconds
-  /// is the wall time of the call. This is the entry point a selector
-  /// service (`oseld`) serves per scalar request.
+  /// `decision.overhead_s` sample per call. overheadSeconds is the wall
+  /// time of the call, for a cache hit and a fresh decision alike, and so
+  /// is the overhead of the explain record a fresh decision publishes.
+  /// This is the entry point a selector service (`oseld`) serves per
+  /// scalar request.
   [[nodiscard]] Decision decide(const std::string& regionName,
                                 const symbolic::Bindings& bindings);
 
@@ -211,8 +216,13 @@ class TargetRuntime {
   /// Every decision is bit-identical to what scalar decide() would return
   /// for that (region, bindings) — including degenerate regions, unbound
   /// symbols, and non-finite predictions (pinned by the batch equivalence
-  /// suite) — except Decision::overheadSeconds: cache-hit rows report the
-  /// amortized per-decision batch cost instead of the call's wall time.
+  /// suite) — except Decision::overheadSeconds: every row, cache hit or
+  /// fresh, reports the call's wall time divided by requests.size(), and
+  /// every explain record the call publishes carries that same value.
+  ///
+  /// Output rows are overwritten, not merged: decide* write every field of
+  /// every row they fill, so `out` may be reused across calls without
+  /// re-initialising it (oseld keeps one reply buffer per connection).
   /// Decide-only batches never touch the admission controller or the GPU
   /// health tracker; those gate launch(), not decisions.
   /// Thread-safe against concurrent decide/decideBatch/registerRegion/
@@ -236,9 +246,11 @@ class TargetRuntime {
   /// or PAD-less region, unusable plan, a required symbol missing) builds
   /// the per-row Bindings and calls decideBatch(), so its decisions and
   /// diagnostics are decideBatch()'s by construction. Either way each
-  /// decision is bit-identical to decideBatch() over per-row maps (wall-time
-  /// overheadSeconds aside), with the same cache traffic, counters, span and
-  /// explain records.
+  /// decision is bit-identical to decideBatch() over per-row maps
+  /// (overheadSeconds aside: the call's wall time divided by `rows`, on
+  /// every row and explain record), with the same cache traffic, counters,
+  /// span and explain records. Like decideBatch(), it overwrites every
+  /// field of every row it fills.
   void decideColumns(std::string_view region,
                      std::span<const std::string_view> slotNames,
                      const char* values, std::size_t rows,
@@ -397,9 +409,9 @@ class TargetRuntime {
   /// degraded decide per row (no PAD entry, unusable plan) or each row's
   /// bindings merge-joined into the arena's SoA columns and evaluateGroup().
   /// `group` lists the request indices (all naming the same region);
-  /// tallies land in `counters` for the caller to publish; cache hits are
-  /// appended to arena.hitRequests. With a session attached, the group's
-  /// explain records are published in one TraceSession::recordExplains().
+  /// tallies land in `counters` for the caller to publish. With a session
+  /// attached, the group's fresh rows claim explain records from the arena
+  /// for the call to publish.
   void decideGroup(std::span<const DecideRequest> requests,
                    std::span<const std::uint32_t> group,
                    std::span<Decision> out, std::uint64_t epoch,
@@ -407,25 +419,27 @@ class TargetRuntime {
   /// The group evaluator after binding, shared by decideGroup() and
   /// decideColumns(): arena.columns/masks/bindOk/targets hold the group's
   /// bound rows (row r is request group[r]). One bulk cache probe, SoA
-  /// completion and the selector's shared tail for the misses, one bulk
-  /// back-fill, one explain publish. `requests` is read only for rows whose
-  /// bindOk is 0, which take the selector's one-row decide for their
-  /// diagnostic.
+  /// completion and the selector's untimed in-place tail
+  /// (OffloadSelector::decideInto) for the misses, one bulk back-fill.
+  /// `requests` is read only for rows whose bindOk is 0, which take the
+  /// selector's one-row decide for their diagnostic.
   void evaluateGroup(const CompiledRegionPlan& plan, DecisionCache* cache,
                      std::span<const DecideRequest> requests,
                      std::span<const std::uint32_t> group, std::uint64_t epoch,
                      BatchArena& arena, BatchCounters& counters);
-  /// Publishes the first `count` records of arena.explains to the session
+  /// Stamps `overheadSeconds` on the call's explain records
+  /// (arena.explains[0, arena.explained)) and publishes them to the session
   /// (one ring lock, one clock read); no-op when detached.
-  void publishExplains(const BatchArena& arena, std::size_t count);
+  void publishExplains(BatchArena& arena, double overheadSeconds);
   /// The tail of a decideBatch()/decideColumns() call over `n` requests in
-  /// `groups` region groups: stamps cache hits with the amortized cost,
-  /// publishes the cache and path counters and, with a session attached,
-  /// the overhead/batch-size samples and the `decide.batch` span.
+  /// `groups` region groups: stamps every row of out[0, n) and every explain
+  /// record with the call's amortized cost, publishes the records, the
+  /// cache and path counters and, with a session attached, the
+  /// overhead/batch-size samples and the `decide.batch` span.
   void finishBatch(std::string_view label, std::size_t n, std::size_t groups,
                    std::int64_t startNs,
                    std::chrono::steady_clock::time_point wallStart,
-                   const BatchArena& arena, const BatchCounters& counters,
+                   BatchArena& arena, const BatchCounters& counters,
                    std::span<Decision> out);
   /// Adds one decide()/decideBatch() call's cache tallies to the
   /// runtime-wide counters and, with a session attached, republishes the

@@ -403,7 +403,9 @@ void Server::serveConnection(Socket socket, std::uint64_t clientId) {
               if (batchView.hasTrace) frameTrace = batchView.trace;
               const std::size_t rows = batchView.rows;
               regionName.assign(batchView.region);
-              decisions.assign(rows, runtime::Decision{});
+              // decideColumns overwrites every field of every row it
+              // fills, so the reply buffer is only sized, not re-initialised.
+              decisions.resize(rows);
               const std::int64_t t1 = session_.nowNs();
               runtime_.decideColumns(regionName, batchView.slots,
                                      batchView.values, rows, decisions);

@@ -1,9 +1,10 @@
 // Concurrency stress coverage for the sharded runtime (run under the tsan
 // preset: `ctest --preset tsan`): registration storms, decide storms, mixed
 // register+decide traffic, traced column/batch storms against explain-ring
-// readers, fault injection under concurrent launches, and
-// the admission controller's shed/drain/quiesce semantics. Thread counts
-// stay modest — the point is interleaving coverage under TSan, not load.
+// readers, in-place column decides against a serial run, fault injection
+// under concurrent launches, and the admission controller's
+// shed/drain/quiesce semantics. Thread counts stay modest — the point is
+// interleaving coverage under TSan, not load.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -24,6 +25,8 @@
 #include "runtime/target_runtime.h"
 #include "support/check.h"
 #include "support/faultinject.h"
+
+#include "batch_test_support.h"
 
 namespace osel::runtime {
 namespace {
@@ -302,6 +305,60 @@ TEST(RuntimeConcurrency, TracedColumnsAndBatchStormRecordEveryFreshExplain) {
   EXPECT_EQ(session.explainRing().recorded(), fresh);
   EXPECT_EQ(session.explainRing().dropped(),
             fresh - session.explainRing().capacity());
+}
+
+TEST(RuntimeConcurrency, InPlaceColumnDecidesMatchASerialRun) {
+  // Fresh rows are decided in place, straight into the caller's span. Four
+  // workers decideColumns the same traced regions, sharing their caches
+  // (hits, misses and evictions interleave), each into its own span reused
+  // across rounds; every row must equal the decision a serial run on an
+  // identically built runtime made for the same key.
+  obs::TraceSession session;
+  RuntimeOptions options;
+  options.trace = &session;
+  TargetRuntime runtime = makeRuntime({"placea", "placeb"}, options);
+  TargetRuntime serial = makeRuntime({"placea", "placeb"});
+  const std::array<std::string, 2> names{"placea", "placeb"};
+  constexpr int kRounds = 60;
+  constexpr std::size_t kRows = 16;
+  constexpr std::size_t kSizes = 97;  // more than a region's cache holds
+  const auto size = [](std::size_t pick) {
+    return 64 + 8 * static_cast<std::int64_t>(pick);
+  };
+  std::array<std::vector<Decision>, 2> reference;
+  for (std::size_t g = 0; g < names.size(); ++g) {
+    for (std::size_t pick = 0; pick < kSizes; ++pick) {
+      reference[g].push_back(serial.decide(names[g], {{"n", size(pick)}}));
+    }
+  }
+  runThreads(kThreads, [&](int t) {
+    const std::array<std::string_view, 1> slot{"n"};
+    std::array<std::int64_t, kRows> values{};
+    std::array<std::size_t, kRows> picks{};
+    std::vector<Decision> out(kRows);
+    for (int round = 0; round < kRounds; ++round) {
+      const std::size_t g = static_cast<std::size_t>(round + t) % 2;
+      for (std::size_t j = 0; j < kRows; ++j) {
+        picks[j] =
+            (static_cast<std::size_t>(t * kRounds + round) * 7 + j * 11) %
+            kSizes;
+        values[j] = size(picks[j]);
+      }
+      runtime.decideColumns(names[g], slot,
+                            reinterpret_cast<const char*>(values.data()),
+                            kRows, out);
+      for (std::size_t j = 0; j < kRows; ++j) {
+        batch_test::expectIdenticalDecisions(out[j], reference[g][picks[j]]);
+        EXPECT_EQ(out[j].probe, reference[g][picks[j]].probe);
+        EXPECT_GT(out[j].overheadSeconds, 0.0);
+      }
+    }
+  });
+  std::uint64_t hits = 0;
+  for (const std::string& name : names) {
+    hits += runtime.decisionCacheStats(name).hits;
+  }
+  EXPECT_GT(hits, 0u);
 }
 
 // --- Fault injection under concurrency --------------------------------------
