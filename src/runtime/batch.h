@@ -62,7 +62,7 @@ struct BatchArena {
   // --- Per-group state (row r is the r-th request of the group) -----------
   std::vector<std::int64_t> columns;        ///< slot-major bound values
   std::vector<std::uint64_t> masks;         ///< bound-slot mask per row
-  std::vector<std::uint8_t> bindOk;         ///< bindSlotsColumn verdict
+  std::vector<std::uint8_t> bindOk;         ///< the binder's verdict
   std::vector<std::uint8_t> hits;           ///< findMany verdict per row
   std::vector<std::int64_t> exprOut;        ///< CompiledExpr column output
   std::vector<std::int64_t> exprScratch;    ///< CompiledExpr column scratch

@@ -168,9 +168,17 @@ bool CompiledRegionPlan::bindColumns(std::span<const std::string_view> names,
   return (boundMask & requiredMask_) == requiredMask_;
 }
 
-void CompiledRegionPlan::requireCompletable(
-    const symbolic::Bindings& bindings, std::uint64_t boundMask) const {
+void CompiledRegionPlan::requireCompletable(const ColumnRow& row) const {
   if (!fastPathUsable()) throw support::PreconditionError(unusableReason_);
+  if ((row.boundMask & requiredMask_) == requiredMask_) return;
+  // Expr::evaluate reads only the expression's own symbols, all of them
+  // slots, so the row's bound slots rebuild its diagnostic byte for byte.
+  symbolic::Bindings bound;
+  for (const SlotBinding& slot : slotNames_) {
+    if ((row.boundMask >> slot.slot & 1) != 0) {
+      bound[slot.name] = row.columns[slot.slot * row.rows + row.row];
+    }
+  }
   // The walk's order: trip count, then the two transfer volumes.
   const std::pair<const symbolic::Expr*, std::uint64_t> required[] = {
       {&attributes_.flatTripCount, flatTripCountMask_},
@@ -178,7 +186,7 @@ void CompiledRegionPlan::requireCompletable(
       {&attributes_.bytesFromDevice, bytesFromDeviceMask_},
   };
   for (const auto& [expr, mask] : required) {
-    if ((boundMask & mask) != mask) (void)expr->evaluate(bindings);
+    if ((row.boundMask & mask) != mask) (void)expr->evaluate(bound);
   }
 }
 

@@ -21,19 +21,22 @@
 //     (MCA cycles, instruction loadout, footprint) are precomputed.
 //
 // Launch-time completion has one form, structure-of-arrays over a region
-// group: each request's bindings fill one row of a slot-major column block
+// group, and the binders are the only code that reads a symbolic::Bindings
+// map: each request's bindings fill one row of a slot-major column block
 // (merge-join against the sorted slot names — string comparisons only), or,
-// when the group arrives as wire columns (an oseld DecideBatch frame), each
-// slot's column is copied in whole; every compiled expression op then runs
-// over all rows. A scalar decide is a one-row group. The result is
+// when the group arrives as wire columns (every oseld decide frame), each
+// slot's column is copied in whole. Everything after binding reads column
+// rows: every compiled expression op runs over all rows, and a row's
+// diagnostic is rebuilt from its bound slots. A scalar decide is a one-row
+// group. The result is
 // bit-identical to the interpreted walk over the PAD entry, which lives on
 // only as the test oracle (tests/oracle) that CompiledPlanEquivalence.*
 // diffs against.
 // Degenerate inputs produce their diagnostics here, without the walk: a
 // plan that cannot run (missing MCA host entry, more symbols than
-// kMaxSlots) records why, and a row with unbound required symbols gets the
-// error Expr::evaluate raises for the first expression the walk would have
-// failed on.
+// kMaxSlots) records why, and a column row with unbound required symbols
+// gets the error Expr::evaluate raises for the first expression the walk
+// would have failed on.
 #pragma once
 
 #include <cstdint>
@@ -53,6 +56,15 @@ namespace osel::runtime {
 /// GPU model's compute stream. Shared by the compiled workload builder and
 /// the test oracle's interpreted walk so the two agree exactly.
 inline constexpr double kSpecialInstIssueWeight = 8.0;
+
+/// One row of a slot-major column block as a binder left it: its values
+/// (`columns[slot * rows + row]`) and its bound-slot mask.
+struct ColumnRow {
+  const std::int64_t* columns = nullptr;
+  std::size_t rows = 1;
+  std::size_t row = 0;
+  std::uint64_t boundMask = 0;
+};
 
 /// A PAD region lowered for allocation-free launch-time completion.
 /// Compiled once (OffloadSelector::compile or TargetRuntime::registerRegion)
@@ -110,14 +122,14 @@ class CompiledRegionPlan {
 
   /// Throws the diagnostic of a row that cannot complete, as the
   /// interpreted walk raised it: support::PreconditionError with the
-  /// recorded reason when !fastPathUsable(); otherwise the error
-  /// Expr::evaluate throws for the first of flatTripCount, bytesToDevice and
-  /// bytesFromDevice with a slot missing from `boundMask` (the row's
-  /// bindSlotsColumn() mask). Returns only when that expression evaluates
-  /// anyway (a bound zero factor absorbs the unbound symbol): the row then
-  /// completes on the fast path exactly as the walk would.
-  void requireCompletable(const symbolic::Bindings& bindings,
-                          std::uint64_t boundMask) const;
+  /// recorded reason when !fastPathUsable() (the row is not read);
+  /// otherwise the error Expr::evaluate throws for the first of
+  /// flatTripCount, bytesToDevice and bytesFromDevice with a slot missing
+  /// from the row's bound mask, over the row's bound slots. Returns only
+  /// when that expression evaluates anyway (a bound zero factor absorbs the
+  /// unbound symbol): the row then completes on the fast path exactly as
+  /// the walk would. Allocates, but only for a row missing a required slot.
+  void requireCompletable(const ColumnRow& row) const;
 
   /// Completes `rows` workload pairs from a slot-major column block in one
   /// pass, evaluating each compiled expression op over all rows

@@ -3,7 +3,6 @@
 #include <array>
 #include <chrono>
 #include <cmath>
-#include <tuple>
 #include <utility>
 
 #include "support/faultinject.h"
@@ -83,42 +82,43 @@ void OffloadSelector::finishExplain(obs::DecisionExplain& explain,
   explain.overheadSeconds = decision.overheadSeconds;
 }
 
-template <typename BuildWorkloads>
-void OffloadSelector::evaluateInto(const std::string& regionName,
-                                   Decision& decision,
-                                   obs::DecisionExplain* explain,
-                                   BuildWorkloads&& build) const {
-  // `decision` may hold an earlier row's result: reset what the healthy
-  // path below does not assign. The explain terms are all written by the
+void OffloadSelector::decideInto(const CompiledRegionPlan& plan,
+                                 const cpumodel::CpuWorkload& cpu,
+                                 const gpumodel::GpuWorkload& gpu,
+                                 Decision& out, obs::DecisionExplain* explain,
+                                 const ColumnRow* incomplete) const {
+  const std::string& regionName = plan.attributes().regionName;
+  // `out` may hold an earlier row's result: reset what the healthy path
+  // below does not assign. The explain terms are all written by the
   // explainInto calls, so the record is not cleared up front.
-  decision.valid = true;
-  decision.diagnostic.clear();
-  decision.overheadSeconds = 0.0;
-  decision.probe = false;
+  out.valid = true;
+  out.diagnostic.clear();
+  out.overheadSeconds = 0.0;
+  out.probe = false;
   bool cpuPredicted = false;
   bool gpuPredicted = false;
   obs::DecisionPath path = obs::DecisionPath::Compiled;
   try {
     (void)support::faultInjector().hit(support::faultpoints::kSelectorDecide,
                                        "selector");
-    const auto& [cpu, gpu] = build();
-    decision.cpu = cpuModel_.predict(cpu);
+    if (incomplete != nullptr) plan.requireCompletable(*incomplete);
+    out.cpu = cpuModel_.predict(cpu);
     cpuPredicted = true;
-    decision.gpu = gpuModel_.predict(gpu);
+    out.gpu = gpuModel_.predict(gpu);
     gpuPredicted = true;
     if (explain != nullptr) {
-      cpumodel::explainInto(cpu, decision.cpu, explain->cpu);
-      gpumodel::explainInto(gpu, decision.gpu, explain->gpu);
+      cpumodel::explainInto(cpu, out.cpu, explain->cpu);
+      gpumodel::explainInto(gpu, out.gpu, explain->gpu);
     }
-    resolveChoice(decision, regionName);
+    resolveChoice(out, regionName);
   } catch (const std::exception& error) {
     // Leave the row as a fresh Decision the failed evaluation wrote into
     // would hold it: predictions the models did not return are defaults.
-    if (!cpuPredicted) decision.cpu = cpumodel::CpuPrediction{};
-    if (!gpuPredicted) decision.gpu = gpumodel::GpuPrediction{};
-    decision.device = config_.safeDefaultDevice;
-    decision.valid = false;
-    decision.diagnostic = error.what();
+    if (!cpuPredicted) out.cpu = cpumodel::CpuPrediction{};
+    if (!gpuPredicted) out.gpu = gpumodel::GpuPrediction{};
+    out.device = config_.safeDefaultDevice;
+    out.valid = false;
+    out.diagnostic = error.what();
     path = obs::DecisionPath::Degenerate;
     // The (noexcept) explain fill runs right after both predictions.
     if (explain != nullptr && !gpuPredicted) {
@@ -126,8 +126,24 @@ void OffloadSelector::evaluateInto(const std::string& regionName,
       explain->gpu = obs::GpuTerms{};
     }
   }
+  if (explain != nullptr) finishExplain(*explain, regionName, path, out);
+}
+
+void OffloadSelector::decideMissingInto(std::string_view regionName,
+                                        std::string_view suggestion,
+                                        Decision& out,
+                                        obs::DecisionExplain* explain) const {
+  // ModelGuided must degrade, not crash. The diagnostic is the same
+  // PadLookupError text at() would have thrown.
+  out = Decision{};
+  out.valid = false;
+  out.device = config_.safeDefaultDevice;
+  out.diagnostic =
+      pad::PadLookupError(std::string(regionName), std::string(suggestion))
+          .what();
   if (explain != nullptr) {
-    finishExplain(*explain, regionName, path, decision);
+    *explain = obs::DecisionExplain{};
+    finishExplain(*explain, regionName, obs::DecisionPath::Degenerate, out);
   }
 }
 
@@ -135,53 +151,33 @@ Decision OffloadSelector::decide(const RegionHandle& region,
                                  const symbolic::Bindings& bindings,
                                  obs::DecisionExplain* explain) const {
   Decision decision;
-  if (const CompiledRegionPlan* plan = region.plan()) {
-    const auto start = std::chrono::steady_clock::now();
-    cpumodel::CpuWorkload cpu;
-    gpumodel::GpuWorkload gpu;
-    evaluateInto(plan->attributes().regionName, decision, explain, [&] {
-      // One SoA row: with rows == 1 the slot-major column block is a plain
-      // slot vector, and the expression workspaces are one entry.
-      std::array<std::int64_t, CompiledRegionPlan::kMaxSlots> values{};
-      std::uint64_t boundMask = 0;
-      if (!plan->fastPathUsable() ||
-          !plan->bindSlotsColumn(bindings, values.data(), 1, 0, boundMask)) {
-        plan->requireCompletable(bindings, boundMask);
-      }
-      std::int64_t exprOut = 0;
-      std::int64_t scratch = 0;
-      plan->completeWorkloadsColumns(values.data(), &boundMask, 1, &exprOut,
-                                     &scratch, &cpu, &gpu);
-      return std::forward_as_tuple(std::as_const(cpu), std::as_const(gpu));
-    });
-    decision.overheadSeconds = std::chrono::duration<double>(
-                                   std::chrono::steady_clock::now() - start)
-                                   .count();
-    if (explain != nullptr) explain->overheadSeconds = decision.overheadSeconds;
+  const CompiledRegionPlan* plan = region.plan();
+  if (plan == nullptr) {
+    decideMissingInto(region.name(), region.suggestion(), decision, explain);
     return decision;
   }
-  // Missing PAD entry: ModelGuided must degrade, not crash. The diagnostic
-  // is the same PadLookupError text at() would have thrown.
-  decision.valid = false;
-  decision.device = config_.safeDefaultDevice;
-  decision.diagnostic = pad::PadLookupError(std::string(region.name()),
-                                            std::string(region.suggestion()))
-                            .what();
-  if (explain != nullptr) {
-    *explain = obs::DecisionExplain{};
-    finishExplain(*explain, region.name(), obs::DecisionPath::Degenerate,
-                  decision);
+  const auto start = std::chrono::steady_clock::now();
+  // One SoA row: with rows == 1 the slot-major column block is a plain
+  // slot vector, and the expression workspaces are one entry.
+  std::array<std::int64_t, CompiledRegionPlan::kMaxSlots> values{};
+  ColumnRow row{values.data(), 1, 0, 0};
+  bool complete = false;
+  cpumodel::CpuWorkload cpu;
+  gpumodel::GpuWorkload gpu;
+  if (plan->fastPathUsable()) {
+    complete = plan->bindSlotsColumn(bindings, values.data(), 1, 0,
+                                     row.boundMask);
+    std::int64_t exprOut = 0;
+    std::int64_t scratch = 0;
+    plan->completeWorkloadsColumns(values.data(), &row.boundMask, 1, &exprOut,
+                                   &scratch, &cpu, &gpu);
   }
+  decideInto(*plan, cpu, gpu, decision, explain, complete ? nullptr : &row);
+  decision.overheadSeconds = std::chrono::duration<double>(
+                                 std::chrono::steady_clock::now() - start)
+                                 .count();
+  if (explain != nullptr) explain->overheadSeconds = decision.overheadSeconds;
   return decision;
-}
-
-void OffloadSelector::decideInto(const CompiledRegionPlan& plan,
-                                 const cpumodel::CpuWorkload& cpu,
-                                 const gpumodel::GpuWorkload& gpu,
-                                 Decision& out,
-                                 obs::DecisionExplain* explain) const {
-  evaluateInto(plan.attributes().regionName, out, explain,
-               [&] { return std::forward_as_tuple(cpu, gpu); });
 }
 
 Decision OffloadSelector::decideFromWorkloads(

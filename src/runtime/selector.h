@@ -8,15 +8,16 @@
 // measured overhead is exposed so the negligible-overhead claim can be
 // checked (bench/micro_decision_overhead).
 //
-// The selector decides only through compiled plans (runtime/compiled_plan.h):
-// a decide() completes one plan row, decideInto() takes a row the runtime's
-// SoA group already completed and writes the decision straight into the
-// caller's row, and both run one shared, untimed tail — both model
-// predictions, the explain fill, and the policy choice. Only decide(), the
-// one-off entry, reads the clock. A row the plan cannot complete degrades
-// to the safe default with the plan's own diagnostic. The interpreted walk
-// over PAD expressions is a test-only oracle (tests/oracle) that
-// CompiledPlanEquivalence.* diffs against.
+// The selector decides only through compiled plans (runtime/compiled_plan.h)
+// and writes every decision in place. decideInto() takes a column row the
+// runtime's SoA group already bound and completed and runs the one untimed
+// tail — both model predictions, the explain fill, and the policy choice; a
+// row the plan cannot complete degrades there to the safe default with the
+// plan's own diagnostic. decideMissingInto() degrades a row of a region
+// with no PAD entry. decide(), the one-off entry, binds its map into a
+// one-row slot vector, takes the same tail and is the only one that reads
+// the clock. The interpreted walk over PAD expressions is a test-only
+// oracle (tests/oracle) that CompiledPlanEquivalence.* diffs against.
 #pragma once
 
 #include <cmath>
@@ -132,11 +133,12 @@ class OffloadSelector {
 
   /// THE selection entry point: evaluates both models for the region the
   /// handle names and picks the faster device.
-  ///   * handle wraps a CompiledRegionPlan: the allocation-free compiled
-  ///     path (slot binding, no string hashing). A row the plan cannot
-  ///     complete (unbound required symbols, an unusable plan) degrades
-  ///     with the diagnostic CompiledRegionPlan::requireCompletable throws,
-  ///     byte-identical to the interpreted oracle's,
+  ///   * handle wraps a CompiledRegionPlan: `bindings` bind into a
+  ///     one-row slot vector, which completes and takes decideInto()'s
+  ///     tail. A row the plan cannot complete (unbound required symbols, an
+  ///     unusable plan) degrades with the diagnostic
+  ///     CompiledRegionPlan::requireCompletable throws, byte-identical to
+  ///     the interpreted oracle's,
   ///   * handle is missing(): degrades to the configured safe default
   ///     device, valid == false, with a PadLookupError diagnostic.
   /// Guardrailed: model/workload-construction failures and degenerate
@@ -160,18 +162,33 @@ class OffloadSelector {
   /// default on exception — applied to a workload pair completed outside
   /// the selector (the runtime's SoA group evaluator,
   /// CompiledRegionPlan::completeWorkloadsColumns). `plan` names the
-  /// region. Writes the decision in place: every field of `out` is
-  /// overwritten, so `out` may hold any earlier decision, and `explain`
-  /// (when non-null) gets every term and header field without being
-  /// cleared first. Reads no clock: out.overheadSeconds and
-  /// explain->overheadSeconds are 0, for the caller to stamp. Given
-  /// workloads equal to what decide(plan, bindings) would build, `out` is
-  /// bit-identical to decide()'s result except overheadSeconds (excluded
-  /// from the equivalence contract).
+  /// region. `incomplete`, when non-null, is the column row `cpu`/`gpu`
+  /// came from, for a row the plan may not complete (its bind left a
+  /// required symbol unbound, or the plan is unusable): after the fault
+  /// point, plan.requireCompletable(*incomplete) raises the row's
+  /// diagnostic and the row degrades; when it returns, the row decides from
+  /// `cpu`/`gpu` like any other (an unusable plan never reads them). Writes
+  /// the decision in place: every field of `out` is overwritten, so `out`
+  /// may hold any earlier decision, and `explain` (when non-null) gets every
+  /// term and header field without being cleared first. Reads no clock:
+  /// out.overheadSeconds and explain->overheadSeconds are 0, for the caller
+  /// to stamp. Given workloads equal to what decide(plan, bindings) would
+  /// build, `out` is bit-identical to decide()'s result except
+  /// overheadSeconds (excluded from the equivalence contract).
   void decideInto(const CompiledRegionPlan& plan,
                   const cpumodel::CpuWorkload& cpu,
                   const gpumodel::GpuWorkload& gpu, Decision& out,
-                  obs::DecisionExplain* explain = nullptr) const;
+                  obs::DecisionExplain* explain = nullptr,
+                  const ColumnRow* incomplete = nullptr) const;
+
+  /// A row of a region with no PAD entry, written in place: the safe
+  /// default device, valid == false, the PadLookupError text (naming
+  /// `suggestion`, the nearest known region, when non-empty) and default
+  /// predictions; `explain` (when non-null) is reset to a degenerate
+  /// record. Untimed, like decideInto().
+  void decideMissingInto(std::string_view regionName,
+                         std::string_view suggestion, Decision& out,
+                         obs::DecisionExplain* explain = nullptr) const;
 
   /// decideInto() into a fresh Decision, returned by value (the test
   /// oracle's walk and the benches use this form). Untimed:
@@ -197,17 +214,6 @@ class OffloadSelector {
   }
 
  private:
-  /// The tail every decide path shares, writing into `decision` in place.
-  /// Inside one try block it hits the decide fault point, calls `build()`
-  /// for the workload pair (a tuple of references), predicts both devices,
-  /// fills `explain` and resolves the choice; any exception degrades the
-  /// decision to the safe default, leaving it as a fresh Decision would
-  /// hold it. Stamps the explain header last. Reads no clock. Defined in
-  /// selector.cpp, its only user.
-  template <typename BuildWorkloads>
-  void evaluateInto(const std::string& regionName, Decision& decision,
-                    obs::DecisionExplain* explain,
-                    BuildWorkloads&& build) const;
   /// Writes every header field of the record (region, seq and atNs zeroed,
   /// path, choice, speedup, overhead) once a decide path has finished.
   static void finishExplain(obs::DecisionExplain& explain,

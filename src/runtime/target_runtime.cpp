@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <optional>
 #include <span>
 #include <string_view>
@@ -253,6 +252,98 @@ BatchArena& threadBatchArena() {
 
 }  // namespace
 
+template <typename Bind>
+void TargetRuntime::decideGroup(std::string_view region,
+                                std::span<const std::uint32_t> group,
+                                std::span<Decision> out, Bind&& bind,
+                                std::uint64_t epoch, BatchArena& arena,
+                                BatchCounters& counters) {
+  const std::size_t rows = group.size();
+  const std::shared_ptr<const RegionEntry> entry = findEntry(region);
+
+  // A registered region with a PAD entry has a plan and its cache. A region
+  // that has a PAD entry but is not registered decides through a plan
+  // compiled for this group, without a cache; the PAD probe (and the
+  // nearest-name search for misses) runs once per group, off the hot path.
+  const CompiledRegionPlan* plan = nullptr;
+  DecisionCache* cache = nullptr;
+  std::optional<CompiledRegionPlan> groupPlan;
+  if (entry != nullptr && entry->plan != nullptr) {
+    plan = entry->plan.get();
+    cache = entry->cache.get();
+  } else {
+    const std::string regionName(region);
+    const pad::RegionAttributes* attr = database_.find(regionName);
+    if (attr == nullptr) {
+      const std::string suggestion = database_.nearestRegionName(regionName);
+      obs::DecisionExplain* const explains =
+          trace_ != nullptr ? arena.explainRows(rows) : nullptr;
+      for (std::size_t r = 0; r < rows; ++r) {
+        selector_.decideMissingInto(
+            regionName, suggestion, out[group[r]],
+            explains != nullptr ? explains + r : nullptr);
+      }
+      counters.degenerate += rows;
+      return;
+    }
+    plan = &groupPlan.emplace(selector_.compile(*attr));
+  }
+
+  // Bind every row into the slot-major columns once. A plan that cannot run
+  // binds nothing and skips the cache: each of its rows degrades with the
+  // plan's recorded reason.
+  const bool usable = plan->fastPathUsable();
+  arena.beginGroup(rows, plan->slotCount());
+  for (std::size_t r = 0; r < rows; ++r) arena.targets[r] = &out[group[r]];
+  if (usable) bind(*plan);
+  const DecisionCache::KeyBlock keys{arena.columns.data(), arena.masks.data(),
+                                     plan->slotCount(), rows};
+  // The key (bound slot values) determines the decision only while the
+  // policy's choices are replayable (EpsilonGreedy's probe draws are not).
+  // A hit re-serves a decision whose explain record the populating miss
+  // already published, so only fresh evaluations fill records below.
+  const bool useCache = usable && cache != nullptr && cache->capacity() != 0 &&
+                        policyCacheable_;
+  std::size_t hits = 0;
+  if (useCache) {
+    hits = cache->findMany(keys, arena.targets.data(), arena.hits.data(), epoch);
+    counters.cacheLookups += rows;
+    counters.cacheHits += hits;
+  }
+  counters.compiled += rows - hits;
+  for (std::size_t r = 0; r < rows; ++r) {
+    if (!useCache || arena.hits[r] == 0) {
+      arena.missRows.push_back(static_cast<std::uint32_t>(r));
+    }
+  }
+  if (arena.missRows.empty()) return;
+
+  if (usable) {
+    plan->completeWorkloadsColumns(
+        arena.columns.data(), arena.masks.data(), rows, arena.exprOut.data(),
+        arena.exprScratch.data(), arena.cpuWorkloads.data(),
+        arena.gpuWorkloads.data());
+  }
+  obs::DecisionExplain* const explains =
+      trace_ != nullptr ? arena.explainRows(arena.missRows.size()) : nullptr;
+  for (std::size_t k = 0; k < arena.missRows.size(); ++k) {
+    const std::uint32_t r = arena.missRows[k];
+    // Decided in place: no workload copy, no temporary, no clock read. A
+    // row the plan cannot complete raises the plan's diagnostic from its
+    // column row; its key (partial values + mask) is still cached.
+    const ColumnRow row{arena.columns.data(), rows, r, arena.masks[r]};
+    const bool complete = usable && arena.bindOk[r] != 0;
+    selector_.decideInto(*plan, arena.cpuWorkloads[r], arena.gpuWorkloads[r],
+                         *arena.targets[r],
+                         explains != nullptr ? explains + k : nullptr,
+                         complete ? nullptr : &row);
+    if (arena.targets[r]->probe) ++counters.probes;
+  }
+  if (useCache) {
+    cache->insertMany(keys, arena.missRows, arena.targets.data(), epoch);
+  }
+}
+
 Decision TargetRuntime::decide(const std::string& regionName,
                                const symbolic::Bindings& bindings) {
   LaunchRecord scratch;  // decision-path flags only; never logged
@@ -262,64 +353,14 @@ Decision TargetRuntime::decide(const std::string& regionName,
 Decision TargetRuntime::guardedDecision(const std::string& regionName,
                                         const symbolic::Bindings& bindings,
                                         LaunchRecord& record) {
-  const std::int64_t startNs = trace_ != nullptr ? trace_->nowNs() : 0;
-  const auto wallStart = std::chrono::steady_clock::now();
   const DecideRequest request{regionName, &bindings};
-  BatchArena& arena = threadBatchArena();
-  arena.begin(1);
-  BatchCounters counters;
   Decision decision;
-  decideGroup(std::span<const DecideRequest>(&request, 1), arena.order,
-              std::span<Decision>(&decision, 1), effectiveCacheEpoch(), arena,
-              counters);
+  const BatchCounters counters =
+      decideRequests(std::span<const DecideRequest>(&request, 1),
+                     std::span<Decision>(&decision, 1));
   record.decisionCompiled = counters.degenerate == 0;
   record.decisionCacheHit = counters.cacheHits > 0;
-  decision.overheadSeconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    wallStart)
-          .count();
-  publishExplains(arena, decision.overheadSeconds);
-
-  if (trace_ != nullptr) {
-    const char* path = "compiled";
-    obs::Counter* pathCounter = instruments_.decisionsCompiled;
-    if (record.decisionCacheHit) {
-      path = "cache_hit";
-      pathCounter = instruments_.decisionsCacheHit;
-    } else if (counters.degenerate > 0) {
-      path = "degenerate";
-      pathCounter = instruments_.decisionsDegenerate;
-    }
-    trace_->recordSpan("decide", path, regionName, startNs,
-                       trace_->nowNs() - startNs,
-                       {"overhead_s", decision.overheadSeconds},
-                       {"valid", decision.valid ? 1.0 : 0.0});
-    pathCounter->add();
-    if (counters.probes > 0) instruments_.policyProbes->add();
-    instruments_.decisionOverhead->record(decision.overheadSeconds);
-  }
-  publishCacheCounters(counters.cacheLookups, counters.cacheHits);
   return decision;
-}
-
-void TargetRuntime::publishCacheCounters(std::uint64_t lookups,
-                                         std::uint64_t hits) {
-  if (lookups > 0) {
-    state_->cacheLookups.fetch_add(lookups, std::memory_order_relaxed);
-    state_->cacheHits.fetch_add(hits, std::memory_order_relaxed);
-  }
-  if (trace_ == nullptr) return;
-  // Runtime-wide hit ratio from the launch-path atomics: the per-cache
-  // counters stay exact for decisionCacheStats(), but summing them here
-  // would walk every shard per decide.
-  const std::uint64_t total =
-      state_->cacheLookups.load(std::memory_order_relaxed);
-  if (total > 0) {
-    const std::uint64_t totalHits =
-        state_->cacheHits.load(std::memory_order_relaxed);
-    instruments_.cacheHitRatio->set(static_cast<double>(totalHits) /
-                                    static_cast<double>(total));
-  }
 }
 
 void TargetRuntime::decideBatch(std::span<const DecideRequest> requests,
@@ -330,7 +371,11 @@ void TargetRuntime::decideBatch(std::span<const DecideRequest> requests,
     require(request.bindings != nullptr,
             "TargetRuntime::decideBatch: request without bindings");
   }
-  if (requests.empty()) return;
+  if (!requests.empty()) (void)decideRequests(requests, out);
+}
+
+BatchCounters TargetRuntime::decideRequests(
+    std::span<const DecideRequest> requests, std::span<Decision> out) {
   const std::size_t n = requests.size();
   const std::int64_t startNs = trace_ != nullptr ? trace_->nowNs() : 0;
   const auto wallStart = std::chrono::steady_clock::now();
@@ -360,12 +405,11 @@ void TargetRuntime::decideBatch(std::span<const DecideRequest> requests,
                 return cmp != 0 ? cmp < 0 : a < b;
               });
   }
-  // One epoch load per batch; scalar decide() loads it per call. The
-  // combined epoch folds in the policy's state epoch, so a concurrent
-  // refit invalidates this batch's cached decisions no later than the next
-  // batch. Decide batches intentionally never consult the admission
-  // controller or the health tracker — both gate launch() execution, not
-  // model evaluation.
+  // One epoch load per call. The combined epoch folds in the policy's state
+  // epoch, so a concurrent refit invalidates this call's cached decisions no
+  // later than the next call. Decides intentionally never consult the
+  // admission controller or the health tracker — both gate launch()
+  // execution, not model evaluation.
   const std::uint64_t epoch = effectiveCacheEpoch();
   BatchCounters counters;
   std::size_t groups = 0;
@@ -374,14 +418,27 @@ void TargetRuntime::decideBatch(std::span<const DecideRequest> requests,
     const std::string_view region = requests[arena.order[i]].region;
     std::size_t j = i + 1;
     while (j < n && requests[arena.order[j]].region == region) ++j;
-    decideGroup(requests,
-                std::span<const std::uint32_t>(arena.order).subspan(i, j - i),
-                out, epoch, arena, counters);
+    const std::span<const std::uint32_t> group =
+        std::span<const std::uint32_t>(arena.order).subspan(i, j - i);
+    // Each row's map merge-joins into its column row; nothing past this
+    // binder sees the map.
+    const auto bind = [&](const CompiledRegionPlan& plan) {
+      for (std::size_t r = 0; r < group.size(); ++r) {
+        arena.bindOk[r] =
+            plan.bindSlotsColumn(*requests[group[r]].bindings,
+                                 arena.columns.data(), group.size(), r,
+                                 arena.masks[r])
+                ? 1
+                : 0;
+      }
+    };
+    decideGroup(region, group, out, bind, epoch, arena, counters);
     ++groups;
     i = j;
   }
-  finishBatch(requests[arena.order[0]].region, n, groups, startNs, wallStart,
-              arena, counters, out);
+  finishCall(requests[arena.order[0]].region, n, groups, startNs, wallStart,
+             arena, counters, out);
+  return counters;
 }
 
 void TargetRuntime::decideColumns(std::string_view region,
@@ -395,216 +452,84 @@ void TargetRuntime::decideColumns(std::string_view region,
           "TargetRuntime::decideColumns: value columns missing");
   const std::int64_t startNs = trace_ != nullptr ? trace_->nowNs() : 0;
   const auto wallStart = std::chrono::steady_clock::now();
-  const std::shared_ptr<const RegionEntry> entry = findEntry(region);
-  const CompiledRegionPlan* plan =
-      entry != nullptr ? entry->plan.get() : nullptr;
   BatchArena& arena = threadBatchArena();
-  std::uint64_t mask = 0;
-  bool bound = false;
-  if (plan != nullptr && plan->fastPathUsable()) {
-    arena.begin(rows);
-    arena.beginGroup(rows, plan->slotCount());
-    bound = plan->bindColumns(slotNames, values, rows, arena.columns.data(),
-                              mask);
-  }
-  if (!bound) {
-    // Off the fast path every row takes decideBatch() over its own
-    // Bindings, so the decisions and diagnostics are decideBatch()'s.
-    std::vector<symbolic::Bindings> bindings(rows);
-    for (std::size_t slot = 0; slot < slotNames.size(); ++slot) {
-      const std::string name(slotNames[slot]);
-      for (std::size_t row = 0; row < rows; ++row) {
-        std::int64_t value = 0;
-        std::memcpy(&value,
-                    values + (slot * rows + row) * sizeof(std::int64_t),
-                    sizeof(value));
-        bindings[row][name] = value;
-      }
-    }
-    std::vector<DecideRequest> requests(rows);
-    for (std::size_t row = 0; row < rows; ++row) {
-      requests[row] = {region, &bindings[row]};
-    }
-    decideBatch(requests, out);
-    return;
-  }
-  for (std::size_t r = 0; r < rows; ++r) {
-    arena.masks[r] = mask;
-    arena.bindOk[r] = 1;
-    arena.targets[r] = &out[r];
-  }
+  arena.begin(rows);
+  // Every row binds the same names, so one mask and one verdict serve all.
+  const auto bind = [&](const CompiledRegionPlan& plan) {
+    std::uint64_t mask = 0;
+    const std::uint8_t ok =
+        plan.bindColumns(slotNames, values, rows, arena.columns.data(), mask)
+            ? 1
+            : 0;
+    std::fill_n(arena.masks.begin(), rows, mask);
+    std::fill_n(arena.bindOk.begin(), rows, ok);
+  };
   BatchCounters counters;
-  evaluateGroup(*plan, entry->cache.get(), {}, arena.order,
-                effectiveCacheEpoch(), arena, counters);
-  finishBatch(region, rows, 1, startNs, wallStart, arena, counters, out);
+  decideGroup(region, arena.order, out, bind, effectiveCacheEpoch(), arena,
+              counters);
+  finishCall(region, rows, 1, startNs, wallStart, arena, counters, out);
 }
 
-void TargetRuntime::finishBatch(std::string_view label, std::size_t n,
-                                std::size_t groups, std::int64_t startNs,
-                                std::chrono::steady_clock::time_point wallStart,
-                                BatchArena& arena,
-                                const BatchCounters& counters,
-                                std::span<Decision> out) {
+void TargetRuntime::finishCall(std::string_view label, std::size_t n,
+                               std::size_t groups, std::int64_t startNs,
+                               std::chrono::steady_clock::time_point wallStart,
+                               BatchArena& arena, const BatchCounters& counters,
+                               std::span<Decision> out) {
   // Every row, cache hit or fresh, reports the call's amortized
   // per-decision cost, and so does every explain record the call filled.
-  const double batchSeconds =
+  const double callSeconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     wallStart)
           .count();
-  const double amortized = batchSeconds / static_cast<double>(n);
+  const double amortized = callSeconds / static_cast<double>(n);
   for (std::size_t i = 0; i < n; ++i) out[i].overheadSeconds = amortized;
   publishExplains(arena, amortized);
-  publishCacheCounters(counters.cacheLookups, counters.cacheHits);
-  if (trace_ != nullptr) {
-    if (counters.compiled > 0) {
-      instruments_.decisionsCompiled->add(counters.compiled);
-    }
-    if (counters.degenerate > 0) {
-      instruments_.decisionsDegenerate->add(counters.degenerate);
-    }
-    if (counters.cacheHits > 0) {
-      instruments_.decisionsCacheHit->add(counters.cacheHits);
-    }
-    if (counters.probes > 0) {
-      instruments_.policyProbes->add(counters.probes);
-    }
-    // The per-request overhead histogram gets one amortized sample per
-    // batch (its count then tallies batches, not requests — the batch_size
-    // histogram carries the request volume).
-    instruments_.decisionOverhead->record(amortized);
-    instruments_.batchSize->record(static_cast<double>(n));
-    trace_->recordSpan("decide.batch", "batch", label, startNs,
-                       trace_->nowNs() - startNs,
-                       {"requests", static_cast<double>(n)},
-                       {"groups", static_cast<double>(groups)});
+  if (counters.cacheLookups > 0) {
+    state_->cacheLookups.fetch_add(counters.cacheLookups,
+                                   std::memory_order_relaxed);
+    state_->cacheHits.fetch_add(counters.cacheHits, std::memory_order_relaxed);
   }
-}
-
-void TargetRuntime::decideGroup(std::span<const DecideRequest> requests,
-                                std::span<const std::uint32_t> group,
-                                std::span<Decision> out, std::uint64_t epoch,
-                                BatchArena& arena, BatchCounters& counters) {
-  const std::string_view region = requests[group.front()].region;
-  const std::shared_ptr<const RegionEntry> entry = findEntry(region);
-  const std::size_t rows = group.size();
-
-  // A registered region with a PAD entry has a plan and its cache. A region
-  // that has a PAD entry but is not registered decides through a plan
-  // compiled for this group, without a cache; the PAD probe (and the
-  // nearest-name search for misses) runs once per group, off the hot path.
-  const CompiledRegionPlan* plan = nullptr;
-  DecisionCache* cache = nullptr;
-  std::optional<CompiledRegionPlan> groupPlan;
-  if (entry != nullptr && entry->plan != nullptr) {
-    plan = entry->plan.get();
-    cache = entry->cache.get();
-  } else {
-    const std::string regionName(region);
-    const pad::RegionAttributes* attr = database_.find(regionName);
-    if (attr == nullptr) {
-      const std::string suggestion = database_.nearestRegionName(regionName);
-      obs::DecisionExplain* const explains =
-          trace_ != nullptr ? arena.explainRows(rows) : nullptr;
-      for (std::size_t r = 0; r < rows; ++r) {
-        out[group[r]] =
-            selector_.decide(RegionHandle::missing(regionName, suggestion),
-                             *requests[group[r]].bindings,
-                             explains != nullptr ? explains + r : nullptr);
-        ++counters.degenerate;
-      }
-      return;
-    }
-    plan = &groupPlan.emplace(selector_.compile(*attr));
+  if (trace_ == nullptr) return;
+  // Runtime-wide hit ratio from the launch-path atomics: the per-cache
+  // counters stay exact for decisionCacheStats(), but summing them here
+  // would walk every shard per decide.
+  const std::uint64_t lookups =
+      state_->cacheLookups.load(std::memory_order_relaxed);
+  if (lookups > 0) {
+    instruments_.cacheHitRatio->set(
+        static_cast<double>(state_->cacheHits.load(std::memory_order_relaxed)) /
+        static_cast<double>(lookups));
   }
-
-  if (!plan->fastPathUsable()) {
-    // Every row degrades with the plan's recorded reason.
-    obs::DecisionExplain* const explains =
-        trace_ != nullptr ? arena.explainRows(rows) : nullptr;
-    for (std::size_t r = 0; r < rows; ++r) {
-      Decision& decision = out[group[r]];
-      decision = selector_.decide(*plan, *requests[group[r]].bindings,
-                                  explains != nullptr ? explains + r : nullptr);
-      if (decision.probe) ++counters.probes;
-      ++counters.compiled;
-    }
+  if (counters.compiled > 0) {
+    instruments_.decisionsCompiled->add(counters.compiled);
+  }
+  if (counters.degenerate > 0) {
+    instruments_.decisionsDegenerate->add(counters.degenerate);
+  }
+  if (counters.cacheHits > 0) {
+    instruments_.decisionsCacheHit->add(counters.cacheHits);
+  }
+  if (counters.probes > 0) instruments_.policyProbes->add(counters.probes);
+  // The per-request overhead histogram gets one amortized sample per call
+  // (its count then tallies calls, not requests — the batch_size histogram
+  // carries the request volume of multi-row calls).
+  instruments_.decisionOverhead->record(amortized);
+  if (n == 1) {
+    // A one-row call is a scalar decide, whichever entry point served it:
+    // one `decide` span tagged with the path its row took.
+    const char* path = counters.cacheHits > 0    ? "cache_hit"
+                       : counters.degenerate > 0 ? "degenerate"
+                                                 : "compiled";
+    trace_->recordSpan("decide", path, label, startNs,
+                       trace_->nowNs() - startNs, {"overhead_s", amortized},
+                       {"valid", out[0].valid ? 1.0 : 0.0});
     return;
   }
-
-  // The SoA fast path: bind every row into slot-major columns, then the
-  // shared group evaluator.
-  arena.beginGroup(rows, plan->slotCount());
-  for (std::size_t r = 0; r < rows; ++r) {
-    arena.targets[r] = &out[group[r]];
-    arena.bindOk[r] =
-        plan->bindSlotsColumn(*requests[group[r]].bindings,
-                              arena.columns.data(), rows, r, arena.masks[r])
-            ? 1
-            : 0;
-  }
-  evaluateGroup(*plan, cache, requests, group, epoch, arena, counters);
-}
-
-void TargetRuntime::evaluateGroup(const CompiledRegionPlan& plan,
-                                  DecisionCache* cache,
-                                  std::span<const DecideRequest> requests,
-                                  std::span<const std::uint32_t> group,
-                                  std::uint64_t epoch, BatchArena& arena,
-                                  BatchCounters& counters) {
-  const std::size_t rows = group.size();
-  const DecisionCache::KeyBlock keys{arena.columns.data(), arena.masks.data(),
-                                     plan.slotCount(), rows};
-  // The key (bound slot values) determines the decision only while the
-  // policy's choices are replayable (EpsilonGreedy's probe draws are not).
-  // A hit re-serves a decision whose explain record the populating miss
-  // already published, so only fresh evaluations fill records below.
-  const bool useCache =
-      cache != nullptr && cache->capacity() != 0 && policyCacheable_;
-  if (useCache) {
-    const std::size_t hits =
-        cache->findMany(keys, arena.targets.data(), arena.hits.data(), epoch);
-    counters.cacheLookups += rows;
-    counters.cacheHits += hits;
-    counters.compiled += rows - hits;
-    for (std::size_t r = 0; r < rows; ++r) {
-      if (arena.hits[r] == 0) {
-        arena.missRows.push_back(static_cast<std::uint32_t>(r));
-      }
-    }
-  } else {
-    for (std::size_t r = 0; r < rows; ++r) {
-      arena.missRows.push_back(static_cast<std::uint32_t>(r));
-    }
-    counters.compiled += rows;
-  }
-  if (arena.missRows.empty()) return;
-
-  plan.completeWorkloadsColumns(arena.columns.data(), arena.masks.data(), rows,
-                                arena.exprOut.data(), arena.exprScratch.data(),
-                                arena.cpuWorkloads.data(),
-                                arena.gpuWorkloads.data());
-  obs::DecisionExplain* const explains =
-      trace_ != nullptr ? arena.explainRows(arena.missRows.size()) : nullptr;
-  for (std::size_t k = 0; k < arena.missRows.size(); ++k) {
-    const std::uint32_t r = arena.missRows[k];
-    obs::DecisionExplain* const explain =
-        explains != nullptr ? explains + k : nullptr;
-    if (arena.bindOk[r] != 0) {
-      // Decided in place: no workload copy, no temporary, no clock read.
-      selector_.decideInto(plan, arena.cpuWorkloads[r], arena.gpuWorkloads[r],
-                           *arena.targets[r], explain);
-    } else {
-      // Unbindable rows take the selector's one-row decide, which raises
-      // the plan's diagnostic for them. Their key (partial values + mask)
-      // is still cached.
-      *arena.targets[r] =
-          selector_.decide(plan, *requests[group[r]].bindings, explain);
-    }
-    if (arena.targets[r]->probe) ++counters.probes;
-  }
-  if (useCache) {
-    cache->insertMany(keys, arena.missRows, arena.targets.data(), epoch);
-  }
+  instruments_.batchSize->record(static_cast<double>(n));
+  trace_->recordSpan("decide.batch", "batch", label, startNs,
+                     trace_->nowNs() - startNs,
+                     {"requests", static_cast<double>(n)},
+                     {"groups", static_cast<double>(groups)});
 }
 
 void TargetRuntime::publishExplains(BatchArena& arena,

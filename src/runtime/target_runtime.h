@@ -9,21 +9,23 @@
 //   Oracle        measures both and picks the true winner (upper bound)
 // — executes accordingly, and logs the launch for the evaluation benches.
 //
-// Deciding has one compiled path. Registration lowers every region that has
-// a PAD entry into a CompiledRegionPlan with its own decision cache, and
-// decisions are made per region group: bind the group's rows into SoA
-// columns, probe the cache in bulk, complete and evaluate the misses.
-// decideBatch() groups its requests by region; decide() and launch() run a
-// one-row group; decideColumns() takes one group already laid out as wire
-// columns (oseld's DecideBatch frames) and skips the per-row maps. A fresh
-// row is decided in place, straight into the caller's output row, with no
-// clock read of its own: every row a call serves reports the call's wall
-// time divided by its rows. With a trace session attached, the call's
-// fresh decisions publish their explain records together, after that
-// stamp: one ring lock and one timestamp per call. A
-// region that has a PAD entry but is not registered yet decides through a
-// plan compiled for that group (no cache); a region with no PAD entry
-// degrades to the safe default.
+// Deciding has one compiled path and one binding form. Registration lowers
+// every region that has a PAD entry into a CompiledRegionPlan with its own
+// decision cache, and decisions are made per region group by one routine:
+// bind the group's rows into SoA columns once, probe the cache in bulk,
+// complete and evaluate the misses. decideBatch() groups its requests by
+// region; decide() and launch() run a one-row group; both bind each row's
+// Bindings map, and nothing past that binder sees the map. decideColumns()
+// takes one group already laid out as wire columns (every oseld decide
+// frame) and binds the columns. Every row the cache does not serve is
+// decided in place, straight into the caller's output row, with no clock
+// read of its own: every row a call serves reports the call's wall time
+// divided by its rows. With a trace session attached, the call's fresh
+// decisions publish their explain records together, after that stamp: one
+// ring lock and one timestamp per call. A region that has a PAD entry but
+// is not registered yet decides through a plan compiled for that group (no
+// cache); a region with no PAD entry, an unusable plan and a row missing a
+// required symbol degrade to the safe default with their diagnostic.
 //
 // Concurrency: the runtime is safe for concurrent registerRegion / decide /
 // launch callers (the ROADMAP's `oseld` service needs many). The registry
@@ -193,7 +195,7 @@ class TargetRuntime {
   /// Model evaluation only — the decide hot path without execution: a
   /// one-row region group, exactly as launch() decides; lock-free on the
   /// registry (one shard-snapshot load). Emits one `decide` span and one
-  /// `decision.overhead_s` sample per call. overheadSeconds is the wall
+  /// `decision.overhead_s` sample per call, as every one-row call does. overheadSeconds is the wall
   /// time of the call, for a cache hit and a fresh decision alike, and so
   /// is the overhead of the explain record a fresh decision publishes.
   /// This is the entry point a selector service (`oseld`) serves per
@@ -206,8 +208,9 @@ class TargetRuntime {
   /// anything else is a support::PreconditionError, raised before any row
   /// is decided). The streaming shape the `oseld` wire protocol batches
   /// into, amortizing everything scalar decide() pays per call: one
-  /// registry-snapshot acquire per region group, one trace span and one
-  /// `decide.batch_size` histogram sample per batch, one bulk
+  /// registry-snapshot acquire per region group, one trace span (a
+  /// one-request batch records `decide`, any larger one `decide.batch` and
+  /// a `decide.batch_size` histogram sample), one bulk
   /// decision-cache probe/back-fill (a single lock acquisition per group)
   /// and SoA compiled-plan evaluation for the misses, using a preallocated
   /// thread_local BatchArena so the steady-state path does no per-request
@@ -233,24 +236,22 @@ class TargetRuntime {
   /// decideBatch() for `rows` requests that all name `region` and bind the
   /// same symbols, given as columns rather than per-row maps — the layout
   /// of an oseld DecideBatch frame, which the server passes straight
-  /// through. `values` holds slotNames.size() * rows little-endian int64s,
+  /// through (and of its DecideRequest frames, as one-row frames). `values` holds slotNames.size() * rows little-endian int64s,
   /// slot-major (slotNames[i]'s column starts at int64 index i * rows), with
   /// no alignment guarantee. A duplicate name binds its last occurrence and
   /// a name the region does not read is ignored, as when the names are
   /// assigned into one Bindings map per row. Fills out[0, rows)
   /// (out.size() >= rows, else support::PreconditionError).
   ///
-  /// A registered region whose plan runs and whose required symbols are all
-  /// named copies each slot's column into the group's SoA block and runs the
-  /// same group evaluator as decideBatch(). Every other frame (unregistered
-  /// or PAD-less region, unusable plan, a required symbol missing) builds
-  /// the per-row Bindings and calls decideBatch(), so its decisions and
-  /// diagnostics are decideBatch()'s by construction. Either way each
-  /// decision is bit-identical to decideBatch() over per-row maps
-  /// (overheadSeconds aside: the call's wall time divided by `rows`, on
-  /// every row and explain record), with the same cache traffic, counters,
-  /// span and explain records. Like decideBatch(), it overwrites every
-  /// field of every row it fills.
+  /// Each plan slot's column is copied into the group's SoA block once, and
+  /// the frame runs decideBatch()'s group routine, whatever the region: a
+  /// registered plan, a plan compiled from a PAD entry, no PAD entry, an
+  /// unusable plan or a required symbol missing. Each decision is
+  /// bit-identical to decideBatch() over per-row maps (overheadSeconds
+  /// aside: the call's wall time divided by `rows`, on every row and
+  /// explain record), with the same cache traffic, counters, span and
+  /// explain records. Like decideBatch(), it overwrites every field of
+  /// every row it fills.
   void decideColumns(std::string_view region,
                      std::span<const std::string_view> slotNames,
                      const char* values, std::size_t rows,
@@ -396,55 +397,54 @@ class TargetRuntime {
   [[nodiscard]] std::shared_ptr<const RegionEntry> findEntry(
       std::string_view name) const;
 
-  /// decide() and launch()'s model evaluation: runs `regionName` as a
-  /// one-row decideGroup() on the thread's BatchArena and records the path
-  /// it took (compiled, cache hit) in `record`. Never throws: a region
-  /// missing from the PAD degrades to an invalid decision on the safe
-  /// default device.
+  /// decide() and launch()'s model evaluation: a one-request
+  /// decideRequests() call, whose path (compiled, cache hit) lands in
+  /// `record`. Never throws: a region missing from the PAD degrades to an
+  /// invalid decision on the safe default device.
   [[nodiscard]] Decision guardedDecision(const std::string& regionName,
                                          const symbolic::Bindings& bindings,
                                          LaunchRecord& record);
-  /// One region group — of a decideBatch() call, or the single row of a
-  /// decide(): a single registry lookup, then either the selector's
-  /// degraded decide per row (no PAD entry, unusable plan) or each row's
-  /// bindings merge-joined into the arena's SoA columns and evaluateGroup().
-  /// `group` lists the request indices (all naming the same region);
-  /// tallies land in `counters` for the caller to publish. With a session
-  /// attached, the group's fresh rows claim explain records from the arena
-  /// for the call to publish.
-  void decideGroup(std::span<const DecideRequest> requests,
+  /// decideBatch() after its argument checks, and the one-row call of
+  /// decide()/launch(): groups the requests by region and runs each group
+  /// through decideGroup(), binding each row's map with bindSlotsColumn(),
+  /// then finishCall(). Returns the call's tallies.
+  BatchCounters decideRequests(std::span<const DecideRequest> requests,
+                               std::span<Decision> out);
+  /// The one group routine every entry point runs, for the rows `group`
+  /// lists (row r decides into out[group[r]], all naming `region`): a
+  /// single registry lookup resolves the region's plan — the registered
+  /// plan with its cache, a cacheless plan compiled for the group from a
+  /// PAD entry, or none (every row degrades, no PAD entry). A usable plan's
+  /// rows bind once into the arena's SoA columns through
+  /// `bind(plan)`, which fills arena.columns, masks and bindOk for rows
+  /// [0, group.size()); then one bulk cache probe, SoA completion and the
+  /// selector's untimed in-place tail (OffloadSelector::decideInto) for the
+  /// misses — including the rows the plan cannot complete (an unusable
+  /// plan, an unbindable row), which raise the plan's diagnostic from their
+  /// column row — and one bulk back-fill. Tallies land in `counters`; with
+  /// a session attached, fresh rows claim explain records from the arena
+  /// for the call to publish. Defined in target_runtime.cpp, its only user.
+  template <typename Bind>
+  void decideGroup(std::string_view region,
                    std::span<const std::uint32_t> group,
-                   std::span<Decision> out, std::uint64_t epoch,
+                   std::span<Decision> out, Bind&& bind, std::uint64_t epoch,
                    BatchArena& arena, BatchCounters& counters);
-  /// The group evaluator after binding, shared by decideGroup() and
-  /// decideColumns(): arena.columns/masks/bindOk/targets hold the group's
-  /// bound rows (row r is request group[r]). One bulk cache probe, SoA
-  /// completion and the selector's untimed in-place tail
-  /// (OffloadSelector::decideInto) for the misses, one bulk back-fill.
-  /// `requests` is read only for rows whose bindOk is 0, which take the
-  /// selector's one-row decide for their diagnostic.
-  void evaluateGroup(const CompiledRegionPlan& plan, DecisionCache* cache,
-                     std::span<const DecideRequest> requests,
-                     std::span<const std::uint32_t> group, std::uint64_t epoch,
-                     BatchArena& arena, BatchCounters& counters);
   /// Stamps `overheadSeconds` on the call's explain records
   /// (arena.explains[0, arena.explained)) and publishes them to the session
   /// (one ring lock, one clock read); no-op when detached.
   void publishExplains(BatchArena& arena, double overheadSeconds);
-  /// The tail of a decideBatch()/decideColumns() call over `n` requests in
-  /// `groups` region groups: stamps every row of out[0, n) and every explain
-  /// record with the call's amortized cost, publishes the records, the
-  /// cache and path counters and, with a session attached, the
-  /// overhead/batch-size samples and the `decide.batch` span.
-  void finishBatch(std::string_view label, std::size_t n, std::size_t groups,
-                   std::int64_t startNs,
-                   std::chrono::steady_clock::time_point wallStart,
-                   BatchArena& arena, const BatchCounters& counters,
-                   std::span<Decision> out);
-  /// Adds one decide()/decideBatch() call's cache tallies to the
-  /// runtime-wide counters and, with a session attached, republishes the
-  /// decision_cache.hit_ratio gauge from them.
-  void publishCacheCounters(std::uint64_t lookups, std::uint64_t hits);
+  /// The one tail of every decide call over `n` rows in `groups` region
+  /// groups: stamps every row of out[0, n) and every explain record with
+  /// the call's amortized cost, publishes the records, the cache and path
+  /// counters (and the decision_cache.hit_ratio gauge, runtime-wide) and,
+  /// with a session attached, the overhead sample and the
+  /// call's span — `decide` (tagged compiled, cache_hit or degenerate) for
+  /// a one-row call, `decide.batch` plus a batch-size sample otherwise.
+  void finishCall(std::string_view label, std::size_t n, std::size_t groups,
+                  std::int64_t startNs,
+                  std::chrono::steady_clock::time_point wallStart,
+                  BatchArena& arena, const BatchCounters& counters,
+                  std::span<Decision> out);
   /// measure() plus, when a trace session is attached, execution spans —
   /// GPU runs additionally get kernel/transfer sub-spans whose simulated
   /// fractions are projected onto the wall-clock span.

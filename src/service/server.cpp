@@ -1,11 +1,11 @@
 // oseld's server loop (service/server.h). Each connection is served by one
-// worker: decode a frame, decide, encode the reply, flush. The decide stage
-// hands the runtime what the frame already holds: a DecideRequest's bindings
-// map goes to TargetRuntime::decide, and a DecideBatch frame's slot-major
-// value columns go to TargetRuntime::decideColumns as they are, with no
-// per-row Bindings map in between. The runtime decides the frame as one
-// region group and publishes its explain records to the server's session
-// in one call.
+// worker: decode a frame, decide, encode the reply, flush. Every decide
+// frame goes to TargetRuntime::decideColumns as slot-major value columns:
+// a DecideBatch frame's columns as they are, a DecideRequest's bindings as
+// a one-row frame (one name and one value per binding, in wire order, so a
+// duplicate symbol binds its last value). No Bindings map is built. The
+// runtime decides the frame as one region group and publishes its explain
+// records to the server's session in one call.
 #include "service/server.h"
 
 #include <algorithm>
@@ -247,7 +247,8 @@ void Server::serveConnection(Socket socket, std::uint64_t clientId) {
   bool traceWire = false;  ///< kFeatureTraceContext granted
   // Per-connection scratch, reused across frames.
   std::string regionName;
-  symbolic::Bindings bindings;
+  std::vector<std::string_view> scalarNames;  ///< a DecideRequest's columns
+  std::vector<std::int64_t> scalarValues;
   DecideRequestView requestView;
   DecideBatchView batchView;
   std::vector<runtime::Decision> decisions;
@@ -380,13 +381,18 @@ void Server::serveConnection(Socket socket, std::uint64_t clientId) {
               parseDecideRequest(payload, requestView, traceWire);
               if (requestView.hasTrace) frameTrace = requestView.trace;
               regionName.assign(requestView.region);
-              bindings.clear();
+              scalarNames.clear();
+              scalarValues.clear();
               for (const auto& binding : requestView.bindings) {
-                bindings[std::string(binding.symbol)] = binding.value;
+                scalarNames.push_back(binding.symbol);
+                scalarValues.push_back(binding.value);
               }
+              decisions.resize(1);
               const std::int64_t t1 = session_.nowNs();
-              decisions.assign(1, runtime::Decision{});
-              decisions[0] = runtime_.decide(regionName, bindings);
+              runtime_.decideColumns(
+                  regionName, scalarNames,
+                  reinterpret_cast<const char*>(scalarValues.data()), 1,
+                  decisions);
               const std::int64_t t2 = session_.nowNs();
               encodeDecision(out, requestView.requestId, decisions[0], echo);
               const std::int64_t t3 = session_.nowNs();

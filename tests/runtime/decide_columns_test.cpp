@@ -6,7 +6,10 @@
 // (all but seq, atNs and overheadSeconds). Covers every Polybench region over
 // a size grid (misses, then hits with amortized overhead), duplicate and
 // unknown slot names, a missing required slot, regions without a usable
-// plan, and the empty frame; plus the traced full-miss allocation pin.
+// plan, and the empty frame. decideBatch shares decideColumns' group
+// routine, so the degraded rows (a missing required slot, an unusable plan)
+// are also diffed against the interpreted oracle. Plus the traced full-miss
+// allocation pin, with one-row calls (a cache hit and a fresh miss).
 #include <gtest/gtest.h>
 
 #include <array>
@@ -21,6 +24,7 @@
 #include "compiler/compiler.h"
 #include "ir/builder.h"
 #include "obs/trace.h"
+#include "oracle/oracle.h"
 #include "polybench/polybench.h"
 #include "runtime/target_runtime.h"
 #include "support/check.h"
@@ -171,6 +175,41 @@ std::vector<Decision> expectColumnsMatchBatch(Twins& twins,
   return columns;
 }
 
+/// expectColumnsMatchBatch(), and each decideColumns row against the
+/// interpreted oracle: the decision and, when the call decided every row
+/// afresh, its explain record (a call served from the cache publishes
+/// none). The frame's region has a PAD entry.
+std::vector<Decision> expectColumnsMatchOracle(Twins& twins,
+                                               const Frame& frame) {
+  const obs::TraceSession* session = twins.columnsTrace.get();
+  const std::uint64_t from =
+      session != nullptr ? session->explainRing().recorded() : 0;
+  const std::vector<Decision> columns = expectColumnsMatchBatch(twins, frame);
+  std::vector<obs::DecisionExplain> records;
+  if (session != nullptr) {
+    const std::vector<obs::DecisionExplain> all =
+        session->explainRing().snapshot();
+    EXPECT_EQ(session->explainRing().recorded(), all.size());
+    records.assign(all.begin() + static_cast<std::ptrdiff_t>(from), all.end());
+    if (records.size() != frame.rows) EXPECT_TRUE(records.empty());
+  }
+  const pad::RegionAttributes& attr =
+      twins.columns->database().at(frame.region);
+  const std::vector<symbolic::Bindings> bindings = rowBindings(frame);
+  for (std::size_t r = 0; r < frame.rows; ++r) {
+    SCOPED_TRACE("oracle, region '" + frame.region + "' row " +
+                 std::to_string(r));
+    obs::DecisionExplain explain;
+    const Decision expected = oracle::decide(twins.columns->selector(), attr,
+                                             bindings[r], &explain);
+    expectIdenticalDecisions(columns[r], expected);
+    if (records.size() == frame.rows) {
+      expectIdenticalExplains(records[r], explain);
+    }
+  }
+  return columns;
+}
+
 /// Both twins' cache traffic, decision counters and explain rings agree.
 void expectTwinsAgree(const Twins& twins) {
   for (const ir::TargetRegion& region : allRegions()) {
@@ -295,16 +334,25 @@ TEST(DecideColumns, MissingRequiredSlotDegradesLikeDecideBatch) {
         polybench::benchmarkByName("GEMM").kernels()[0].name;
     // "n" is required; "m" is no symbol of GEMM's.
     const std::vector<Decision> wrong =
-        expectColumnsMatchBatch(twins, makeFrame(gemm, {"m"}, {{64}, {128}}));
+        expectColumnsMatchOracle(twins, makeFrame(gemm, {"m"}, {{64}, {128}}));
     for (const Decision& decision : wrong) {
       EXPECT_FALSE(decision.valid);
       EXPECT_FALSE(decision.diagnostic.empty());
     }
-    // pair_mn with only one of its two required symbols.
-    (void)expectColumnsMatchBatch(
+    // pair_mn with only one of its two required symbols: the diagnostic
+    // embeds the bound "n" substituted into the trip count, and the row
+    // binding n = 0 completes (the zero absorbs the unbound "m").
+    const std::vector<Decision> pair = expectColumnsMatchOracle(
         twins, makeFrame("pair_mn", {"n"}, {{64}, {0}, {64}}));
-    // No names at all.
-    (void)expectColumnsMatchBatch(twins, makeFrame(gemm, {}, {{}, {}}));
+    EXPECT_FALSE(pair[0].valid);
+    EXPECT_NE(pair[0].diagnostic.find("unbound symbol in 64"),
+              std::string::npos)
+        << pair[0].diagnostic;
+    EXPECT_EQ(pair[1].diagnostic.find("unbound"), std::string::npos)
+        << pair[1].diagnostic;
+    // No names at all: the same key as the first GEMM frame's rows, so
+    // both rows are cache hits.
+    (void)expectColumnsMatchOracle(twins, makeFrame(gemm, {}, {{}, {}}));
     expectTwinsAgree(twins);
   }
 }
@@ -341,7 +389,7 @@ TEST(DecideColumns, UnusablePlansMatchDecideBatch) {
         polybench::benchmarkByName("GEMM").kernels()[0].name;
     ASSERT_FALSE(twins.columns->plan(gemm)->fastPathUsable());
     const std::vector<Decision> out =
-        expectColumnsMatchBatch(twins, makeFrame(gemm, {"n"}, {{64}, {128}}));
+        expectColumnsMatchOracle(twins, makeFrame(gemm, {"n"}, {{64}, {128}}));
     for (const Decision& decision : out) {
       EXPECT_FALSE(decision.valid);
       EXPECT_NE(decision.diagnostic.find("NO_SUCH_HOST"), std::string::npos)
@@ -417,6 +465,32 @@ TEST(DecideColumns, TracedFullMissGroupDoesNotAllocate) {
   EXPECT_EQ(stats.hits, 0u);
   EXPECT_EQ(stats.evictions, kRows);
   for (const Decision& decision : out) EXPECT_TRUE(decision.valid);
+
+  // One-row calls, the shape of oseld's scalar frames: a key the frame above
+  // cached, then one the cache no longer holds (it evicts the LRU entry,
+  // fresh[1]). The first one-row call of each kind is the warm-up.
+  const std::array<std::int64_t, 4> single{fresh[0], warm[0], fresh[2],
+                                           warm[1]};
+  const auto decideOne = [&](std::size_t i) {
+    runtime.decideColumns(kernel.name, names,
+                          reinterpret_cast<const char*>(&single[i]), 1, out);
+  };
+  decideOne(0);
+  decideOne(1);
+  const DecisionCache::Stats warmed = runtime.decisionCacheStats(kernel.name);
+  const std::uint64_t oneRowExplained = session.explainRing().recorded();
+  const std::uint64_t oneRowBefore = allocationCount();
+  decideOne(2);
+  decideOne(3);
+  const std::uint64_t oneRowAfter = allocationCount();
+  EXPECT_EQ(oneRowAfter - oneRowBefore, 0u)
+      << "traced one-row decideColumns allocated "
+      << (oneRowAfter - oneRowBefore) << " times";
+  const DecisionCache::Stats oneRow = runtime.decisionCacheStats(kernel.name);
+  EXPECT_EQ(oneRow.hits - warmed.hits, 1u);
+  EXPECT_EQ(oneRow.evictions - warmed.evictions, 1u);
+  EXPECT_EQ(session.explainRing().recorded() - oneRowExplained, 1u);
+  EXPECT_TRUE(out[0].valid);
 }
 
 }  // namespace

@@ -7,7 +7,8 @@
 // a long diagnostic, NaN predictions) must come back bit-identical to a
 // fresh span and to the interpreted oracle, explain records included. The
 // grid covers every Polybench region plus a missing PAD entry, an unusable
-// plan, an unbindable row and an armed selector fault.
+// plan, an unbindable row and an armed selector fault, through decideBatch
+// and decideColumns alike.
 //
 // The overhead contract: every row a runtime call serves, cache hit or
 // fresh, reports the call's wall time divided by its rows, and every
@@ -476,11 +477,37 @@ TEST(ReusedSpan, DecideColumnsOverwritesEveryFieldOfEveryRow) {
   SCOPED_TRACE("armed selector fault, every row fresh");
   const std::vector<Frame> faulted =
       columnFrames({5, 96, 1024}, kernelOf("ATAX"));
+  const std::uint64_t from = reusedSide.session->explainRing().recorded();
   expectColumnsPassMatches(reusedSide, freshSide, faulted, reused, true,
                            reachesTheFaultPoint);
   for (std::size_t r = 0; r < faulted.front().rows; ++r) {
     EXPECT_FALSE(reused[r].valid);
   }
+  const std::vector<obs::DecisionExplain> records =
+      recordsSince(*reusedSide.session, from);
+  EXPECT_EQ(records.size(), faulted.size() * faulted.front().rows);
+  for (const obs::DecisionExplain& record : records) {
+    EXPECT_EQ(record.path, obs::DecisionPath::Degenerate);
+    EXPECT_FALSE(record.valid);
+  }
+  // The rows the oracle cannot follow (the unusable plan, the unbindable
+  // frame) reach the fault point before the plan's own diagnostic, as every
+  // row with a PAD entry does; only the missing PAD entry never gets there.
+  Traced third = makeTraced();
+  std::string faultDiagnostic;
+  for (const Frame& frame : faulted) {
+    SCOPED_TRACE("frame '" + frame.region + "'");
+    std::vector<Decision> out(frame.rows, poisoned());
+    decideFrame(*third.runtime, frame, out);
+    for (const Decision& decision : out) {
+      EXPECT_FALSE(decision.valid);
+      if (frame.region == kMissing) continue;
+      if (faultDiagnostic.empty()) faultDiagnostic = decision.diagnostic;
+      EXPECT_EQ(decision.diagnostic, faultDiagnostic);
+    }
+  }
+  EXPECT_NE(faultDiagnostic.find("injected"), std::string::npos)
+      << faultDiagnostic;
 }
 
 // --- The selector's in-place tail -------------------------------------------
@@ -645,8 +672,8 @@ TEST(OverheadContract, ColumnHitsAndFreshRowsShareTheCallsAmortizedCost) {
   expectOneCallOverhead(out, records);
   EXPECT_EQ(overheadSamples(session) - samples, 1u);
 
-  // A frame off the fast path (a required slot missing) is decided by
-  // decideBatch: the same rule holds.
+  // A frame whose rows cannot complete (a required slot missing): the same
+  // rule holds.
   const std::array<std::string_view, 1> wrong{"m"};
   const std::uint64_t offFrom = session.explainRing().recorded();
   out.assign(values.size(), poisoned());

@@ -49,10 +49,11 @@ std::vector<TargetRegion> testRegions() {
   return regions;
 }
 
-pad::AttributeDatabase makeDatabase() {
+pad::AttributeDatabase makeDatabase(
+    const std::vector<TargetRegion>& regions = testRegions()) {
   const std::array<mca::MachineModel, 2> hosts{mca::MachineModel::power9(),
                                                mca::MachineModel::power8()};
-  return compiler::compileAll(testRegions(), hosts);
+  return compiler::compileAll(regions, hosts);
 }
 
 /// A unique Unix socket path per test instance (paths are global state).
@@ -62,10 +63,12 @@ std::string freshSocketPath() {
          std::to_string(counter.fetch_add(1)) + ".sock";
 }
 
+/// A server over `database` with testRegions() registered.
 struct TestServer {
-  explicit TestServer(ServiceOptions options = {}) {
+  explicit TestServer(ServiceOptions options = {},
+                      pad::AttributeDatabase database = makeDatabase()) {
     if (options.socketPath.empty()) options.socketPath = freshSocketPath();
-    server = std::make_unique<Server>(makeDatabase(),
+    server = std::make_unique<Server>(std::move(database),
                                       runtime::RuntimeOptions{}, options);
     for (TargetRegion& region : testRegions()) {
       server->registerRegion(std::move(region));
@@ -86,6 +89,34 @@ void expectWireIdentical(const runtime::Decision& socket,
   EXPECT_EQ(std::memcmp(&socket.gpu.totalSeconds, &local.gpu.totalSeconds,
                         sizeof(double)),
             0);
+}
+
+/// A DecideRequest frame carrying `bindings` in order, duplicates included
+/// (which no Bindings map, and so no Client, can send).
+std::string rawDecideRequest(
+    std::uint64_t requestId, std::string_view region,
+    const std::vector<std::pair<std::string, std::int64_t>>& bindings) {
+  const auto appendBytes = [](std::string& out, const auto& pod) {
+    out.append(reinterpret_cast<const char*>(&pod), sizeof(pod));
+  };
+  std::string payload;
+  DecideRequestFrame frame;
+  frame.requestId = requestId;
+  frame.regionNameBytes = static_cast<std::uint32_t>(region.size());
+  frame.bindingCount = static_cast<std::uint32_t>(bindings.size());
+  appendBytes(payload, frame);
+  payload.append(region);
+  for (const auto& [symbol, value] : bindings) {
+    appendBytes(payload, static_cast<std::uint32_t>(symbol.size()));
+    appendBytes(payload, value);
+    payload.append(symbol);
+  }
+  FrameHeader header;
+  header.length = static_cast<std::uint32_t>(payload.size());
+  header.type = static_cast<std::uint16_t>(FrameType::DecideRequest);
+  std::string out;
+  appendBytes(out, header);
+  return out + payload;
 }
 
 TEST(Service, StartStopStorm) {
@@ -260,10 +291,13 @@ TEST(Service, FirstFrameMustBeHello) {
 }
 
 TEST(Service, DecideMatchesInProcessBitIdentical) {
-  TestServer fixture;
+  // stream_pad_only has a PAD entry but is never registered.
+  std::vector<TargetRegion> padded = testRegions();
+  padded.push_back(streamKernel("stream_pad_only"));
+  TestServer fixture({}, makeDatabase(padded));
   fixture.server->start();
   // The reference runtime: same database, same options, in-process.
-  runtime::TargetRuntime local(makeDatabase(), runtime::RuntimeOptions{});
+  runtime::TargetRuntime local(makeDatabase(padded), runtime::RuntimeOptions{});
   for (TargetRegion& region : testRegions()) {
     local.registerRegion(std::move(region));
   }
@@ -281,6 +315,53 @@ TEST(Service, DecideMatchesInProcessBitIdentical) {
   const runtime::Decision reference = local.decide("nonesuch", bindings);
   EXPECT_FALSE(remote.valid);
   expectWireIdentical(remote, reference);
+
+  // Frames that leave the fast path, or bind more or fewer symbols than the
+  // region reads: a required symbol missing, a symbol the region does not
+  // read, no bindings at all, and a region decided through a plan compiled
+  // from its PAD entry (not registered).
+  const struct {
+    const char* region;
+    symbolic::Bindings bindings;
+    bool valid;
+  } frames[] = {
+      {"stream", {{"m", 64}}, false},
+      {"stream", {{"n", 96}, {"zzz", 7}}, true},
+      {"stream", {}, false},
+      {"stream_pad_only", {{"n", 64}}, true},
+  };
+  for (const auto& frame : frames) {
+    SCOPED_TRACE(std::string(frame.region) + " with " +
+                 std::to_string(frame.bindings.size()) + " bindings");
+    const runtime::Decision got = client.decide(frame.region, frame.bindings);
+    EXPECT_EQ(got.valid, frame.valid) << got.diagnostic;
+    expectWireIdentical(got, local.decide(frame.region, frame.bindings));
+  }
+
+  // A duplicate symbol: its last value wins, as when the bindings are
+  // assigned into one map in wire order.
+  Socket raw = connectUnix(fixture.server->options().socketPath);
+  std::string out;
+  encodeHello(out, HelloFrame{});
+  out += rawDecideRequest(7, "stream", {{"n", 2048}, {"n", 48}});
+  sendAll(raw, out);
+  FrameDecoder decoder;
+  FrameHeader header;
+  std::string payload;
+  char buffer[4096];
+  for (const FrameType expected : {FrameType::HelloAck, FrameType::Decision}) {
+    while (!decoder.next(header, payload)) {
+      const std::size_t got = recvSome(raw, buffer, sizeof(buffer));
+      ASSERT_GT(got, 0u) << "server closed unexpectedly";
+      decoder.append(buffer, got);
+    }
+    ASSERT_EQ(header.type, static_cast<std::uint16_t>(expected));
+  }
+  DecisionView duplicate;
+  parseDecision(payload, duplicate);
+  EXPECT_EQ(duplicate.requestId, 7u);
+  EXPECT_TRUE(duplicate.decision.valid);
+  expectWireIdentical(duplicate.decision, local.decide("stream", {{"n", 48}}));
 }
 
 TEST(Service, DecideBatchMatchesInProcessBitIdentical) {
