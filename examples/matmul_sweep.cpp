@@ -58,8 +58,9 @@ int main(int argc, char** argv) {
       if (record.chosen == runtime::Device::Gpu) ++offloaded;
     }
     if (policy == runtime::Policy::AlwaysCpu) hostOnly = total;
-    table.addRow({runtime::toString(policy) + " (" + std::to_string(offloaded) +
-                      "/" + std::to_string(sizes.size()) + " offloaded)",
+    table.addRow({std::string(runtime::toString(policy)) + " (" +
+                      std::to_string(offloaded) + "/" +
+                      std::to_string(sizes.size()) + " offloaded)",
                   support::formatSeconds(total),
                   support::formatSpeedup(hostOnly / total)});
   }

@@ -8,25 +8,22 @@
 // term breakdown of both analytical models for one decide() call — the
 // Kerncraft-style per-term exposition, produced online instead of offline.
 //
-// Records are fixed-size (region names truncate into an inline 48-byte
-// label, mirroring obs::TraceEvent) and flow through non-virtual "explain
-// sink" hooks: cpumodel::explainInto / gpumodel::explainInto fold a
+// Records are fixed-size (region names truncate into the shared inline
+// label, obs/ring.h) and flow through non-virtual "explain sink" hooks:
+// cpumodel::explainInto / gpumodel::explainInto fold a
 // (workload, prediction) pair into the term structs, and
 // runtime::OffloadSelector::decide takes an optional DecisionExplain* it
 // fills from the compiled plan — term-identical to the test oracle's
-// interpreted walk, as the equivalence suite pins. The ExplainRing mirrors
-// the TraceSession event ring: preallocated, bounded, overwrite-oldest,
-// drop-counting; pushing never heap-allocates. The runtime publishes the
-// records of one decide call with a single pushMany() — one lock and one
-// timestamp per call, not per row; a lone push() is its one-record case.
+// interpreted walk, as the equivalence suite pins. The ExplainRing is a
+// BoundedRing<DecisionExplain>; the runtime publishes the records of one
+// decide call with a single pushMany() — one lock and one timestamp per
+// call, not per row.
 #pragma once
 
-#include <array>
 #include <cstdint>
-#include <mutex>
-#include <span>
 #include <string_view>
-#include <vector>
+
+#include "obs/ring.h"
 
 namespace osel::obs {
 
@@ -78,10 +75,10 @@ struct GpuTerms {
 /// One decision's full forensics record. Fixed-size; safe to copy into the
 /// ring without touching the heap.
 struct DecisionExplain {
-  static constexpr std::size_t kLabelCapacity = 48;
+  static constexpr std::size_t kLabelCapacity = obs::kLabelCapacity;
 
-  std::array<char, kLabelCapacity> region{};  ///< NUL-terminated, truncated
-  std::uint64_t seq = 0;   ///< record order, stamped by ExplainRing::pushMany
+  InlineLabel region{};    ///< NUL-terminated, truncated
+  std::uint64_t seq = 0;   ///< record order, stamped by the ring
   /// ns since session start, stamped on record; the records of one decide
   /// call share one stamp.
   std::int64_t atNs = 0;
@@ -94,54 +91,12 @@ struct DecisionExplain {
   double predictedSpeedup = 0.0;
   double overheadSeconds = 0.0;
 
-  void setRegion(std::string_view name) noexcept;
+  void setRegion(std::string_view name) noexcept { setLabel(region, name); }
   [[nodiscard]] std::string_view regionView() const {
     return std::string_view(region.data());
   }
 };
 
-/// Bounded ring of DecisionExplain records, oldest-overwritten. Same
-/// contract as the TraceSession event ring: preallocated at construction,
-/// pushing never allocates, drops are counted. Thread-safe.
-class ExplainRing {
- public:
-  /// Precondition: capacity > 0.
-  explicit ExplainRing(std::size_t capacity);
-
-  /// Copies `records` into the ring under one lock, stamping seq in record
-  /// order and atNs = `stampNs` on every record that left atNs at 0. The
-  /// ring ends up exactly as after one push() per record: records that a
-  /// later record of the same call would overwrite (more records than
-  /// capacity()) count as recorded and dropped without being copied.
-  /// Never allocates.
-  void pushMany(std::span<const DecisionExplain> records,
-                std::int64_t stampNs = 0) noexcept;
-
-  /// Copies `record` into the ring, stamping its seq (its atNs is kept).
-  void push(const DecisionExplain& record) noexcept {
-    pushMany(std::span<const DecisionExplain>(&record, 1));
-  }
-
-  /// Buffered records, oldest first (at most capacity()).
-  [[nodiscard]] std::vector<DecisionExplain> snapshot() const;
-
-  /// Copies the newest surviving record for `region` into `out`; false when
-  /// the ring holds none.
-  [[nodiscard]] bool latestFor(std::string_view region,
-                               DecisionExplain& out) const;
-
-  /// Total records offered (kept + overwritten).
-  [[nodiscard]] std::uint64_t recorded() const;
-  /// Records overwritten because the ring was full.
-  [[nodiscard]] std::uint64_t dropped() const;
-  [[nodiscard]] std::size_t capacity() const { return ring_.size(); }
-
-  void clear();
-
- private:
-  mutable std::mutex mutex_;
-  std::vector<DecisionExplain> ring_;  ///< preallocated, indexed seq % cap
-  std::uint64_t nextSeq_ = 0;
-};
+using ExplainRing = BoundedRing<DecisionExplain>;
 
 }  // namespace osel::obs

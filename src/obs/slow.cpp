@@ -1,10 +1,5 @@
 #include "obs/slow.h"
 
-#include <algorithm>
-#include <cstring>
-
-#include "support/check.h"
-
 namespace osel::obs {
 
 const char* toString(SlowCause cause) {
@@ -15,53 +10,6 @@ const char* toString(SlowCause cause) {
       return "sampled";
   }
   return "?";
-}
-
-void SlowRequestRecord::setRegion(std::string_view name) noexcept {
-  const std::size_t n = std::min(name.size(), region.size() - 1);
-  std::memcpy(region.data(), name.data(), n);
-  region[n] = '\0';
-}
-
-SlowRing::SlowRing(std::size_t capacity) {
-  support::require(capacity > 0, "SlowRing: capacity must be > 0");
-  ring_.resize(capacity);
-}
-
-void SlowRing::push(const SlowRequestRecord& record) noexcept {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  SlowRequestRecord& slot = ring_[nextSeq_ % ring_.size()];
-  slot = record;
-  slot.seq = nextSeq_;
-  nextSeq_ += 1;
-}
-
-std::vector<SlowRequestRecord> SlowRing::snapshot() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const std::uint64_t capacity = ring_.size();
-  const std::uint64_t first = nextSeq_ > capacity ? nextSeq_ - capacity : 0;
-  std::vector<SlowRequestRecord> out;
-  out.reserve(static_cast<std::size_t>(nextSeq_ - first));
-  for (std::uint64_t seq = first; seq < nextSeq_; ++seq) {
-    out.push_back(ring_[seq % capacity]);
-  }
-  return out;
-}
-
-std::uint64_t SlowRing::recorded() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return nextSeq_;
-}
-
-std::uint64_t SlowRing::dropped() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const std::uint64_t capacity = ring_.size();
-  return nextSeq_ > capacity ? nextSeq_ - capacity : 0;
-}
-
-void SlowRing::clear() {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  nextSeq_ = 0;
 }
 
 }  // namespace osel::obs

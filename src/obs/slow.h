@@ -6,17 +6,14 @@
 // threshold — or that a client trace-sampled explicitly — is captured as
 // one fixed-size wide-event record: the wire trace id, client, batch
 // shape, decision mix, policy state epoch, and the full per-stage
-// breakdown (decode / decide / encode / send). The SlowRing mirrors the
-// TraceSession event ring and the ExplainRing: preallocated at
-// construction, push() never heap-allocates, oldest records are
-// overwritten and the drops are counted.
+// breakdown (decode / decide / encode / send). The SlowRing is a
+// BoundedRing<SlowRequestRecord> (obs/ring.h).
 #pragma once
 
-#include <array>
 #include <cstdint>
-#include <mutex>
 #include <string_view>
-#include <vector>
+
+#include "obs/ring.h"
 
 namespace osel::obs {
 
@@ -31,10 +28,8 @@ enum class SlowCause : std::uint8_t {
 /// One slow request's wide-event record. Fixed-size; safe to copy into the
 /// ring without touching the heap.
 struct SlowRequestRecord {
-  static constexpr std::size_t kLabelCapacity = 48;
-
-  std::array<char, kLabelCapacity> region{};  ///< NUL-terminated, truncated
-  std::uint64_t seq = 0;    ///< record order, stamped by SlowRing::push
+  InlineLabel region{};     ///< NUL-terminated, truncated
+  std::uint64_t seq = 0;    ///< record order, stamped by the ring
   std::int64_t atNs = 0;    ///< capture time, ns since session start
   std::uint64_t traceId = 0;    ///< wire trace id (0 when none attached)
   std::uint64_t clientId = 0;   ///< server-assigned connection id
@@ -54,38 +49,12 @@ struct SlowRequestRecord {
   std::int64_t wallNs = 0;    ///< decode start -> send end
   SlowCause cause = SlowCause::Threshold;
 
-  void setRegion(std::string_view name) noexcept;
+  void setRegion(std::string_view name) noexcept { setLabel(region, name); }
   [[nodiscard]] std::string_view regionView() const {
     return std::string_view(region.data());
   }
 };
 
-/// Bounded ring of SlowRequestRecords, oldest-overwritten. Same contract as
-/// the ExplainRing: preallocated at construction, push() never allocates,
-/// drops are counted. Thread-safe.
-class SlowRing {
- public:
-  /// Precondition: capacity > 0.
-  explicit SlowRing(std::size_t capacity);
-
-  /// Copies `record` into the ring, stamping its seq. Never allocates.
-  void push(const SlowRequestRecord& record) noexcept;
-
-  /// Buffered records, oldest first (at most capacity()).
-  [[nodiscard]] std::vector<SlowRequestRecord> snapshot() const;
-
-  /// Total records offered (kept + overwritten).
-  [[nodiscard]] std::uint64_t recorded() const;
-  /// Records overwritten because the ring was full.
-  [[nodiscard]] std::uint64_t dropped() const;
-  [[nodiscard]] std::size_t capacity() const { return ring_.size(); }
-
-  void clear();
-
- private:
-  mutable std::mutex mutex_;
-  std::vector<SlowRequestRecord> ring_;  ///< preallocated, seq % capacity
-  std::uint64_t nextSeq_ = 0;
-};
+using SlowRing = BoundedRing<SlowRequestRecord>;
 
 }  // namespace osel::obs

@@ -1,13 +1,10 @@
 #include "obs/trace.h"
 
-#include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <functional>
 #include <thread>
 
 #include "obs/snapshot.h"
-#include "support/check.h"
 
 namespace osel::obs {
 
@@ -18,22 +15,14 @@ std::uint32_t currentTid() {
       std::hash<std::thread::id>{}(std::this_thread::get_id()));
 }
 
-void copyLabel(std::array<char, TraceEvent::kLabelCapacity>& out,
-               std::string_view label) {
-  const std::size_t n = std::min(label.size(), out.size() - 1);
-  std::memcpy(out.data(), label.data(), n);
-  out[n] = '\0';
-}
-
 }  // namespace
 
 TraceSession::TraceSession(TraceOptions options)
     : origin_(std::chrono::steady_clock::now()),
+      events_(options.capacity),
       explain_(options.explainCapacity),
       slow_(options.slowCapacity),
       drift_(options.drift) {
-  support::require(options.capacity > 0, "TraceSession: capacity must be > 0");
-  ring_.resize(options.capacity);
   // Resolve drift counters once; hot-path bumps are then a relaxed atomic.
   driftAlarms_ = &metrics_.counter("drift.alarms");
   driftComparisons_ = &metrics_.counter("drift.comparisons");
@@ -53,14 +42,6 @@ std::int64_t TraceSession::nowNs() const {
       .count();
 }
 
-void TraceSession::push(const TraceEvent& event) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  TraceEvent& slot = ring_[nextSeq_ % ring_.size()];
-  slot = event;
-  slot.seq = nextSeq_;
-  nextSeq_ += 1;
-}
-
 void TraceSession::recordSpan(const char* name, const char* category,
                               std::string_view label, std::int64_t startNs,
                               std::int64_t durNs, TraceArg arg0,
@@ -69,12 +50,12 @@ void TraceSession::recordSpan(const char* name, const char* category,
   event.kind = EventKind::Span;
   event.name = name;
   event.category = category;
-  copyLabel(event.label, label);
+  setLabel(event.label, label);
   event.startNs = startNs;
   event.durNs = durNs;
   event.tid = currentTid();
   event.args = {arg0, arg1};
-  push(event);
+  events_.push(event);
 }
 
 void TraceSession::recordInstant(const char* name, const char* category,
@@ -84,12 +65,12 @@ void TraceSession::recordInstant(const char* name, const char* category,
   event.kind = EventKind::Instant;
   event.name = name;
   event.category = category;
-  copyLabel(event.label, label);
+  setLabel(event.label, label);
   event.startNs = atNs;
   event.durNs = 0;
   event.tid = currentTid();
   event.args = {arg0, arg1};
-  push(event);
+  events_.push(event);
 }
 
 void TraceSession::onFaultHit(std::string_view point, std::string_view device,
@@ -158,13 +139,9 @@ void TraceSession::recordExplains(std::span<const DecisionExplain> records) {
 }
 
 void TraceSession::recordSlow(const SlowRequestRecord& record) {
-  if (record.atNs == 0) {
-    SlowRequestRecord stamped = record;
-    stamped.atNs = nowNs();
-    slow_.push(stamped);
-    return;
-  }
-  slow_.push(record);
+  // The clock is read only for a record the caller left unstamped.
+  slow_.pushMany(std::span<const SlowRequestRecord>(&record, 1),
+                 record.atNs == 0 ? nowNs() : 0);
 }
 
 void TraceSession::recordComparison(std::string_view region,
@@ -207,35 +184,6 @@ std::vector<PredictionStats> TraceSession::predictionStats() const {
     out.push_back(std::move(stats));
   }
   return out;
-}
-
-std::vector<TraceEvent> TraceSession::snapshot() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<TraceEvent> out;
-  const std::uint64_t capacity = ring_.size();
-  const std::uint64_t first =
-      nextSeq_ > capacity ? nextSeq_ - capacity : 0;
-  out.reserve(static_cast<std::size_t>(nextSeq_ - first));
-  for (std::uint64_t seq = first; seq < nextSeq_; ++seq) {
-    out.push_back(ring_[seq % capacity]);
-  }
-  return out;
-}
-
-std::uint64_t TraceSession::recorded() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return nextSeq_;
-}
-
-std::uint64_t TraceSession::dropped() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const std::uint64_t capacity = ring_.size();
-  return nextSeq_ > capacity ? nextSeq_ - capacity : 0;
-}
-
-void TraceSession::clear() {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  nextSeq_ = 0;
 }
 
 }  // namespace osel::obs

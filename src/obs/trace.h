@@ -14,8 +14,9 @@
 //     observability work and no allocations (pinned by test and bench).
 //   * Recording never heap-allocates: TraceEvent stores static-string
 //     names/categories by pointer and copies the dynamic label (a region
-//     name) into a fixed inline array, truncating if oversized. The ring
-//     overwrites oldest events when full and counts the drops.
+//     name) into the shared inline label, truncating if oversized. The
+//     event ring is a BoundedRing<TraceEvent> (obs/ring.h), as are the
+//     explain and slow rings: oldest records overwritten, drops counted.
 //   * Timestamps are monotonic nanoseconds since session start
 //     (steady_clock), so traces are immune to wall-clock steps. Explicit
 //     -timestamp record calls exist so exporter tests are deterministic.
@@ -34,6 +35,7 @@
 #include "obs/drift.h"
 #include "obs/explain.h"
 #include "obs/metrics.h"
+#include "obs/ring.h"
 #include "obs/slow.h"
 #include "support/faultinject.h"
 
@@ -57,12 +59,12 @@ struct TraceArg {
 /// the heap. `name`/`category` must be string literals (or otherwise
 /// outlive the session); the label is an inline truncated copy.
 struct TraceEvent {
-  static constexpr std::size_t kLabelCapacity = 48;
+  static constexpr std::size_t kLabelCapacity = obs::kLabelCapacity;
 
   EventKind kind = EventKind::Span;
   const char* name = "";
   const char* category = "";
-  std::array<char, kLabelCapacity> label{};  ///< NUL-terminated, may be empty
+  InlineLabel label{};       ///< NUL-terminated, may be empty
   std::int64_t startNs = 0;  ///< ns since session start
   std::int64_t durNs = 0;    ///< 0 for instants
   std::uint32_t tid = 0;     ///< hashed thread id
@@ -73,6 +75,10 @@ struct TraceEvent {
     return std::string_view(label.data());
   }
 };
+
+/// The TraceSession event ring. Its timestamp field is startNs, which every
+/// record call sets explicitly, so the session never stamps events.
+using EventRing = BoundedRing<TraceEvent, &TraceEvent::startNs>;
 
 /// Per-region online predicted-vs-actual accuracy (the online counterpart
 /// of the paper's Fig. 6–7 offline comparison).
@@ -219,20 +225,22 @@ class TraceSession : public support::FaultObserver {
   [[nodiscard]] const MetricsRegistry& metrics() const { return metrics_; }
 
   /// Buffered events, oldest first (at most `capacity`).
-  [[nodiscard]] std::vector<TraceEvent> snapshot() const;
+  [[nodiscard]] std::vector<TraceEvent> snapshot() const {
+    return events_.snapshot();
+  }
   /// Total events offered to the ring (recorded + dropped).
-  [[nodiscard]] std::uint64_t recorded() const;
+  [[nodiscard]] std::uint64_t recorded() const { return events_.recorded(); }
   /// Events overwritten because the ring was full.
-  [[nodiscard]] std::uint64_t dropped() const;
-  [[nodiscard]] std::size_t capacity() const { return ring_.size(); }
+  [[nodiscard]] std::uint64_t dropped() const { return events_.dropped(); }
+  [[nodiscard]] std::size_t capacity() const { return events_.capacity(); }
 
-  void clear();
+  /// Empties the event ring (the explain and slow rings keep their records).
+  void clear() { events_.clear(); }
 
  private:
-  void push(const TraceEvent& event);
-
   std::chrono::steady_clock::time_point origin_;
   MetricsRegistry metrics_;
+  EventRing events_;
   ExplainRing explain_;
   SlowRing slow_;
   DriftDetector drift_;
@@ -242,10 +250,6 @@ class TraceSession : public support::FaultObserver {
   Counter* driftComparisons_ = nullptr;
   Counter* driftMispredictions_ = nullptr;
   bool observingInjector_ = false;
-
-  mutable std::mutex mutex_;
-  std::vector<TraceEvent> ring_;  ///< preallocated, indexed seq % capacity
-  std::uint64_t nextSeq_ = 0;
 
   struct PredictionAccumulator {
     std::uint64_t count = 0;

@@ -24,7 +24,7 @@ std::string toString(ErrorClass value) {
   return "?";
 }
 
-std::string toString(FallbackReason value) {
+std::string_view toString(FallbackReason value) {
   switch (value) {
     case FallbackReason::None:
       return "none";

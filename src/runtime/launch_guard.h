@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "runtime/selector.h"
@@ -45,7 +46,8 @@ enum class FallbackReason {
   Shed,                ///< admission control shed the launch over budget
 };
 
-[[nodiscard]] std::string toString(FallbackReason value);
+/// A view of a string literal: `.data()` is a static NUL-terminated string.
+[[nodiscard]] std::string_view toString(FallbackReason value);
 
 /// Maps an exception thrown by a launch attempt onto the taxonomy.
 [[nodiscard]] ErrorClass classifyLaunchError(const std::exception& error);

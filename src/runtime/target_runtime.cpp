@@ -18,7 +18,7 @@ namespace osel::runtime {
 
 using support::require;
 
-std::string toString(Policy policy) {
+std::string_view toString(Policy policy) {
   switch (policy) {
     case Policy::AlwaysCpu:
       return "always-cpu";
@@ -33,40 +33,6 @@ std::string toString(Policy policy) {
 }
 
 namespace {
-
-/// Static-string policy tag for trace categories (toString allocates).
-const char* policyTag(Policy policy) {
-  switch (policy) {
-    case Policy::AlwaysCpu:
-      return "always-cpu";
-    case Policy::AlwaysGpu:
-      return "always-gpu";
-    case Policy::ModelGuided:
-      return "model-guided";
-    case Policy::Oracle:
-      return "oracle";
-  }
-  return "?";
-}
-
-/// Static-string fallback-reason tag for trace categories.
-const char* fallbackTag(FallbackReason reason) {
-  switch (reason) {
-    case FallbackReason::None:
-      return "none";
-    case FallbackReason::TransientExhausted:
-      return "transient-exhausted";
-    case FallbackReason::FatalError:
-      return "fatal-error";
-    case FallbackReason::Quarantined:
-      return "quarantined";
-    case FallbackReason::InvalidDecision:
-      return "invalid-decision";
-    case FallbackReason::Shed:
-      return "shed";
-  }
-  return "?";
-}
 
 /// Releases one admission slot on every way out of launch().
 class AdmissionSlot {
@@ -605,13 +571,13 @@ void TargetRuntime::finalizeLaunch(LaunchRecord& record, std::int64_t startNs) {
   if (record.shed) instruments_.launchesShed->add();
   if (record.fallbackReason != FallbackReason::None) {
     instruments_.fallbacks->add();
-    trace_->recordInstant("fallback", fallbackTag(record.fallbackReason),
+    trace_->recordInstant("fallback", toString(record.fallbackReason).data(),
                           record.regionName, trace_->nowNs());
   }
   if (record.cpuMeasured) instruments_.launchesCpu->add();
   if (record.gpuMeasured) instruments_.launchesGpu->add();
-  trace_->recordSpan("launch", policyTag(record.policy), record.regionName,
-                     startNs, trace_->nowNs() - startNs,
+  trace_->recordSpan("launch", toString(record.policy).data(),
+                     record.regionName, startNs, trace_->nowNs() - startNs,
                      {"actual_s", record.actualSeconds},
                      {"attempts", static_cast<double>(record.attempts)});
   trace_->notifyLaunch();

@@ -69,7 +69,9 @@ namespace osel::runtime {
 /// Launch-time device-selection policy.
 enum class Policy { AlwaysCpu, AlwaysGpu, ModelGuided, Oracle };
 
-[[nodiscard]] std::string toString(Policy policy);
+/// A view of a string literal, so `.data()` is a static NUL-terminated
+/// string (usable as a trace category).
+[[nodiscard]] std::string_view toString(Policy policy);
 
 /// One logged launch.
 struct LaunchRecord {

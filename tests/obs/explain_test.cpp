@@ -22,6 +22,13 @@ DecisionExplain record(std::string_view region, double speedup = 1.0) {
   return out;
 }
 
+/// findNewest() matcher for one region's records.
+auto inRegion(std::string_view region) {
+  return [region](const DecisionExplain& r) {
+    return r.regionView() == region;
+  };
+}
+
 TEST(DecisionPathNames, AreStable) {
   EXPECT_STREQ(toString(DecisionPath::Compiled), "compiled");
   EXPECT_STREQ(toString(DecisionPath::Degenerate), "degenerate");
@@ -80,11 +87,11 @@ TEST(ExplainRing, LatestForFindsNewestSurvivingRecordPerRegion) {
   ring.push(record("atax_k1", 2.0));
   ring.push(record("gemm_k1", 3.0));
   DecisionExplain out;
-  ASSERT_TRUE(ring.latestFor("gemm_k1", out));
+  ASSERT_TRUE(ring.findNewest(inRegion("gemm_k1"), out));
   EXPECT_DOUBLE_EQ(out.predictedSpeedup, 3.0);
-  ASSERT_TRUE(ring.latestFor("atax_k1", out));
+  ASSERT_TRUE(ring.findNewest(inRegion("atax_k1"), out));
   EXPECT_DOUBLE_EQ(out.predictedSpeedup, 2.0);
-  EXPECT_FALSE(ring.latestFor("mvt_k1", out));
+  EXPECT_FALSE(ring.findNewest(inRegion("mvt_k1"), out));
 }
 
 TEST(ExplainRing, ClearEmptiesBufferButKeepsCapacity) {
@@ -94,7 +101,7 @@ TEST(ExplainRing, ClearEmptiesBufferButKeepsCapacity) {
   EXPECT_TRUE(ring.snapshot().empty());
   EXPECT_EQ(ring.capacity(), 4u);
   DecisionExplain out;
-  EXPECT_FALSE(ring.latestFor("a", out));
+  EXPECT_FALSE(ring.findNewest(inRegion("a"), out));
 }
 
 /// Everything pushMany() must leave exactly as repeated push() does.
@@ -113,8 +120,9 @@ void expectSameRing(const ExplainRing& many, const ExplainRing& single) {
   for (const char* region : {"gemm_k1", "atax_k1", "mvt_k1", "absent"}) {
     DecisionExplain fromMany;
     DecisionExplain fromSingle;
-    const bool foundMany = many.latestFor(region, fromMany);
-    ASSERT_EQ(foundMany, single.latestFor(region, fromSingle)) << region;
+    const bool foundMany = many.findNewest(inRegion(region), fromMany);
+    ASSERT_EQ(foundMany, single.findNewest(inRegion(region), fromSingle))
+        << region;
     if (foundMany) {
       EXPECT_EQ(fromMany.seq, fromSingle.seq) << region;
       EXPECT_EQ(fromMany.predictedSpeedup, fromSingle.predictedSpeedup);
@@ -124,7 +132,7 @@ void expectSameRing(const ExplainRing& many, const ExplainRing& single) {
 
 TEST(ExplainRing, PushManyMatchesRepeatedPush) {
   // Batches below, at and above capacity, pushed into rings that already
-  // wrapped: seq order, contents, recorded/dropped and latestFor must match
+  // wrapped: seq order, contents, recorded/dropped and findNewest must match
   // one push() per record — including records a later record of the same
   // call overwrites, which pushMany counts without copying.
   const char* regions[] = {"gemm_k1", "atax_k1", "mvt_k1"};
@@ -161,7 +169,7 @@ TEST(ExplainRing, PushManyStampsOnlyUnsetTimestamps) {
   // A lone push() stamps nothing.
   ring.push(record("d"));
   DecisionExplain out;
-  ASSERT_TRUE(ring.latestFor("d", out));
+  ASSERT_TRUE(ring.findNewest(inRegion("d"), out));
   EXPECT_EQ(out.atNs, 0);
 }
 
@@ -192,9 +200,9 @@ TEST(TraceSessionExplain, RecordStampsTimestampOnlyWhenUnset) {
   session.recordExplain(stamped);
 
   DecisionExplain out;
-  ASSERT_TRUE(session.explainRing().latestFor("gemm_k1", out));
+  ASSERT_TRUE(session.explainRing().findNewest(inRegion("gemm_k1"), out));
   EXPECT_GT(out.atNs, 0);  // session stamped nowNs()
-  ASSERT_TRUE(session.explainRing().latestFor("atax_k1", out));
+  ASSERT_TRUE(session.explainRing().findNewest(inRegion("atax_k1"), out));
   EXPECT_EQ(out.atNs, 777);  // caller-provided timestamp preserved
 }
 

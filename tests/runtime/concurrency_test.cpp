@@ -259,7 +259,12 @@ TEST(RuntimeConcurrency, TracedColumnsAndBatchStormRecordEveryFreshExplain) {
         if (records[i].seq != records[i - 1].seq + 1) gaps.fetch_add(1);
       }
       obs::DecisionExplain latest;
-      (void)session.explainRing().latestFor(names[records.size() % 2], latest);
+      const std::string_view region = names[records.size() % 2];
+      (void)session.explainRing().findNewest(
+          [&](const obs::DecisionExplain& r) {
+            return r.regionView() == region;
+          },
+          latest);
     }
   });
   std::atomic<int> invalid{0};

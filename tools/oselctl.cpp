@@ -359,7 +359,10 @@ int cmdObserve(const std::string& name, const Config& config,
       for (const ir::TargetRegion& kernel : benchmark->kernels()) {
         if (nameIsKernel && kernel.name != name) continue;
         obs::DecisionExplain record;
-        if (!session.explainRing().latestFor(kernel.name, record)) continue;
+        const auto ofKernel = [&](const obs::DecisionExplain& r) {
+          return r.regionView() == kernel.name;
+        };
+        if (!session.explainRing().findNewest(ofKernel, record)) continue;
         if (printedAny) std::fputs("\n", stdout);
         std::fputs(obs::renderExplainText(record).c_str(), stdout);
         printedAny = true;
