@@ -10,8 +10,9 @@
 //                      1,2,4,... up to T)
 //   --per-thread N     decide calls per thread per run (default 20000)
 //   --regions R        distinct regions decided over (default 8, spreading
-//                      load across registry shards; 1 = worst-case single
-//                      shard/cache stripe)
+//                      load across the per-region decision caches; every
+//                      region shares the one registry lock; 1 = worst-case
+//                      single cache stripe)
 //   --rate HZ          open-loop arrival pacing per thread (0 = closed loop,
 //                      the default): each call is scheduled at start +
 //                      i/rate and latency is measured from the *scheduled*

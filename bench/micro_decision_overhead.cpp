@@ -152,9 +152,10 @@ BENCHMARK(BM_DecisionCacheHit);
 
 void BM_ConcurrentDecide(benchmark::State& state) {
   // The decide hot path under contention: every thread hammers
-  // TargetRuntime::decide over the same region (worst case — one shard, one
-  // cache stripe). Scaling here is the ceiling a multi-region service sees;
-  // see bench/micro_concurrent_decide for the open-loop latency view.
+  // TargetRuntime::decide over the same region (worst case — the one
+  // registry lock and one cache stripe). Scaling here is the ceiling a
+  // multi-region service sees; see bench/micro_concurrent_decide for the
+  // open-loop latency view.
   static runtime::TargetRuntime* sharedRuntime = nullptr;
   if (state.thread_index() == 0) {
     const std::array<mca::MachineModel, 1> models{mca::MachineModel::power9()};
@@ -196,7 +197,7 @@ constexpr std::array<std::int64_t, 4> kBatchSizesCycle{512, 1024, 2048, 9600};
 
 void BM_LoopedDecide(benchmark::State& state) {
   // Baseline for BM_BatchDecide: the same traffic answered one scalar
-  // decide() call at a time — each paying its own snapshot acquire, cache
+  // decide() call at a time — each paying its own registry lookup, cache
   // lock, clock reads, and span. Arg is decisions per iteration, matching
   // the batch sizes so items/sec compares directly.
   const std::size_t batch = static_cast<std::size_t>(state.range(0));
@@ -253,8 +254,12 @@ BENCHMARK(BM_BatchDecide)->Arg(1)->Arg(8)->Arg(64)->Arg(512);
 /// record. Shared by every thread of BM_BatchDecideTraced.
 runtime::TargetRuntime& tracedMissRuntime() {
   static obs::TraceSession session;
-  static runtime::TargetRuntime rt =
-      makeGemmRuntime({.decisionCacheCapacity = 0, .trace = &session});
+  static runtime::TargetRuntime rt = [] {
+    runtime::RuntimeOptions options;
+    options.decisionCacheCapacity = 0;
+    options.trace = &session;
+    return makeGemmRuntime(options);
+  }();
   return rt;
 }
 

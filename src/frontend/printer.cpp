@@ -72,8 +72,11 @@ std::string valueToSource(const ir::Value& value) {
     }
     case ir::Value::Kind::ArrayRead: {
       std::string out = value.arrayName();
-      for (const auto& index : value.indices())
-        out += "[" + indexToSource(index) + "]";
+      for (const auto& index : value.indices()) {
+        out += '[';
+        out += indexToSource(index);
+        out += ']';
+      }
       return out;
     }
     case ir::Value::Kind::Binary: {
@@ -93,8 +96,14 @@ std::string valueToSource(const ir::Value& value) {
           break;
       }
       // Fully parenthesized: precedence-safe under any reading.
-      return "(" + valueToSource(value.lhs()) + " " + op + " " +
-             valueToSource(value.rhs()) + ")";
+      std::string out = "(";
+      out += valueToSource(value.lhs());
+      out += ' ';
+      out += op;
+      out += ' ';
+      out += valueToSource(value.rhs());
+      out += ')';
+      return out;
     }
     case ir::Value::Kind::Unary: {
       switch (value.unOp()) {

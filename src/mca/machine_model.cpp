@@ -34,10 +34,13 @@ std::string toString(MOp op) {
 
 std::string MInst::toString() const {
   std::string out = osel::mca::toString(op);
-  if (dest != kInvalidReg) out += " r" + std::to_string(dest);
+  if (dest != kInvalidReg) {
+    out += " r";
+    out += std::to_string(dest);
+  }
   for (std::size_t i = 0; i < srcs.size(); ++i) {
-    out += (i == 0 && dest == kInvalidReg) ? " " : ", ";
-    out += "r" + std::to_string(srcs[i]);
+    out += (i == 0 && dest == kInvalidReg) ? " r" : ", r";
+    out += std::to_string(srcs[i]);
   }
   return out;
 }

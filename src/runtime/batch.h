@@ -3,7 +3,7 @@
 // The ROADMAP's `oseld` pivot puts *batched decision requests* on the wire:
 // realistic target-offloading traffic arrives as streams of many small
 // decisions, and the per-call overhead scalar decide() pays (registry
-// snapshot acquire, cache lock, trace span, clock reads) dwarfs the
+// lookup, cache lock, trace span, clock reads) dwarfs the
 // closed-form model evaluation itself. TargetRuntime::decideBatch amortizes
 // those costs across a batch; the types here are its request unit and the
 // preallocated per-thread scratch that keeps the steady-state path free of

@@ -19,15 +19,15 @@
 // entry that replaces it, so a full cache inserts without allocating.
 //
 // Thread-safety: one cache lives next to one region's plan inside a
-// TargetRuntime shard, and concurrent decide() calls hit it from many
-// threads. Entry storage is guarded by one per-cache mutex (the runtime's
+// TargetRuntime registry entry, and concurrent decide() calls hit it from
+// many threads. Entry storage is guarded by one per-cache mutex (the runtime's
 // per-region caches form the lock stripes — contention only happens between
 // launches of the *same* region), while the Stats counters are relaxed
 // atomics so stats() reads observed mid-traffic are never torn: after the
 // caller quiesces, hits + misses == lookups holds exactly.
 //
 // Invalidation is epoch-based so TargetRuntime::invalidateDecisionCaches()
-// is one atomic bump instead of a walk over every shard: findMany() and
+// is one atomic bump instead of a walk over every cache: findMany() and
 // insertMany() take the runtime's current epoch, and a cache lazily drops
 // its entries the first time it observes a newer epoch than the one it
 // stored under.

@@ -26,14 +26,18 @@ namespace osel::runtime::policy {
 ///   then acknowledges the alarm via DriftDetector::resetRegion, re-arming
 ///   the CUSUM against the post-shift baseline.
 ///
+///   The alarm comes from the trace session's drift detector: a runtime
+///   with no session attached always passes alarmRaised = false, so this
+///   policy never refits there and decides exactly like ModelCompare
+///   (docs/POLICIES.md §3).
+///
 /// choose() compares cpuSeconds * cpuFactor vs gpuSeconds * gpuFactor;
 /// state is region-hash sharded, so concurrent callers on different
 /// regions never contend.
 class CalibratedPolicy final : public SelectionPolicy {
  public:
   explicit CalibratedPolicy(const PolicyOptions& options)
-      : state_(options.shards),
-        minSamples_(options.calibrationMinSamples > 0
+      : minSamples_(options.calibrationMinSamples > 0
                         ? options.calibrationMinSamples
                         : 1) {}
 

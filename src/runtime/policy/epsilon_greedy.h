@@ -26,8 +26,7 @@ namespace osel::runtime::policy {
 class EpsilonGreedyPolicy final : public SelectionPolicy {
  public:
   explicit EpsilonGreedyPolicy(const PolicyOptions& options)
-      : state_(options.shards),
-        epsilon_(options.epsilon < 0.0   ? 0.0
+      : epsilon_(options.epsilon < 0.0   ? 0.0
                  : options.epsilon > 1.0 ? 1.0
                                          : options.epsilon),
         seed_(options.seed) {}

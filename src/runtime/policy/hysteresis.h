@@ -27,8 +27,7 @@ namespace osel::runtime::policy {
 class HysteresisPolicy final : public SelectionPolicy {
  public:
   explicit HysteresisPolicy(const PolicyOptions& options)
-      : state_(options.shards),
-        band_(options.hysteresisBand >= 0.0 ? options.hysteresisBand : 0.0) {}
+      : band_(options.hysteresisBand >= 0.0 ? options.hysteresisBand : 0.0) {}
 
   [[nodiscard]] PolicyKind kind() const override {
     return PolicyKind::Hysteresis;

@@ -74,8 +74,6 @@ struct PolicyOptions {
   /// Calibrated: feedback samples a region must accumulate (since its last
   /// refit) before a latched drift alarm triggers a refit.
   std::uint64_t calibrationMinSamples = 4;
-  /// Stateful policies: state shard count (region-hash striped locks).
-  std::size_t shards = 16;
 };
 
 /// Inputs of one choice: the two model predictions for a region. Only

@@ -2,19 +2,18 @@
 //
 // The stateful policies (Calibrated, Hysteresis, EpsilonGreedy) all keep a
 // small per-region record that concurrent decide/decideBatch/launch threads
-// read and write. One global mutex would serialize the decide hot path the
-// runtime worked hard to keep lock-free, so state is striped across
-// region-hash shards: callers touching different regions (the common case —
-// batches group by region) take different locks. The hash is FNV-1a, not
-// std::hash, so shard assignment — and therefore any contention pattern a
-// bench measures — is identical across standard libraries.
+// read and write, so state is striped across kPolicyStateShards region-hash
+// shards: callers touching different regions (the common case — batches
+// group by region) take different locks. The hash is FNV-1a, not std::hash,
+// so shard assignment — and therefore any contention pattern a bench
+// measures — is identical across standard libraries.
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -34,45 +33,43 @@ namespace osel::runtime::policy {
   return hash;
 }
 
+/// Lock stripes of every policy's per-region state.
+inline constexpr std::size_t kPolicyStateShards = 16;
+
 /// Mutex-striped map from region name to a policy's per-region State.
 /// Readers of absent regions pay one lock + map miss and get a
 /// default-constructed State by value; writers find-or-create the node.
 template <typename State>
 class ShardedRegionMap {
  public:
-  explicit ShardedRegionMap(std::size_t shards)
-      : shardCount_(std::max<std::size_t>(1, shards)),
-        shards_(std::make_unique<Shard[]>(shardCount_)) {}
-
   /// Copy of the region's state (default-constructed when never touched).
   [[nodiscard]] State peek(std::string_view region) const {
-    const Shard& shard = shardFor(region);
-    const std::lock_guard<std::mutex> lock(shard.mutex);
-    const auto it = shard.regions.find(region);
-    return it == shard.regions.end() ? State{} : it->second;
+    const Stripe& stripe = stripeFor(region);
+    const std::lock_guard<std::mutex> lock(stripe.mutex);
+    const auto it = stripe.regions.find(region);
+    return it == stripe.regions.end() ? State{} : it->second;
   }
 
-  /// Applies `fn(State&)` to the region's state under its shard lock,
+  /// Applies `fn(State&)` to the region's state under its stripe lock,
   /// creating the node on first touch; returns fn's result.
   template <typename Fn>
   auto update(std::string_view region, Fn&& fn) {
-    Shard& shard = shardFor(region);
-    const std::lock_guard<std::mutex> lock(shard.mutex);
-    auto it = shard.regions.find(region);
-    if (it == shard.regions.end()) {
-      it = shard.regions.emplace(std::string(region), State{}).first;
+    Stripe& stripe = stripeFor(region);
+    const std::lock_guard<std::mutex> lock(stripe.mutex);
+    auto it = stripe.regions.find(region);
+    if (it == stripe.regions.end()) {
+      it = stripe.regions.emplace(std::string(region), State{}).first;
     }
     return std::forward<Fn>(fn)(it->second);
   }
 
-  /// Every (region, state) pair, name-sorted. Each shard is copied under
-  /// its own lock: coherent per region, not a cross-shard atomic snapshot.
+  /// Every (region, state) pair, name-sorted. Each stripe is copied under
+  /// its own lock: coherent per region, not a cross-stripe atomic snapshot.
   [[nodiscard]] std::vector<std::pair<std::string, State>> snapshot() const {
     std::vector<std::pair<std::string, State>> out;
-    for (std::size_t i = 0; i < shardCount_; ++i) {
-      const Shard& shard = shards_[i];
-      const std::lock_guard<std::mutex> lock(shard.mutex);
-      for (const auto& [region, state] : shard.regions) {
+    for (const Stripe& stripe : stripes_) {
+      const std::lock_guard<std::mutex> lock(stripe.mutex);
+      for (const auto& [region, state] : stripe.regions) {
         out.emplace_back(region, state);
       }
     }
@@ -82,17 +79,16 @@ class ShardedRegionMap {
   }
 
  private:
-  struct Shard {
+  struct Stripe {
     mutable std::mutex mutex;
     std::map<std::string, State, std::less<>> regions;
   };
 
-  [[nodiscard]] Shard& shardFor(std::string_view region) const {
-    return shards_[regionHash(region) % shardCount_];
+  [[nodiscard]] Stripe& stripeFor(std::string_view region) const {
+    return stripes_[regionHash(region) % kPolicyStateShards];
   }
 
-  std::size_t shardCount_;
-  std::unique_ptr<Shard[]> shards_;
+  mutable std::array<Stripe, kPolicyStateShards> stripes_;
 };
 
 }  // namespace osel::runtime::policy

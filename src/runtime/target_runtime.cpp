@@ -60,17 +60,11 @@ TargetRuntime::TargetRuntime(pad::AttributeDatabase database,
       guard_(options.retry),
       decisionCacheCapacity_(options.decisionCacheCapacity),
       trace_(options.trace),
-      shardCount_(std::max<std::size_t>(1, options.registryShards)),
-      shards_(std::make_unique<Shard[]>(shardCount_)),
       state_(std::make_unique<MutableState>(options.health,
                                             options.admission)) {
   require(decisionCacheCapacity_ <= DecisionCache::kMaxCapacity,
           "RuntimeOptions::decisionCacheCapacity exceeds "
           "DecisionCache::kMaxCapacity");
-  for (std::size_t i = 0; i < shardCount_; ++i) {
-    shards_[i].snapshot.store(std::make_shared<const RegistrySnapshot>(),
-                              std::memory_order_release);
-  }
   policy_ = &selector_.policy();
   policyCacheable_ = policy_->cacheable();
   initInstruments();
@@ -102,19 +96,17 @@ void TargetRuntime::initInstruments() {
 
 std::shared_ptr<const TargetRuntime::RegionEntry> TargetRuntime::findEntry(
     std::string_view name) const {
-  const Shard& shard = shards_[shardIndex(name)];
-  const std::shared_ptr<const RegistrySnapshot> snapshot =
-      shard.snapshot.load(std::memory_order_acquire);
-  const auto it = snapshot->find(name);
-  return it == snapshot->end() ? nullptr : it->second;
+  std::lock_guard<std::mutex> lock(state_->registryMutex);
+  const auto it = state_->registry.find(name);
+  return it == state_->registry.end() ? nullptr : it->second;
 }
 
 void TargetRuntime::registerRegion(ir::TargetRegion region) {
   region.verify();
   const std::string name = region.name;
   // Build the whole immutable entry — including the plan compile, the
-  // expensive part — before touching the shard, so registration holds the
-  // write lock only for the copy-and-swap publish.
+  // expensive part — before taking the registry lock, which is held only
+  // for the swap.
   auto entry = std::make_shared<RegionEntry>();
   entry->region = std::move(region);
   if (const pad::RegionAttributes* attr = database_.find(name)) {
@@ -124,14 +116,14 @@ void TargetRuntime::registerRegion(ir::TargetRegion region) {
     // memoized decisions (and their counters) atomically with the plan.
     entry->cache = std::make_shared<DecisionCache>(decisionCacheCapacity_);
   }
-  Shard& shard = shards_[shardIndex(name)];
-  std::lock_guard<std::mutex> lock(shard.writeMutex);
-  // Copy-on-write: readers on the old snapshot are undisturbed; the next
-  // snapshot load sees the new entry.
-  auto next = std::make_shared<RegistrySnapshot>(
-      *shard.snapshot.load(std::memory_order_acquire));
-  (*next)[name] = std::move(entry);
-  shard.snapshot.store(std::move(next), std::memory_order_release);
+  // Decides already holding the old entry finish on it. After the swap
+  // `replaced` holds the old entry (if any) and drops it after the unlock,
+  // so no decide waits while a region's IR, plan and cache are destroyed.
+  std::shared_ptr<const RegionEntry> replaced = std::move(entry);
+  {
+    std::lock_guard<std::mutex> lock(state_->registryMutex);
+    state_->registry[name].swap(replaced);
+  }
 }
 
 bool TargetRuntime::hasRegion(const std::string& name) const {
@@ -458,7 +450,7 @@ void TargetRuntime::finishCall(std::string_view label, std::size_t n,
   if (trace_ == nullptr) return;
   // Runtime-wide hit ratio from the launch-path atomics: the per-cache
   // counters stay exact for decisionCacheStats(), but summing them here
-  // would walk every shard per decide.
+  // would walk every registered region per decide.
   const std::uint64_t lookups =
       state_->cacheLookups.load(std::memory_order_relaxed);
   if (lookups > 0) {

@@ -28,15 +28,16 @@
 // required symbol degrade to the safe default with their diagnostic.
 //
 // Concurrency: the runtime is safe for concurrent registerRegion / decide /
-// launch callers (the ROADMAP's `oseld` service needs many). The registry
-// is sharded by region-name hash, and each shard publishes an immutable
-// RCU-style snapshot (std::shared_ptr atomically swapped on registration),
-// so the decide hot path never takes a registry lock and registration never
-// stalls in-flight decides — readers finish on the snapshot they loaded.
-// Per-region decision caches are internally locked (the per-region caches
-// are the lock stripes), launch-log appends are mutex-guarded, and the
-// health tracker / admission counters are atomic. See the "Thread-safety
-// contract" section of docs/ROBUSTNESS.md for what callers may rely on.
+// launch callers (the ROADMAP's `oseld` service needs many). The registry is
+// one name -> entry map behind one mutex. A lookup holds that lock only for
+// the find and one shared_ptr copy, so a decide finishes on the entry it
+// found even if the region is re-registered meanwhile. Registration
+// verifies and compiles outside the lock, swaps the new entry into the map
+// under it, and frees the replaced entry after the unlock. Per-region
+// decision caches are internally locked (the per-region caches are the lock
+// stripes), launch-log appends are mutex-guarded, and the health tracker /
+// admission counters are atomic. See the "Thread-safety contract" section
+// of docs/ROBUSTNESS.md for what callers may rely on.
 #pragma once
 
 #include <atomic>
@@ -154,8 +155,6 @@ struct RuntimeOptions {
   /// Overload protection (in-flight budget, deadline ledger, drain). The
   /// default policy admits everything.
   AdmissionPolicy admission;
-  /// Registry shards for concurrent registration/decide; clamped to >= 1.
-  std::size_t registryShards = 8;
 };
 
 /// The runtime: device simulators + PAD + selector + launch guard + health
@@ -170,9 +169,9 @@ class TargetRuntime {
   /// it is lowered into a CompiledRegionPlan here — the compile-time half
   /// of the launch-time "solve an equation" split — and any previous
   /// plan/decision cache for the name is invalidated. Safe to call
-  /// concurrently with decide/launch: the plan compiles outside the shard
-  /// lock and publishes as a fresh snapshot; in-flight decides finish on
-  /// the snapshot they loaded.
+  /// concurrently with decide/launch: the plan compiles outside the
+  /// registry lock, which is held only to swap the new entry in; in-flight
+  /// decides finish on the entry they found.
   void registerRegion(ir::TargetRegion region);
 
   [[nodiscard]] bool hasRegion(const std::string& name) const;
@@ -195,13 +194,12 @@ class TargetRuntime {
   void invalidateDecisionCaches();
 
   /// Model evaluation only — the decide hot path without execution: a
-  /// one-row region group, exactly as launch() decides; lock-free on the
-  /// registry (one shard-snapshot load). Emits one `decide` span and one
-  /// `decision.overhead_s` sample per call, as every one-row call does. overheadSeconds is the wall
-  /// time of the call, for a cache hit and a fresh decision alike, and so
-  /// is the overhead of the explain record a fresh decision publishes.
-  /// This is the entry point a selector service (`oseld`) serves per
-  /// scalar request.
+  /// one-row region group, exactly as launch() decides; one short registry
+  /// lock for the lookup. Emits one `decide` span and one
+  /// `decision.overhead_s` sample per call, as every one-row call does.
+  /// overheadSeconds is the wall time of the call, for a cache hit and a
+  /// fresh decision alike, and so is the overhead of the explain record a
+  /// fresh decision publishes.
   [[nodiscard]] Decision decide(const std::string& regionName,
                                 const symbolic::Bindings& bindings);
 
@@ -210,10 +208,10 @@ class TargetRuntime {
   /// anything else is a support::PreconditionError, raised before any row
   /// is decided). The streaming shape the `oseld` wire protocol batches
   /// into, amortizing everything scalar decide() pays per call: one
-  /// registry-snapshot acquire per region group, one trace span (a
-  /// one-request batch records `decide`, any larger one `decide.batch` and
-  /// a `decide.batch_size` histogram sample), one bulk
-  /// decision-cache probe/back-fill (a single lock acquisition per group)
+  /// registry lookup per region group, one trace span (a one-request batch
+  /// records `decide`, any larger one `decide.batch` and a
+  /// `decide.batch_size` histogram sample), one bulk decision-cache
+  /// probe/back-fill (a single lock acquisition per group)
   /// and SoA compiled-plan evaluation for the misses, using a preallocated
   /// thread_local BatchArena so the steady-state path does no per-request
   /// allocation or string hashing.
@@ -238,9 +236,10 @@ class TargetRuntime {
   /// decideBatch() for `rows` requests that all name `region` and bind the
   /// same symbols, given as columns rather than per-row maps — the layout
   /// of an oseld DecideBatch frame, which the server passes straight
-  /// through (and of its DecideRequest frames, as one-row frames). `values` holds slotNames.size() * rows little-endian int64s,
-  /// slot-major (slotNames[i]'s column starts at int64 index i * rows), with
-  /// no alignment guarantee. A duplicate name binds its last occurrence and
+  /// through (and of its DecideRequest frames, as one-row frames). `values`
+  /// holds slotNames.size() * rows little-endian int64s, slot-major
+  /// (slotNames[i]'s column starts at int64 index i * rows), with no
+  /// alignment guarantee. A duplicate name binds its last occurrence and
   /// a name the region does not read is ignored, as when the names are
   /// assigned into one Bindings map per row. Fills out[0, rows)
   /// (out.size() >= rows, else support::PreconditionError).
@@ -311,7 +310,6 @@ class TargetRuntime {
   }
   /// The attached observability session; nullptr when detached.
   [[nodiscard]] obs::TraceSession* traceSession() const { return trace_; }
-  [[nodiscard]] std::size_t shardCount() const { return shardCount_; }
 
  private:
   /// One registered region's immutable state: the executable IR, the
@@ -326,27 +324,11 @@ class TargetRuntime {
 
   /// Transparent hasher so DecideRequest's string_view names probe the
   /// registry without materializing a std::string per request.
-  /// std::hash<std::string> and std::hash<std::string_view> are guaranteed
-  /// to agree for equal content, so shard assignment stays consistent
-  /// across key types.
   struct NameHash {
     using is_transparent = void;
     [[nodiscard]] std::size_t operator()(std::string_view name) const noexcept {
       return std::hash<std::string_view>{}(name);
     }
-  };
-
-  /// Immutable name → entry map one shard publishes. Replaced wholesale
-  /// (copy-on-write) under the shard's write mutex; readers load the
-  /// shared_ptr atomically and never block.
-  using RegistrySnapshot =
-      std::unordered_map<std::string, std::shared_ptr<const RegionEntry>,
-                         NameHash, std::equal_to<>>;
-
-  struct Shard {
-    /// Serializes writers (registration); readers never take it.
-    std::mutex writeMutex;
-    std::atomic<std::shared_ptr<const RegistrySnapshot>> snapshot;
   };
 
   /// Launch-to-launch mutable state, heap-held so TargetRuntime stays
@@ -365,6 +347,12 @@ class TargetRuntime {
     std::atomic<std::uint64_t> cacheHits{0};
     mutable std::mutex logMutex;
     std::vector<LaunchRecord> log;
+    /// The region registry. registryMutex guards the map only: entries are
+    /// immutable, and lookups copy the shared_ptr out before unlocking.
+    mutable std::mutex registryMutex;
+    std::unordered_map<std::string, std::shared_ptr<const RegionEntry>,
+                       NameHash, std::equal_to<>>
+        registry;
   };
 
   /// Pointers into the trace session's metrics registry, resolved once at
@@ -390,12 +378,9 @@ class TargetRuntime {
 
   void initInstruments();
 
-  [[nodiscard]] std::size_t shardIndex(std::string_view name) const {
-    return std::hash<std::string_view>{}(name) % shardCount_;
-  }
-  /// Lock-free registry read: one atomic snapshot load + map find. The
-  /// returned entry stays alive (shared ownership) even if the region is
-  /// re-registered mid-decide.
+  /// Registry read: find and copy the entry's shared_ptr under the registry
+  /// lock. The returned entry stays alive (shared ownership) even if the
+  /// region is re-registered mid-decide.
   [[nodiscard]] std::shared_ptr<const RegionEntry> findEntry(
       std::string_view name) const;
 
@@ -495,8 +480,6 @@ class TargetRuntime {
   std::size_t decisionCacheCapacity_ = 64;
   obs::TraceSession* trace_ = nullptr;
   Instruments instruments_;
-  std::size_t shardCount_ = 1;
-  std::unique_ptr<Shard[]> shards_;
   std::unique_ptr<MutableState> state_;
 };
 

@@ -26,6 +26,11 @@ constexpr std::uint32_t kSupportedFeatures =
     kFeatureBatch | kFeatureStats | kFeaturePrometheus | kFeatureTraceContext |
     kFeatureSlowLog;
 
+/// Per-client counter series (service.client.<id>.*) are only created for
+/// the first this-many connections, bounding metric cardinality under
+/// connection churn; the aggregate series always update.
+constexpr std::uint64_t kMaxClientMetricSeries = 64;
+
 /// One decide-carrying frame's stage times, parked until the reply flush
 /// closes its wall clock (send happens per flush, not per frame).
 struct PendingCapture {
@@ -228,11 +233,11 @@ void Server::serveConnection(Socket socket, std::uint64_t clientId) {
     activeFds_.insert(socket.fd());
   }
   // Capped per-client series: aggregate counters always update; named
-  // per-client ones only for the first maxClientMetricSeries connections so
-  // churn cannot grow the registry without bound.
+  // per-client ones only for the first kMaxClientMetricSeries connections
+  // so churn cannot grow the registry without bound.
   obs::Counter* clientFrames = nullptr;
   obs::Counter* clientDecisions = nullptr;
-  if (clientId < options_.maxClientMetricSeries) {
+  if (clientId < kMaxClientMetricSeries) {
     const std::string prefix = "service.client." + std::to_string(clientId);
     clientFrames = &session_.metrics().counter(prefix + ".frames");
     clientDecisions = &session_.metrics().counter(prefix + ".decisions");

@@ -1,12 +1,12 @@
 // osel/service/server.h — the oseld decision service.
 //
 // The thin driver-over-library split: everything the daemon serves already
-// exists in-process (sharded TargetRuntime, compiled plans, decision
-// caches, batched deciding, obs metrics); this class adds the socket front
-// end. One accept loop per transport (Unix-domain socket always; loopback
-// TCP behind an option) feeds a bounded hand-off queue drained by N worker
-// threads, each serving one connection at a time over the versioned wire
-// protocol (service/osel_abi.h). Admission control follows the runtime's
+// exists in-process (TargetRuntime, compiled plans, decision caches, batched
+// deciding, obs metrics); this class adds the socket front end. One accept
+// loop per transport (Unix-domain socket always; loopback TCP behind an
+// option) feeds a bounded hand-off queue drained by N worker threads, each
+// serving one connection at a time over the versioned wire protocol
+// (service/osel_abi.h). Admission control follows the runtime's
 // shed-don't-queue doctrine: when the hand-off queue is full a new
 // connection is answered Error{Shed} and closed instead of waiting.
 //
@@ -58,10 +58,6 @@ struct ServiceOptions {
   std::uint32_t maxFrameBytes = kDefaultMaxFrameBytes;
   /// listen(2) backlog for both transports.
   int listenBacklog = 128;
-  /// Per-client counter series (service.client.<id>.*) are only created
-  /// for the first this-many connections, bounding metric cardinality
-  /// under connection churn; the aggregate series always update.
-  std::size_t maxClientMetricSeries = 64;
   /// recv(2) timeout applied to accepted metrics-endpoint connections, so
   /// a scraper that connects and then sends nothing (or stalls mid-request)
   /// cannot pin the serial metrics thread. Clamped to >= 1.
@@ -103,7 +99,8 @@ class Server {
     return running_.load(std::memory_order_acquire);
   }
 
-  /// Forwarded to the runtime; safe while serving (the registry is RCU).
+  /// Forwarded to the runtime; safe while serving (in-flight decides finish
+  /// on the entry they found; the registry lock covers only the swap).
   void registerRegion(ir::TargetRegion region);
 
   [[nodiscard]] runtime::TargetRuntime& runtime() { return runtime_; }

@@ -71,7 +71,7 @@ TEST(ExplainRing, PushStampsSequenceAndSnapshotIsOldestFirst) {
 TEST(ExplainRing, WrapsOverwritingOldestAndCountsDrops) {
   ExplainRing ring(2);
   for (int i = 0; i < 5; ++i) {
-    ring.push(record("r" + std::to_string(i)));
+    ring.push(record(std::string("r").append(std::to_string(i))));
   }
   EXPECT_EQ(ring.recorded(), 5u);
   EXPECT_EQ(ring.dropped(), 3u);

@@ -107,7 +107,7 @@ TYPED_TEST(BoundedRingContract, WrapOverwritesOldestAndCountsDrops) {
   using Record = typename TypeParam::value_type;
   TypeParam ring(3);
   for (int i = 0; i < 7; ++i) {
-    ring.push(named<Record>("r" + std::to_string(i)));
+    ring.push(named<Record>(std::string("r").append(std::to_string(i))));
   }
   EXPECT_EQ(ring.recorded(), 7u);
   EXPECT_EQ(ring.dropped(), 4u);

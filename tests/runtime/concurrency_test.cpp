@@ -1,10 +1,10 @@
-// Concurrency stress coverage for the sharded runtime (run under the tsan
-// preset: `ctest --preset tsan`): registration storms, decide storms, mixed
-// register+decide traffic, traced column/batch storms against explain-ring
-// readers, in-place column decides against a serial run, fault injection
-// under concurrent launches, and the admission controller's
-// shed/drain/quiesce semantics. Thread counts stay modest — the point is
-// interleaving coverage under TSan, not load.
+// Concurrency stress coverage for the runtime, whose registry is one map
+// behind one short lock (run under the tsan preset: `ctest --preset tsan`):
+// registration storms, decide storms, mixed register+decide traffic, traced
+// column/batch storms against explain-ring readers, in-place column decides
+// against a serial run, fault injection under concurrent launches, and the
+// admission controller's shed/drain/quiesce semantics. Thread counts stay
+// modest — the point is interleaving coverage under TSan, not load.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -150,8 +150,8 @@ TEST(RuntimeConcurrency, MixedRegisterAndDecideStorm) {
   const symbolic::Bindings bindings{{"n", 96}};
   std::atomic<bool> stop{false};
   std::thread writer([&] {
-    // Continuous re-registration: each publish swaps a fresh snapshot,
-    // plan, and cache under the readers.
+    // Continuous re-registration: each swaps in a fresh entry, plan, and
+    // cache under the readers.
     for (int i = 0; i < 60; ++i) runtime.registerRegion(makeKernel("mixed"));
     stop.store(true, std::memory_order_release);
   });
@@ -160,7 +160,7 @@ TEST(RuntimeConcurrency, MixedRegisterAndDecideStorm) {
       const Decision decision = runtime.decide("mixed", bindings);
       ASSERT_TRUE(decision.valid);
     }
-    // A few more decides after the writer quits: the final snapshot serves.
+    // A few more decides after the writer quits: the final entry serves.
     for (int i = 0; i < 10; ++i) {
       ASSERT_TRUE(runtime.decide("mixed", bindings).valid);
     }
@@ -190,8 +190,8 @@ TEST(RuntimeConcurrency, InvalidateRacesDecides) {
 TEST(RuntimeConcurrency, BatchDecideRacesRegistrationAndInvalidation) {
   // The batch fast path under the full churn mix: worker threads issue
   // decideBatch over two regions and three sizes (hit/miss interleavings)
-  // while one thread re-registers a region (registry snapshot swaps drop
-  // the plan the batch may be holding) and another sweeps the decision
+  // while one thread re-registers a region (registry swaps drop the plan
+  // the batch may be holding) and another sweeps the decision
   // caches (epoch bumps race the bulk insertMany). Everything must stay
   // valid, and the bulk cache API must keep the stats invariant.
   TargetRuntime runtime = makeRuntime({"batcha", "batchb"});

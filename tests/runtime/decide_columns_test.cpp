@@ -191,7 +191,9 @@ std::vector<Decision> expectColumnsMatchOracle(Twins& twins,
         session->explainRing().snapshot();
     EXPECT_EQ(session->explainRing().recorded(), all.size());
     records.assign(all.begin() + static_cast<std::ptrdiff_t>(from), all.end());
-    if (records.size() != frame.rows) EXPECT_TRUE(records.empty());
+    if (records.size() != frame.rows) {
+      EXPECT_TRUE(records.empty());
+    }
   }
   const pad::RegionAttributes& attr =
       twins.columns->database().at(frame.region);

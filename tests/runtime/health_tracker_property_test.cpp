@@ -19,7 +19,7 @@ namespace {
 
 /// The obviously-correct single-threaded model of the breaker.
 struct ReferenceTracker {
-  explicit ReferenceTracker(HealthPolicy policy) : policy(policy) {}
+  explicit ReferenceTracker(HealthPolicy healthPolicy) : policy(healthPolicy) {}
 
   bool admitGpu() {
     if (remaining > 0) {

@@ -58,19 +58,6 @@ TargetRegion gemmKernel() {
       .build();
 }
 
-/// Elementwise kernel for tests that want a second, cheap region shape.
-TargetRegion streamKernel() {
-  return RegionBuilder("stream")
-      .param("n")
-      .array("x", ScalarType::F32, {sym("n"), sym("n")}, Transfer::To)
-      .array("y", ScalarType::F32, {sym("n"), sym("n")}, Transfer::From)
-      .parallelFor("i", sym("n"))
-      .parallelFor("j", sym("n"))
-      .statement(Stmt::store("y", {sym("i"), sym("j")},
-                             read("x", {sym("i"), sym("j")}) * num(3.0)))
-      .build();
-}
-
 /// `cpuSimThreads` sets the *simulated* host's concurrency; the selector
 /// always predicts against the full 160-thread host, so a lower value
 /// models a degraded environment (throttling, a noisy neighbor stealing

@@ -18,6 +18,7 @@
 #include "compiler/compiler.h"
 #include "ir/builder.h"
 #include "oracle/oracle.h"
+#include "runtime/policy/policy.h"
 #include "runtime/target_runtime.h"
 
 namespace osel::runtime {
@@ -96,6 +97,29 @@ static_assert(!kHasBindSlots<CompiledRegionPlan>,
 static_assert(!kHasCompleteWorkloads<CompiledRegionPlan>,
               "CompiledRegionPlan::completeWorkloads was removed; complete "
               "one row with completeWorkloadsColumns");
+
+// The registry is one map behind one lock, and the policies' state stripes
+// are a constant (policy::kPolicyStateShards): the shard-count knobs and
+// their accessor are gone.
+template <typename Options>
+constexpr bool kHasRegistryShards =
+    requires(Options options) { options.registryShards; };
+template <typename Runtime>
+constexpr bool kHasShardCount =
+    requires(const Runtime& runtime) { runtime.shardCount(); };
+template <typename Options>
+constexpr bool kHasPolicyShards =
+    requires(Options options) { options.shards; };
+
+static_assert(!kHasRegistryShards<RuntimeOptions>,
+              "RuntimeOptions::registryShards was removed: the registry is "
+              "one map behind one mutex");
+static_assert(!kHasShardCount<TargetRuntime>,
+              "TargetRuntime::shardCount was removed with the registry "
+              "shards");
+static_assert(!kHasPolicyShards<policy::PolicyOptions>,
+              "PolicyOptions::shards was removed; policy state uses "
+              "policy::kPolicyStateShards stripes");
 
 // The library decides only through compiled plans: the interpreted walk
 // (a handle over raw PAD attributes, the selector's workload builders)

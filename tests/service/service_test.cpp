@@ -500,8 +500,8 @@ TEST(Service, ConcurrentClientsRaceRegisterRegion) {
       }
     });
   }
-  // Meanwhile, re-register regions: the RCU registry republishes snapshots
-  // under live wire traffic.
+  // Meanwhile, re-register regions: the registry swaps entries under live
+  // wire traffic while decides finish on the entries they found.
   for (int i = 0; i < 25; ++i) {
     fixture.server->registerRegion(streamKernel("stream"));
     fixture.server->registerRegion(streamKernel("stream_b"));

@@ -35,7 +35,7 @@ TEST(WorkloadShape, ParsesAndPrintsAllShapes) {
   EXPECT_EQ(toString(Shape::Uniform), "uniform");
   EXPECT_EQ(toString(Shape::Zipfian), "zipfian");
   EXPECT_EQ(toString(Shape::Bursty), "bursty");
-  EXPECT_THROW(parseShape("poisson"), support::PreconditionError);
+  EXPECT_THROW((void)parseShape("poisson"), support::PreconditionError);
 }
 
 TEST(WorkloadGenerator, RejectsEmptyCandidateSets) {
