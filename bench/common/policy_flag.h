@@ -3,12 +3,11 @@
 //
 // Two policy namespaces meet at this flag: the launch-path Policy enum
 // (always-cpu / always-gpu / model-guided / oracle — which devices actually
-// execute) and the selection-policy layer (model-compare / calibrated /
-// hysteresis / epsilon-greedy — how the model-guided choice is made; see
-// docs/POLICIES.md). Benches that launch accept the union: a selection-
-// policy name implies the ModelGuided launch policy with that selection
-// policy installed in the selector. Decide-only benches accept only the
-// selection-policy names.
+// execute) and the selection-policy layer (model-compare / calibrated —
+// how the model-guided choice is made; see docs/POLICIES.md). Benches that
+// launch accept the union: a selection-policy name implies the ModelGuided
+// launch policy with that selection policy installed in the selector.
+// Decide-only benches accept only the selection-policy names.
 //
 // Every consumer shares one parser so the accepted spellings and the
 // exit-code contract (unknown name -> diagnostic on stderr, caller exits 2)

@@ -10,14 +10,14 @@
 // convolutions around the 1.0x boundary) can be decided wrongly.
 //
 // The second table per mode is the selection-policy head-to-head
-// (docs/POLICIES.md): the four SelectionPolicy implementations replayed
-// over the same measurement streams (--rounds passes, default 3, so the
-// stateful policies have history to act on), each fed the launch feedback
+// (docs/POLICIES.md): both SelectionPolicy implementations replayed over
+// the same measurement streams (--rounds passes, default 3, so the
+// calibrated policy has history to act on), each fed the launch feedback
 // it would see live, scored by achieved speedup and by choices that
 // disagree with the oracle. Without drift there are no CUSUM alarms, so
 // Calibrated matches model-compare here by design — the drift_scenario
-// bench is where it separates; this table shows the steady-state cost of
-// hysteresis stickiness and epsilon probing instead.
+// bench is where it separates; this table shows that calibration costs
+// nothing in the steady state.
 #include <algorithm>
 #include <array>
 #include <cstdio>
@@ -37,11 +37,9 @@ namespace {
 
 using namespace osel;
 
-constexpr std::array<runtime::policy::PolicyKind, 4> kSelectionKinds{
+constexpr std::array<runtime::policy::PolicyKind, 2> kSelectionKinds{
     runtime::policy::PolicyKind::ModelCompare,
     runtime::policy::PolicyKind::Calibrated,
-    runtime::policy::PolicyKind::Hysteresis,
-    runtime::policy::PolicyKind::EpsilonGreedy,
 };
 
 struct BenchmarkTimes {

@@ -29,10 +29,10 @@
 //                     configured in-process TargetRuntime and fail unless
 //                     every socket decision is bit-identical
 //   --policy P        selection policy for the loopback server:
-//                     model-compare (default) | calibrated | hysteresis |
-//                     epsilon-greedy (docs/POLICIES.md). Rejected with
+//                     model-compare (default) | calibrated
+//                     (docs/POLICIES.md). Rejected with
 //                     --socket (configure an external daemon via
-//                     `oseld --policy`) and, for stateful policies, with
+//                     `oseld --policy`) and, for calibrated, with
 //                     --check (the bit-identity contract is defined
 //                     against the deterministic model-compare choice)
 //   --guard-min-per-sec X    exit 1 unless the best batched row sustains
@@ -442,8 +442,9 @@ int main(int argc, char** argv) {
     if (check && policySelection->selection->kind() !=
                      runtime::policy::PolicyKind::ModelCompare) {
       // The --check contract is bit-identity against an in-process
-      // model-compare decideBatch; a stateful server policy would diverge by
-      // design (probes, sticky memory), so the combination is a usage error.
+      // model-compare decideBatch; a calibrated server may refit its
+      // per-region factors mid-stream and diverge from it by design, so the
+      // combination is a usage error.
       std::fprintf(stderr,
                    "loadgen_oseld: --check requires the model-compare "
                    "policy\n");

@@ -35,9 +35,7 @@
 //                      per call
 //   --workload-seed S  base seed for --workload streams (default 2019)
 //   --policy P         selection policy under contention: model-compare
-//                      (default) | calibrated | hysteresis | epsilon-greedy
-//                      (docs/POLICIES.md; epsilon-greedy also exercises the
-//                      cache-bypass path under load)
+//                      (default) | calibrated (docs/POLICIES.md)
 #include <algorithm>
 #include <array>
 #include <atomic>
@@ -294,13 +292,15 @@ int main(int argc, char** argv) {
   runtime::RuntimeOptions rtOptions;
   rtOptions.selector.policy = policySelection->selection;
   runtime::TargetRuntime rt = makeRuntime(names, rtOptions);
+  const std::string policyName(
+      runtime::policy::toString(rt.selector().policy().kind()));
 
   std::printf(
       "# decide hot path, %s loop, %d region(s), %d calls/thread, "
       "workload=%s, batch=%zu, policy=%s\n",
       rateHz > 0.0 ? "open" : "closed", regionCount, perThread,
       workloadName.empty() ? "round-robin" : workloadName.c_str(), batch,
-      std::string(rt.selector().policy().name()).c_str());
+      policyName.c_str());
   std::printf("threads,decisions_per_sec,p50_us,p99_us,p999_us\n");
   for (int threads = 1; threads <= threadsMax; threads *= 2) {
     const SweepResult result =

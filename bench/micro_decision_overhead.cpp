@@ -75,8 +75,8 @@ void BM_PolicyChoice(benchmark::State& state) {
   // model-compare, which the selector devirtualizes back to the inline
   // compare — the perf-smoke entry pins it next to BM_CompiledDecision so a
   // reintroduced virtual call on the default path shows up as a smoke
-  // regression. The other kinds pay the virtual choose() plus their state
-  // lookups (sharded map for hysteresis, counter hash for epsilon-greedy).
+  // regression. Arg 1 is calibrated, which pays the virtual choose() plus
+  // one lookup of the region's correction factors.
   const auto kind = static_cast<runtime::policy::PolicyKind>(state.range(0));
   runtime::SelectorConfig config;
   runtime::policy::PolicyOptions policyOptions;
@@ -89,9 +89,9 @@ void BM_PolicyChoice(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(sel.decide(region, bindings));
   }
-  state.SetLabel(std::string(config.policy->name()));
+  state.SetLabel(std::string(runtime::policy::toString(config.policy->kind())));
 }
-BENCHMARK(BM_PolicyChoice)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
+BENCHMARK(BM_PolicyChoice)->Arg(0)->Arg(1);
 
 void BM_TracedDecision(benchmark::State& state) {
   // The compiled path plus the runtime's full observability hook set: one

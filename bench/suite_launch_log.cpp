@@ -6,8 +6,8 @@
 //
 // --policy accepts the launch policies (always-cpu | always-gpu |
 // model-guided | oracle) and the selection policies (model-compare |
-// calibrated | hysteresis | epsilon-greedy, docs/POLICIES.md); a selection
-// name runs model-guided with that policy installed in the selector.
+// calibrated, docs/POLICIES.md); a selection name runs model-guided with
+// that policy installed in the selector.
 //
 // Options beyond policy/mode/scale/threads:
 //   --jobs J                 benchmark-level concurrency (0 = hardware

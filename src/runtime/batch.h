@@ -42,7 +42,6 @@ struct BatchCounters {
   std::uint64_t degenerate = 0;
   std::uint64_t cacheHits = 0;
   std::uint64_t cacheLookups = 0;
-  std::uint64_t probes = 0;  ///< policy probe decisions (Decision::probe)
 };
 
 /// Preallocated scratch for one decideBatch() or decide() call (a scalar

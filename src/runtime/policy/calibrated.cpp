@@ -8,7 +8,7 @@ PolicyChoice CalibratedPolicy::choose(const PolicyInputs& inputs) const {
   const RegionState state = state_.peek(inputs.region);
   const double cpu = inputs.cpuSeconds * state.cpuFactor;
   const double gpu = inputs.gpuSeconds * state.gpuFactor;
-  return {gpu < cpu ? Device::Gpu : Device::Cpu, /*probe=*/false};
+  return {gpu < cpu ? Device::Gpu : Device::Cpu};
 }
 
 bool CalibratedPolicy::observe(const PolicyFeedback& feedback) {

@@ -44,7 +44,6 @@ class CalibratedPolicy final : public SelectionPolicy {
   [[nodiscard]] PolicyKind kind() const override {
     return PolicyKind::Calibrated;
   }
-  [[nodiscard]] std::string_view name() const override { return "calibrated"; }
 
   [[nodiscard]] PolicyChoice choose(const PolicyInputs& inputs) const override;
   bool observe(const PolicyFeedback& feedback) override;

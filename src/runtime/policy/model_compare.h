@@ -16,12 +16,8 @@ class ModelComparePolicy final : public SelectionPolicy {
   [[nodiscard]] PolicyKind kind() const override {
     return PolicyKind::ModelCompare;
   }
-  [[nodiscard]] std::string_view name() const override {
-    return "model-compare";
-  }
   [[nodiscard]] PolicyChoice choose(const PolicyInputs& inputs) const override {
-    return {inputs.gpuSeconds < inputs.cpuSeconds ? Device::Gpu : Device::Cpu,
-            /*probe=*/false};
+    return {inputs.gpuSeconds < inputs.cpuSeconds ? Device::Gpu : Device::Cpu};
   }
 };
 

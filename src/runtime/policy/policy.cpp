@@ -1,8 +1,6 @@
 #include "runtime/policy/policy.h"
 
 #include "runtime/policy/calibrated.h"
-#include "runtime/policy/epsilon_greedy.h"
-#include "runtime/policy/hysteresis.h"
 #include "runtime/policy/model_compare.h"
 
 namespace osel::runtime::policy {
@@ -13,10 +11,6 @@ std::string_view toString(PolicyKind kind) {
       return "model-compare";
     case PolicyKind::Calibrated:
       return "calibrated";
-    case PolicyKind::Hysteresis:
-      return "hysteresis";
-    case PolicyKind::EpsilonGreedy:
-      return "epsilon-greedy";
   }
   return "?";
 }
@@ -24,23 +18,15 @@ std::string_view toString(PolicyKind kind) {
 std::optional<PolicyKind> parsePolicyKind(std::string_view name) {
   if (name == "model-compare") return PolicyKind::ModelCompare;
   if (name == "calibrated") return PolicyKind::Calibrated;
-  if (name == "hysteresis") return PolicyKind::Hysteresis;
-  if (name == "epsilon-greedy") return PolicyKind::EpsilonGreedy;
   return std::nullopt;
 }
 
-std::string policyKindNames() {
-  return "model-compare, calibrated, hysteresis, epsilon-greedy";
-}
+std::string policyKindNames() { return "model-compare, calibrated"; }
 
 std::shared_ptr<SelectionPolicy> makePolicy(const PolicyOptions& options) {
   switch (options.kind) {
     case PolicyKind::Calibrated:
       return std::make_shared<CalibratedPolicy>(options);
-    case PolicyKind::Hysteresis:
-      return std::make_shared<HysteresisPolicy>(options);
-    case PolicyKind::EpsilonGreedy:
-      return std::make_shared<EpsilonGreedyPolicy>(options);
     case PolicyKind::ModelCompare:
       break;
   }

@@ -8,13 +8,14 @@
 // layer factors the choice tail of OffloadSelector::resolveChoice into an
 // interface so "compare two predictions" becomes one policy among several
 // (the Kerncraft / OpenMP-Advisor framing: multiple cost models and advisor
-// rules behind one seam).
+// rules behind one seam). Two policies ship: the paper's rule and its
+// drift-corrected variant (docs/POLICIES.md §2).
 //
 // Deliberately narrow seam: a SelectionPolicy consumes already-evaluated
 // prediction pairs. Model evaluation — the compiled plans and the SoA batch
 // path — is untouched above it; the policy only
-// answers "given these two predicted times for this region, which device,
-// and was that a probe?". Degenerate predictions (non-finite/non-positive)
+// answers "given these two predicted times for this region, which
+// device?". Degenerate predictions (non-finite/non-positive)
 // never reach a policy: the selector's safe-default degradation handles
 // them identically for every policy, so diagnostics stay byte-stable.
 //
@@ -44,33 +45,20 @@ namespace osel::runtime::policy {
 
 /// The shipped policy set. Parsed/printed by the kebab-case names below.
 enum class PolicyKind {
-  ModelCompare,   ///< the extracted status quo: lower predicted time wins
-  Calibrated,     ///< per-region multiplicative correction, refit on drift
-  Hysteresis,     ///< dead-band around 1.0× speedup that resists flapping
-  EpsilonGreedy,  ///< seeded deterministic probing of the non-chosen device
+  ModelCompare,  ///< the extracted status quo: lower predicted time wins
+  Calibrated,    ///< per-region multiplicative correction, refit on drift
 };
 
 [[nodiscard]] std::string_view toString(PolicyKind kind);
-/// Parses "model-compare" / "calibrated" / "hysteresis" / "epsilon-greedy";
-/// nullopt on anything else (callers own the error surface — CLI flags
-/// reject with exit code 2, tests assert).
+/// Parses "model-compare" / "calibrated"; nullopt on anything else (callers
+/// own the error surface — CLI flags reject with exit code 2, tests assert).
 [[nodiscard]] std::optional<PolicyKind> parsePolicyKind(std::string_view name);
 /// The accepted names, comma-separated, for CLI error messages.
 [[nodiscard]] std::string policyKindNames();
 
-/// Tuning for makePolicy(). One aggregate for all kinds; each policy reads
-/// the fields it cares about.
+/// Tuning for makePolicy().
 struct PolicyOptions {
   PolicyKind kind = PolicyKind::ModelCompare;
-  /// Hysteresis: relative dead-band half-width around the 1.0× crossover.
-  /// A device must win by more than this margin to displace the region's
-  /// sticky choice (0.10 = 10%).
-  double hysteresisBand = 0.10;
-  /// EpsilonGreedy: probability a decision probes the non-chosen device.
-  double epsilon = 0.05;
-  /// EpsilonGreedy: probe-sequence seed. Streams are deterministic in
-  /// (seed, region, per-region decision index).
-  std::uint64_t seed = 42;
   /// Calibrated: feedback samples a region must accumulate (since its last
   /// refit) before a latched drift alarm triggers a refit.
   std::uint64_t calibrationMinSamples = 4;
@@ -88,10 +76,6 @@ struct PolicyInputs {
 /// Outcome of one choice.
 struct PolicyChoice {
   Device device = Device::Cpu;
-  /// True when the device was picked to probe the predicted-slower side
-  /// (EpsilonGreedy); surfaces as Decision::probe and the policy.probe
-  /// counter. Probed decisions are never served from the decision cache.
-  bool probe = false;
 };
 
 /// One launch's measured outcome for a device, fed back after execution.
@@ -122,10 +106,8 @@ class SelectionPolicy {
  public:
   virtual ~SelectionPolicy() = default;
 
+  /// Which shipped policy this is; toString(kind()) is its name.
   [[nodiscard]] virtual PolicyKind kind() const = 0;
-  /// The kebab-case name (== toString(kind()) for the shipped set); static
-  /// storage, safe to keep as a string_view for the policy's lifetime.
-  [[nodiscard]] virtual std::string_view name() const = 0;
 
   /// Picks a device for one region given both (usable) predictions.
   [[nodiscard]] virtual PolicyChoice choose(const PolicyInputs& inputs) const = 0;
@@ -142,10 +124,6 @@ class SelectionPolicy {
   /// the DecisionCache epoch, so any bump lazily invalidates every cached
   /// decision made under the previous state. Stateless policies stay at 0.
   [[nodiscard]] virtual std::uint64_t stateEpoch() const { return 0; }
-
-  /// False when decisions must not be memoized at all (EpsilonGreedy: a
-  /// cached decision would replay one probe draw forever).
-  [[nodiscard]] virtual bool cacheable() const { return true; }
 
   /// Total refits so far (stateless policies: 0).
   [[nodiscard]] virtual std::uint64_t refits() const { return 0; }

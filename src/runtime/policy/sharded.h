@@ -1,10 +1,10 @@
 // osel/runtime/policy/sharded.h — region-keyed sharded state for policies.
 //
-// The stateful policies (Calibrated, Hysteresis, EpsilonGreedy) all keep a
-// small per-region record that concurrent decide/decideBatch/launch threads
-// read and write, so state is striped across kPolicyStateShards region-hash
-// shards: callers touching different regions (the common case — batches
-// group by region) take different locks. The hash is FNV-1a, not std::hash,
+// The stateful policy (Calibrated) keeps a small per-region record that
+// concurrent decide/decideBatch/launch threads read and write, so state is
+// striped across kPolicyStateShards region-hash shards: callers touching
+// different regions (the common case — batches group by region) take
+// different locks. The hash is FNV-1a, not std::hash,
 // so shard assignment — and therefore any contention pattern a bench
 // measures — is identical across standard libraries.
 #pragma once

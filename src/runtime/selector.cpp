@@ -52,7 +52,6 @@ void OffloadSelector::resolveChoice(Decision& decision,
       const policy::PolicyChoice choice = config_.policy->choose(
           {regionName, decision.cpu.seconds, decision.gpu.totalSeconds});
       decision.device = choice.device;
-      decision.probe = choice.probe;
     }
   } else if (cpuOk) {
     // Only the always-available host path predicted sanely: run there.
@@ -94,7 +93,6 @@ void OffloadSelector::decideInto(const CompiledRegionPlan& plan,
   out.valid = true;
   out.diagnostic.clear();
   out.overheadSeconds = 0.0;
-  out.probe = false;
   bool cpuPredicted = false;
   bool gpuPredicted = false;
   obs::DecisionPath path = obs::DecisionPath::Compiled;

@@ -75,10 +75,6 @@ struct Decision {
   /// the rows it served, cache hits and fresh rows alike; decideInto() and
   /// decideFromWorkloads() leave 0.
   double overheadSeconds = 0.0;
-  /// True when the policy deliberately picked the predicted-slower device to
-  /// keep the feedback channel informed about it (EpsilonGreedy). Excluded
-  /// from the wire DecisionRecord and the path-equivalence contracts.
-  bool probe = false;
 
   /// Predicted GPU-offloading speedup (cpu time / gpu time). NaN when the
   /// predictions are not comparable (non-finite or non-positive GPU time) —

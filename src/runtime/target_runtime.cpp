@@ -66,7 +66,6 @@ TargetRuntime::TargetRuntime(pad::AttributeDatabase database,
           "RuntimeOptions::decisionCacheCapacity exceeds "
           "DecisionCache::kMaxCapacity");
   policy_ = &selector_.policy();
-  policyCacheable_ = policy_->cacheable();
   initInstruments();
   pushPolicyStatus();
 }
@@ -83,7 +82,6 @@ void TargetRuntime::initInstruments() {
   instruments_.fallbacks = &metrics.counter("guard.fallbacks");
   instruments_.quarantinesOpened = &metrics.counter("health.quarantines");
   instruments_.launchesShed = &metrics.counter("admission.shed");
-  instruments_.policyProbes = &metrics.counter("policy.probe");
   instruments_.policyRefits = &metrics.counter("policy.refit");
   instruments_.cacheHitRatio = &metrics.gauge("decision_cache.hit_ratio");
   instruments_.decisionOverhead = &metrics.histogram(
@@ -256,12 +254,9 @@ void TargetRuntime::decideGroup(std::string_view region,
   if (usable) bind(*plan);
   const DecisionCache::KeyBlock keys{arena.columns.data(), arena.masks.data(),
                                      plan->slotCount(), rows};
-  // The key (bound slot values) determines the decision only while the
-  // policy's choices are replayable (EpsilonGreedy's probe draws are not).
   // A hit re-serves a decision whose explain record the populating miss
   // already published, so only fresh evaluations fill records below.
-  const bool useCache = usable && cache != nullptr && cache->capacity() != 0 &&
-                        policyCacheable_;
+  const bool useCache = usable && cache != nullptr && cache->capacity() != 0;
   std::size_t hits = 0;
   if (useCache) {
     hits = cache->findMany(keys, arena.targets.data(), arena.hits.data(), epoch);
@@ -295,7 +290,6 @@ void TargetRuntime::decideGroup(std::string_view region,
                          *arena.targets[r],
                          explains != nullptr ? explains + k : nullptr,
                          complete ? nullptr : &row);
-    if (arena.targets[r]->probe) ++counters.probes;
   }
   if (useCache) {
     cache->insertMany(keys, arena.missRows, arena.targets.data(), epoch);
@@ -467,7 +461,6 @@ void TargetRuntime::finishCall(std::string_view label, std::size_t n,
   if (counters.cacheHits > 0) {
     instruments_.decisionsCacheHit->add(counters.cacheHits);
   }
-  if (counters.probes > 0) instruments_.policyProbes->add(counters.probes);
   // The per-request overhead histogram gets one amortized sample per call
   // (its count then tallies calls, not requests — the batch_size histogram
   // carries the request volume of multi-row calls).
@@ -557,7 +550,7 @@ void TargetRuntime::finalizeLaunch(LaunchRecord& record, std::int64_t startNs) {
     state_->log.push_back(record);
   }
   // The feedback channel runs with or without a session: the policy's
-  // observe() hook is how Calibrated/Hysteresis learn from measured times.
+  // observe() hook is how Calibrated learns from measured times.
   feedPolicyFeedback(record);
   if (trace_ == nullptr) return;
   if (record.shed) instruments_.launchesShed->add();
@@ -655,7 +648,7 @@ void TargetRuntime::onPolicyRefit(const std::string& regionName) {
 void TargetRuntime::pushPolicyStatus() {
   if (trace_ == nullptr) return;
   obs::PolicyStatus status;
-  status.name = std::string(policy_->name());
+  status.name = std::string(policy::toString(policy_->kind()));
   status.calibrated = policy_->kind() == policy::PolicyKind::Calibrated;
   status.refits = policy_->refits();
   const std::vector<policy::CalibrationFactor> factors =

@@ -368,7 +368,6 @@ class TargetRuntime {
     obs::Counter* fallbacks = nullptr;
     obs::Counter* quarantinesOpened = nullptr;
     obs::Counter* launchesShed = nullptr;
-    obs::Counter* policyProbes = nullptr;
     obs::Counter* policyRefits = nullptr;
     obs::Gauge* cacheHitRatio = nullptr;
     obs::Histogram* decisionOverhead = nullptr;
@@ -471,9 +470,6 @@ class TargetRuntime {
   /// The selector's selection policy (never null; owned by the selector's
   /// config). Cached here so hot paths read one pointer, not a shared_ptr.
   policy::SelectionPolicy* policy_ = nullptr;
-  /// policy_->cacheable(), latched at construction: a non-cacheable policy
-  /// (EpsilonGreedy) bypasses the decision cache entirely.
-  bool policyCacheable_ = true;
   cpusim::CpuSimulator cpuSim_;
   gpusim::GpuSimulator gpuSim_;
   LaunchGuard guard_;

@@ -354,7 +354,6 @@ TEST(RuntimeConcurrency, InPlaceColumnDecidesMatchASerialRun) {
                             kRows, out);
       for (std::size_t j = 0; j < kRows; ++j) {
         batch_test::expectIdenticalDecisions(out[j], reference[g][picks[j]]);
-        EXPECT_EQ(out[j].probe, reference[g][picks[j]].probe);
         EXPECT_GT(out[j].overheadSeconds, 0.0);
       }
     }

@@ -121,6 +121,45 @@ static_assert(!kHasPolicyShards<policy::PolicyOptions>,
               "PolicyOptions::shards was removed; policy state uses "
               "policy::kPolicyStateShards stripes");
 
+// Only model-compare and calibrated ship: the hysteresis and epsilon-greedy
+// knobs, the cache-bypass flag that existed for epsilon-greedy, the probe
+// flag and the duplicate policy name are gone.
+template <typename Options>
+constexpr bool kHasHysteresisBand =
+    requires(Options options) { options.hysteresisBand; };
+template <typename Options>
+constexpr bool kHasEpsilon = requires(Options options) { options.epsilon; };
+template <typename Options>
+constexpr bool kHasSeed = requires(Options options) { options.seed; };
+template <typename Policy>
+constexpr bool kHasCacheable =
+    requires(const Policy& selection) { selection.cacheable(); };
+template <typename Policy>
+constexpr bool kHasPolicyName =
+    requires(const Policy& selection) { selection.name(); };
+template <typename Outcome>
+constexpr bool kHasProbe = requires(Outcome outcome) { outcome.probe; };
+
+static_assert(!kHasHysteresisBand<policy::PolicyOptions>,
+              "PolicyOptions::hysteresisBand was removed with the "
+              "hysteresis policy");
+static_assert(!kHasEpsilon<policy::PolicyOptions>,
+              "PolicyOptions::epsilon was removed with the epsilon-greedy "
+              "policy");
+static_assert(!kHasSeed<policy::PolicyOptions>,
+              "PolicyOptions::seed was removed with the epsilon-greedy "
+              "policy");
+static_assert(!kHasCacheable<policy::SelectionPolicy>,
+              "SelectionPolicy::cacheable was removed: every shipped policy's "
+              "decisions are memoizable");
+static_assert(!kHasPolicyName<policy::SelectionPolicy>,
+              "SelectionPolicy::name was removed; use toString(kind())");
+static_assert(!kHasProbe<policy::PolicyChoice>,
+              "PolicyChoice::probe was removed with the epsilon-greedy "
+              "policy");
+static_assert(!kHasProbe<Decision>,
+              "Decision::probe was removed with the epsilon-greedy policy");
+
 // The library decides only through compiled plans: the interpreted walk
 // (a handle over raw PAD attributes, the selector's workload builders)
 // lives on as the test oracle in tests/oracle.

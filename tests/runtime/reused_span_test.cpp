@@ -3,9 +3,9 @@
 //
 // decideBatch and decideColumns decide each fresh row in place, straight
 // into the caller's output row, so they must overwrite every field of every
-// row: a span pre-filled with poisoned decisions (probe set, invalid, GPU,
-// a long diagnostic, NaN predictions) must come back bit-identical to a
-// fresh span and to the interpreted oracle, explain records included. The
+// row: a span pre-filled with poisoned decisions (invalid, GPU, a long
+// diagnostic, NaN predictions) must come back bit-identical to a fresh
+// span and to the interpreted oracle, explain records included. The
 // grid covers every Polybench region plus a missing PAD entry, an unusable
 // plan, an unbindable row and an armed selector fault, through decideBatch
 // and decideColumns alike.
@@ -103,7 +103,6 @@ Decision poisoned() {
   Decision decision;
   decision.device = Device::Gpu;
   decision.valid = false;
-  decision.probe = true;
   decision.diagnostic = std::string(300, '#');
   decision.overheadSeconds = nan;
   decision.cpu = {nan, nan, nan, nan, nan, nan, nan, nan};
@@ -148,10 +147,9 @@ obs::DecisionExplain poisonedExplain() {
   return explain;
 }
 
-/// Bit-identical decisions, probe included (overheadSeconds excluded).
+/// Bit-identical decisions (overheadSeconds excluded).
 void expectSameRow(const Decision& row, const Decision& reference) {
   expectIdenticalDecisions(row, reference);
-  EXPECT_EQ(row.probe, reference.probe);
 }
 
 /// The interpreted reference for (region, bindings), with its explain

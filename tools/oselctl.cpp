@@ -687,7 +687,7 @@ constexpr const char* kUsage =
     "\n"
     "common options: --n N, --threads T, --platform v100|k80,\n"
     "  --file path.osel (load kernels from a kernel-language file),\n"
-    "  --policy model-compare|calibrated|hysteresis|epsilon-greedy\n"
+    "  --policy model-compare|calibrated\n"
     "  (in-process selection policy; default model-compare)\n"
     "trace/stats/explain/drift: --repeat R, --gpu-fault-rate P,\n"
     "  --fault-seed S, --out FILE (trace only)\n";

@@ -51,8 +51,8 @@ constexpr const char* kUsage =
     "  --slow-ring N        slow-request ring capacity (default 256)\n"
     "  --threads T          CPU model thread count (default 160)\n"
     "  --platform v100|k80  device pairing (default v100)\n"
-    "  --policy NAME        selection policy: model-compare (default),\n"
-    "                       calibrated, hysteresis, or epsilon-greedy\n"
+    "  --policy NAME        selection policy: model-compare (default)\n"
+    "                       or calibrated\n"
     "  --file path.osel     serve kernels from a kernel-language file in\n"
     "                       addition to the built-in Polybench suite\n";
 
@@ -156,8 +156,9 @@ int main(int argc, char** argv) {
                   static_cast<unsigned>(server.metricsPort()));
     }
     if (rtOptions.selector.policy != nullptr) {
-      std::printf("oseld: policy %s\n",
-                  std::string(rtOptions.selector.policy->name()).c_str());
+      const std::string name(
+          runtime::policy::toString(rtOptions.selector.policy->kind()));
+      std::printf("oseld: policy %s\n", name.c_str());
     }
     std::fflush(stdout);
 
