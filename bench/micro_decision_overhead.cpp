@@ -71,12 +71,13 @@ void BM_CompiledDecision(benchmark::State& state) {
 BENCHMARK(BM_CompiledDecision);
 
 void BM_PolicyChoice(benchmark::State& state) {
-  // The selection-policy seam's cost on the compiled decide path. Arg 0 is
-  // model-compare, which the selector devirtualizes back to the inline
-  // compare — the perf-smoke entry pins it next to BM_CompiledDecision so a
-  // reintroduced virtual call on the default path shows up as a smoke
-  // regression. Arg 1 is calibrated, which pays the virtual choose() plus
-  // one lookup of the region's correction factors.
+  // The selection-policy seam's cost on the compiled decide path: every
+  // policy is one virtual choose() per decide. Arg 0 is model-compare, the
+  // default — the perf-smoke entry runs it next to BM_CompiledDecision
+  // (which uses the same default) so a per-decide allocation or lock on
+  // the policy seam shows up as a gap between them. Arg 1 is calibrated,
+  // which also takes its state mutex and looks up the region's correction
+  // factors.
   const auto kind = static_cast<runtime::policy::PolicyKind>(state.range(0));
   runtime::SelectorConfig config;
   runtime::policy::PolicyOptions policyOptions;

@@ -38,7 +38,7 @@ struct SlowRequestRecord {
   std::uint32_t regionGroups = 1;  ///< region groups in the frame
   std::uint32_t gpuDecisions = 0;      ///< decision mix: chose GPU
   std::uint32_t invalidDecisions = 0;  ///< decision mix: degraded rows
-  std::uint64_t stateEpoch = 0;  ///< selection policy's state epoch
+  std::uint64_t stateEpoch = 0;  ///< selection policy's refits()
   std::int64_t decodeNs = 0;  ///< frame parse + binding rebuild
   std::int64_t decideNs = 0;  ///< runtime decide / decideBatch
   std::int64_t encodeNs = 0;  ///< reply framing

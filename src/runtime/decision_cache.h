@@ -26,11 +26,11 @@
 // atomics so stats() reads observed mid-traffic are never torn: after the
 // caller quiesces, hits + misses == lookups holds exactly.
 //
-// Invalidation is epoch-based so TargetRuntime::invalidateDecisionCaches()
-// is one atomic bump instead of a walk over every cache: findMany() and
-// insertMany() take the runtime's current epoch, and a cache lazily drops
-// its entries the first time it observes a newer epoch than the one it
-// stored under.
+// Invalidation is epoch-based so a selection-policy refit is one atomic
+// bump instead of a walk over every cache: findMany() and insertMany() take
+// the runtime's current epoch (the policy's refits()), and a cache lazily
+// drops its entries the first time it observes a newer epoch than the one
+// it stored under.
 #pragma once
 
 #include <atomic>

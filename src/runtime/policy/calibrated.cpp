@@ -5,9 +5,18 @@
 namespace osel::runtime::policy {
 
 PolicyChoice CalibratedPolicy::choose(const PolicyInputs& inputs) const {
-  const RegionState state = state_.peek(inputs.region);
-  const double cpu = inputs.cpuSeconds * state.cpuFactor;
-  const double gpu = inputs.gpuSeconds * state.gpuFactor;
+  double cpuFactor = 1.0;
+  double gpuFactor = 1.0;
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    const auto it = regions_.find(inputs.region);
+    if (it != regions_.end()) {
+      cpuFactor = it->second.cpuFactor;
+      gpuFactor = it->second.gpuFactor;
+    }
+  }
+  const double cpu = inputs.cpuSeconds * cpuFactor;
+  const double gpu = inputs.gpuSeconds * gpuFactor;
   return {gpu < cpu ? Device::Gpu : Device::Cpu};
 }
 
@@ -20,7 +29,13 @@ bool CalibratedPolicy::observe(const PolicyFeedback& feedback) {
     return false;
   }
   const double ratio = feedback.actualSeconds / feedback.predictedSeconds;
-  const bool refitted = state_.update(feedback.region, [&](RegionState& state) {
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    auto it = regions_.find(feedback.region);
+    if (it == regions_.end()) {
+      it = regions_.emplace(std::string(feedback.region), RegionState{}).first;
+    }
+    RegionState& state = it->second;
     if (feedback.device == Device::Cpu) {
       state.cpuRatioSum += ratio;
       state.cpuSamples += 1;
@@ -50,21 +65,19 @@ bool CalibratedPolicy::observe(const PolicyFeedback& feedback) {
     state.gpuSamples = 0;
     state.alarmPending = false;
     state.refits += 1;
-    return true;
-  });
-  if (refitted) {
-    refits_.fetch_add(1, std::memory_order_relaxed);
-    // Release-publish the new factors to choose() callers: the epoch bump
-    // is what invalidates cached decisions, so it must come after the
-    // shard-locked state write above.
-    epoch_.fetch_add(1, std::memory_order_acq_rel);
   }
-  return refitted;
+  // Release-publish the new factors to choose() callers: the refit count is
+  // the cache epoch that invalidates cached decisions, so it must come
+  // after the locked state write above.
+  refits_.fetch_add(1, std::memory_order_acq_rel);
+  return true;
 }
 
 std::vector<CalibrationFactor> CalibratedPolicy::calibrationReport() const {
   std::vector<CalibrationFactor> out;
-  for (const auto& [region, state] : state_.snapshot()) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  out.reserve(regions_.size());
+  for (const auto& [region, state] : regions_) {
     CalibrationFactor factor;
     factor.region = region;
     factor.cpuFactor = state.cpuFactor;

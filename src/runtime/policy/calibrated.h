@@ -3,9 +3,11 @@
 
 #include <atomic>
 #include <cstdint>
+#include <map>
+#include <mutex>
+#include <string>
 
 #include "runtime/policy/policy.h"
-#include "runtime/policy/sharded.h"
 
 namespace osel::runtime::policy {
 
@@ -21,7 +23,7 @@ namespace osel::runtime::policy {
 ///   pending from an earlier sample) and the region has accumulated at
 ///   least `calibrationMinSamples` ratios since its last refit, the region
 ///   refits: factor_d = mean(actual/predicted) over the window, the window
-///   resets, and the policy's stateEpoch() bumps so the DecisionCache drops
+///   resets, and the policy's refits() bumps so the DecisionCache drops
 ///   every decision made under the stale factors. The caller (TargetRuntime)
 ///   then acknowledges the alarm via DriftDetector::resetRegion, re-arming
 ///   the CUSUM against the post-shift baseline.
@@ -31,9 +33,10 @@ namespace osel::runtime::policy {
 ///   policy never refits there and decides exactly like ModelCompare
 ///   (docs/POLICIES.md §3).
 ///
-/// choose() compares cpuSeconds * cpuFactor vs gpuSeconds * gpuFactor;
-/// state is region-hash sharded, so concurrent callers on different
-/// regions never contend.
+/// choose() compares cpuSeconds * cpuFactor vs gpuSeconds * gpuFactor.
+/// Every region's state lives in one name-sorted map behind one mutex:
+/// choose() runs only for rows the decision cache does not serve, so the
+/// lock is off the hit path.
 class CalibratedPolicy final : public SelectionPolicy {
  public:
   explicit CalibratedPolicy(const PolicyOptions& options)
@@ -48,11 +51,8 @@ class CalibratedPolicy final : public SelectionPolicy {
   [[nodiscard]] PolicyChoice choose(const PolicyInputs& inputs) const override;
   bool observe(const PolicyFeedback& feedback) override;
 
-  [[nodiscard]] std::uint64_t stateEpoch() const override {
-    return epoch_.load(std::memory_order_acquire);
-  }
   [[nodiscard]] std::uint64_t refits() const override {
-    return refits_.load(std::memory_order_relaxed);
+    return refits_.load(std::memory_order_acquire);
   }
   [[nodiscard]] std::vector<CalibrationFactor> calibrationReport()
       const override;
@@ -71,9 +71,9 @@ class CalibratedPolicy final : public SelectionPolicy {
     std::uint64_t refits = 0;
   };
 
-  ShardedRegionMap<RegionState> state_;
+  mutable std::mutex mutex_;
+  std::map<std::string, RegionState, std::less<>> regions_;
   std::uint64_t minSamples_;
-  std::atomic<std::uint64_t> epoch_{0};
   std::atomic<std::uint64_t> refits_{0};
 };
 

@@ -7,10 +7,9 @@ namespace osel::runtime::policy {
 
 /// The paper's selection rule, verbatim: run on the GPU iff its predicted
 /// total time is strictly lower than the CPU's. Stateless; the selector
-/// devirtualizes this kind (OffloadSelector::resolveChoice inlines the
-/// compare when the configured policy is ModelCompare), so the refactor
-/// adds zero overhead over the seed choice tail — pinned by
-/// BM_PolicyChoice and the test_policy bit-identity grid.
+/// calls it through the virtual choose() like any policy, once per fresh
+/// row (cache hits never reach it). The test_policy grid pins the rule on
+/// every decide path; BM_PolicyChoice times the tail.
 class ModelComparePolicy final : public SelectionPolicy {
  public:
   [[nodiscard]] PolicyKind kind() const override {

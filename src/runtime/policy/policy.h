@@ -22,12 +22,13 @@
 // The feedback half closes the drift loop: TargetRuntime feeds each
 // launch's measured execution time back through observe(). A stateful
 // policy may recalibrate on that signal; when it does, it bumps its
-// stateEpoch() so the runtime's DecisionCache (keyed per region, epoch-
-// validated) lazily drops every decision made under the stale calibration.
+// refits(), which the runtime reads as the DecisionCache epoch (caches are
+// keyed per region, epoch-validated), so every decision made under the
+// stale calibration lazily drops.
 //
 // Thread-safety contract: choose() and observe() are called concurrently
 // from decide/decideBatch/launch callers with no external locking.
-// Implementations shard or atomically publish their state (docs/POLICIES.md
+// Implementations lock or atomically publish their state (docs/POLICIES.md
 // spells the contract out; test_policy's refit storm runs it under TSan).
 #pragma once
 
@@ -120,12 +121,10 @@ class SelectionPolicy {
     return false;
   }
 
-  /// Monotonic counter of state generations. The runtime folds this into
-  /// the DecisionCache epoch, so any bump lazily invalidates every cached
-  /// decision made under the previous state. Stateless policies stay at 0.
-  [[nodiscard]] virtual std::uint64_t stateEpoch() const { return 0; }
-
-  /// Total refits so far (stateless policies: 0).
+  /// Total refits so far: the monotonic state generation. The runtime reads
+  /// it as the DecisionCache epoch, so any bump lazily invalidates every
+  /// cached decision made under the previous state. Stateless policies
+  /// stay at 0.
   [[nodiscard]] virtual std::uint64_t refits() const { return 0; }
 
   /// Per-region calibration factors, sorted by region name; empty for

@@ -20,8 +20,6 @@ OffloadSelector::OffloadSelector(SelectorConfig config)
   if (config_.policy == nullptr) {
     config_.policy = policy::makePolicy({});
   }
-  modelComparePolicy_ =
-      config_.policy->kind() == policy::PolicyKind::ModelCompare;
 }
 
 namespace {
@@ -41,18 +39,11 @@ void OffloadSelector::resolveChoice(Decision& decision,
   const bool gpuOk = usablePrediction(decision.gpu.totalSeconds);
   if (cpuOk && gpuOk) {
     // Policies govern only this healthy branch; the degenerate branches
-    // below are safety plumbing no policy may override. ModelCompare is
-    // devirtualized to the seed compare so the default config's choice
-    // tail costs exactly what it did before the policy seam existed.
-    if (modelComparePolicy_) {
-      decision.device = decision.gpu.totalSeconds < decision.cpu.seconds
-                            ? Device::Gpu
-                            : Device::Cpu;
-    } else {
-      const policy::PolicyChoice choice = config_.policy->choose(
-          {regionName, decision.cpu.seconds, decision.gpu.totalSeconds});
-      decision.device = choice.device;
-    }
+    // below are safety plumbing no policy may override.
+    decision.device = config_.policy
+                          ->choose({regionName, decision.cpu.seconds,
+                                    decision.gpu.totalSeconds})
+                          .device;
   } else if (cpuOk) {
     // Only the always-available host path predicted sanely: run there.
     decision.device = Device::Cpu;

@@ -49,12 +49,11 @@ struct SelectorConfig {
   /// always-available path, so it is the default.
   Device safeDefaultDevice = Device::Cpu;
   /// The selection policy resolving healthy prediction pairs into a device
-  /// (runtime/policy/policy.h). nullptr (the default) means ModelCompare —
-  /// the paper's rule, devirtualized on the choice tail so the default
-  /// configuration pays nothing for the policy seam. Shared: copies of this
-  /// config (and the selector/runtime built from them) share one policy
-  /// instance, so calibration learned on the launch path steers every
-  /// decide path.
+  /// (runtime/policy/policy.h) through one virtual choose() per fresh row.
+  /// nullptr (the default) means ModelCompare — the paper's rule. Shared:
+  /// copies of this config (and the selector/runtime built from them) share
+  /// one policy instance, so calibration learned on the launch path steers
+  /// every decide path.
   std::shared_ptr<policy::SelectionPolicy> policy;
 };
 
@@ -223,10 +222,6 @@ class OffloadSelector {
   SelectorConfig config_;
   cpumodel::CpuCostModel cpuModel_;
   gpumodel::GpuCostModel gpuModel_;
-  /// Devirtualization flag: under ModelCompare (the default) the choice tail
-  /// inlines the seed compare instead of the virtual dispatch, keeping the
-  /// refactored tail at zero overhead (pinned by BM_PolicyChoice).
-  bool modelComparePolicy_ = true;
 };
 
 }  // namespace osel::runtime

@@ -140,10 +140,6 @@ DecisionCache::Stats TargetRuntime::decisionCacheStats(
                                                      : entry->cache->stats();
 }
 
-void TargetRuntime::invalidateDecisionCaches() {
-  state_->cacheEpoch.fetch_add(1, std::memory_order_acq_rel);
-}
-
 double TargetRuntime::measure(const std::string& regionName,
                               const symbolic::Bindings& bindings,
                               ir::ArrayStore& store, Device device) const {
@@ -357,12 +353,12 @@ BatchCounters TargetRuntime::decideRequests(
                 return cmp != 0 ? cmp < 0 : a < b;
               });
   }
-  // One epoch load per call. The combined epoch folds in the policy's state
-  // epoch, so a concurrent refit invalidates this call's cached decisions no
-  // later than the next call. Decides intentionally never consult the
-  // admission controller or the health tracker — both gate launch()
-  // execution, not model evaluation.
-  const std::uint64_t epoch = effectiveCacheEpoch();
+  // One epoch load per call: the cache epoch is the policy's refit count,
+  // so a concurrent refit invalidates this call's cached decisions no later
+  // than the next call. Decides intentionally never consult the admission
+  // controller or the health tracker — both gate launch() execution, not
+  // model evaluation.
+  const std::uint64_t epoch = policy_->refits();
   BatchCounters counters;
   std::size_t groups = 0;
   std::size_t i = 0;
@@ -417,7 +413,7 @@ void TargetRuntime::decideColumns(std::string_view region,
     std::fill_n(arena.bindOk.begin(), rows, ok);
   };
   BatchCounters counters;
-  decideGroup(region, arena.order, out, bind, effectiveCacheEpoch(), arena,
+  decideGroup(region, arena.order, out, bind, policy_->refits(), arena,
               counters);
   finishCall(region, rows, 1, startNs, wallStart, arena, counters, out);
 }
@@ -636,7 +632,7 @@ void TargetRuntime::onPolicyRefit(const std::string& regionName) {
     trace_->recordInstant(
         "policy.refit", "policy", regionName, trace_->nowNs(),
         {"refits", static_cast<double>(policy_->refits())},
-        {"epoch", static_cast<double>(policy_->stateEpoch())});
+        {"epoch", static_cast<double>(policy_->refits())});
     // The refit unlatches the region's CUSUM alarm and rebuilds its
     // baseline: post-refit predictions are judged against the corrected
     // model, not the drifted history. Other regions' state is untouched.

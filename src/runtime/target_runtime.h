@@ -35,7 +35,9 @@
 // verifies and compiles outside the lock, swaps the new entry into the map
 // under it, and frees the replaced entry after the unlock. Per-region
 // decision caches are internally locked (the per-region caches are the lock
-// stripes), launch-log appends are mutex-guarded, and the health tracker /
+// stripes) and validated by one epoch, the selection policy's refits(),
+// read once per decide call, so a refit drops cached decisions lazily.
+// Launch-log appends are mutex-guarded, and the health tracker /
 // admission counters are atomic. See the "Thread-safety contract" section
 // of docs/ROBUSTNESS.md for what callers may rely on.
 #pragma once
@@ -188,11 +190,6 @@ class TargetRuntime {
   [[nodiscard]] DecisionCache::Stats decisionCacheStats(
       const std::string& name) const;
 
-  /// Drops every region's memoized decisions (e.g. after reconfiguring the
-  /// models out-of-band). One atomic epoch bump: caches lazily clear the
-  /// first time a decide observes the new epoch. Counters survive.
-  void invalidateDecisionCaches();
-
   /// Model evaluation only — the decide hot path without execution: a
   /// one-row region group, exactly as launch() decides; one short registry
   /// lock for the lookup. Emits one `decide` span and one
@@ -229,7 +226,7 @@ class TargetRuntime {
   /// Decide-only batches never touch the admission controller or the GPU
   /// health tracker; those gate launch(), not decisions.
   /// Thread-safe against concurrent decide/decideBatch/registerRegion/
-  /// invalidateDecisionCaches callers, like decide().
+  /// launch callers, like decide().
   void decideBatch(std::span<const DecideRequest> requests,
                    std::span<Decision> out);
 
@@ -338,9 +335,6 @@ class TargetRuntime {
         : health(healthPolicy), admission(admissionPolicy) {}
     DeviceHealthTracker health;
     AdmissionController admission;
-    /// Bumped by invalidateDecisionCaches(); caches clear lazily on the
-    /// next decide that observes the new value.
-    std::atomic<std::uint64_t> cacheEpoch{0};
     /// Runtime-wide cache traffic for the hit-ratio gauge (summing the
     /// per-cache counters on the hot path would race registration).
     std::atomic<std::uint64_t> cacheLookups{0};
@@ -446,9 +440,10 @@ class TargetRuntime {
   void finalizeLaunch(LaunchRecord& record, std::int64_t startNs);
   /// The policy feedback channel: routes the launch's measured times into
   /// the drift tracker (when a session is attached) and the selection
-  /// policy's observe() hook; a refit bumps the policy epoch (stale cached
-  /// decisions lazily drop), resets the region's CUSUM state, and
-  /// republishes the policy status. Skipped for shed/invalid launches.
+  /// policy's observe() hook; a refit bumps the policy's refits(), the
+  /// cache epoch (stale cached decisions lazily drop), resets the region's
+  /// CUSUM state, and republishes the policy status. Skipped for
+  /// shed/invalid launches.
   void feedPolicyFeedback(const LaunchRecord& record);
   /// Refit epilogue: counter + instant + drift reset + status push.
   void onPolicyRefit(const std::string& regionName);
@@ -456,14 +451,6 @@ class TargetRuntime {
   /// trace session so stats/Prometheus renderings (and `oselctl stats`
   /// through them) show the live policy.
   void pushPolicyStatus();
-  /// The combined cache epoch: the runtime's invalidation epoch plus the
-  /// policy's state epoch. Both are monotonic, so the sum is — a policy
-  /// refit invalidates every cached pre-refit decision exactly like
-  /// invalidateDecisionCaches() does, lazily and without locks.
-  [[nodiscard]] std::uint64_t effectiveCacheEpoch() const {
-    return state_->cacheEpoch.load(std::memory_order_acquire) +
-           policy_->stateEpoch();
-  }
 
   pad::AttributeDatabase database_;
   OffloadSelector selector_;

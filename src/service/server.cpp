@@ -294,7 +294,7 @@ void Server::serveConnection(Socket socket, std::uint64_t clientId) {
     record.clientId = clientId;
     record.requestId = requestId;
     record.rows = rows;
-    record.stateEpoch = runtime_.selector().policy().stateEpoch();
+    record.stateEpoch = runtime_.selector().policy().refits();
     record.decodeNs = t1 - t0;
     record.decideNs = t2 - t1;
     record.encodeNs = t3 - t2;

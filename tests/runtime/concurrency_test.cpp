@@ -22,6 +22,7 @@
 #include "ir/interpreter.h"
 #include "obs/trace.h"
 #include "runtime/admission.h"
+#include "runtime/policy/policy.h"
 #include "runtime/target_runtime.h"
 #include "support/check.h"
 #include "support/faultinject.h"
@@ -63,6 +64,25 @@ TargetRuntime makeRuntime(const std::vector<std::string>& names,
   TargetRuntime runtime(compiler::compileAll(regions, models), options);
   for (TargetRegion& region : regions) runtime.registerRegion(std::move(region));
   return runtime;
+}
+
+/// Options whose selection policy is `calibrated` refitting on every
+/// alarmed sample, so a test can bump the cache epoch (the policy's
+/// refits()) through refit().
+RuntimeOptions refittingOptions() {
+  policy::PolicyOptions calibrated;
+  calibrated.kind = policy::PolicyKind::Calibrated;
+  calibrated.calibrationMinSamples = 1;
+  RuntimeOptions options;
+  options.selector.policy = policy::makePolicy(calibrated);
+  return options;
+}
+
+/// One refit of `region` at ratio 1.0: its factors stay 1.0, so decisions
+/// are unchanged, but every cached decision goes stale.
+void refit(TargetRuntime& runtime, std::string_view region) {
+  EXPECT_TRUE(runtime.selector().policy().observe(
+      {region, Device::Gpu, 1.0, 1.0, /*alarmRaised=*/true}));
 }
 
 void runThreads(int count, const std::function<void(int)>& body) {
@@ -170,11 +190,12 @@ TEST(RuntimeConcurrency, MixedRegisterAndDecideStorm) {
 }
 
 TEST(RuntimeConcurrency, InvalidateRacesDecides) {
-  TargetRuntime runtime = makeRuntime({"epoch"});
+  TargetRuntime runtime = makeRuntime({"epoch"}, refittingOptions());
   const symbolic::Bindings bindings{{"n", 96}};
   std::atomic<bool> stop{false};
   std::thread invalidator([&] {
-    for (int i = 0; i < 200; ++i) runtime.invalidateDecisionCaches();
+    // Refits race the deciders' choose() reads of the same region's state.
+    for (int i = 0; i < 200; ++i) refit(runtime, "epoch");
     stop.store(true, std::memory_order_release);
   });
   runThreads(kThreads, [&](int) {
@@ -191,17 +212,18 @@ TEST(RuntimeConcurrency, BatchDecideRacesRegistrationAndInvalidation) {
   // The batch fast path under the full churn mix: worker threads issue
   // decideBatch over two regions and three sizes (hit/miss interleavings)
   // while one thread re-registers a region (registry swaps drop the plan
-  // the batch may be holding) and another sweeps the decision
-  // caches (epoch bumps race the bulk insertMany). Everything must stay
+  // the batch may be holding) and another refits the selection policy
+  // (cache-epoch bumps race the bulk insertMany). Everything must stay
   // valid, and the bulk cache API must keep the stats invariant.
-  TargetRuntime runtime = makeRuntime({"batcha", "batchb"});
+  TargetRuntime runtime =
+      makeRuntime({"batcha", "batchb"}, refittingOptions());
   constexpr std::size_t kBatch = 16;
   std::atomic<bool> stop{false};
   std::thread registrar([&] {
     for (int i = 0; i < 60; ++i) runtime.registerRegion(makeKernel("batcha"));
   });
   std::thread invalidator([&] {
-    for (int i = 0; i < 200; ++i) runtime.invalidateDecisionCaches();
+    for (int i = 0; i < 200; ++i) refit(runtime, i % 2 ? "batchb" : "batcha");
     stop.store(true, std::memory_order_release);
   });
   runThreads(kThreads, [&](int t) {

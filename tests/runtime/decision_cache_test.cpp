@@ -1,9 +1,9 @@
 // DecisionCache unit coverage (hit/miss counters, LRU eviction, refresh,
 // disabled capacity, clear, the capacity bound), a differential test
 // against the linear-scan LRU reference, plus TargetRuntime integration:
-// repeated launches memoize, re-registration and explicit invalidation drop
-// the memoized decisions, and the LaunchRecord/CSV telemetry reports the
-// path.
+// repeated launches memoize, re-registration and a selection-policy refit
+// drop the memoized decisions, and the LaunchRecord/CSV telemetry reports
+// the path.
 #include "runtime/decision_cache.h"
 
 #include <gtest/gtest.h>
@@ -19,6 +19,7 @@
 
 #include "compiler/compiler.h"
 #include "ir/builder.h"
+#include "runtime/policy/policy.h"
 #include "runtime/target_runtime.h"
 #include "support/check.h"
 
@@ -464,13 +465,22 @@ TEST(TargetRuntimeDecisionCache, RepeatedLaunchHitsCache) {
 }
 
 TEST(TargetRuntimeDecisionCache, InvalidateDropsMemoizedDecisions) {
-  TargetRuntime runtime = makeRuntime();
+  // The cache epoch is the policy's refit count, so a refit of any region
+  // (here one nobody decides, leaving stream's factors at 1.0) invalidates
+  // every cached decision.
+  policy::PolicyOptions calibrated;
+  calibrated.kind = policy::PolicyKind::Calibrated;
+  calibrated.calibrationMinSamples = 1;
+  RuntimeOptions options;
+  options.selector.policy = policy::makePolicy(calibrated);
+  TargetRuntime runtime = makeRuntime(options);
   const symbolic::Bindings bindings{{"n", 96}};
   ArrayStore store = allocateArrays(streamKernel(), bindings);
   (void)runtime.launch("stream", bindings, store, Policy::ModelGuided);
   (void)runtime.launch("stream", bindings, store, Policy::ModelGuided);
   EXPECT_EQ(runtime.decisionCacheStats("stream").hits, 1u);
-  runtime.invalidateDecisionCaches();
+  ASSERT_TRUE(runtime.selector().policy().observe(
+      {"unlaunched", Device::Gpu, 1.0, 1.0, /*alarmRaised=*/true}));
   const LaunchRecord record =
       runtime.launch("stream", bindings, store, Policy::ModelGuided);
   EXPECT_FALSE(record.decisionCacheHit);

@@ -98,9 +98,8 @@ static_assert(!kHasCompleteWorkloads<CompiledRegionPlan>,
               "CompiledRegionPlan::completeWorkloads was removed; complete "
               "one row with completeWorkloadsColumns");
 
-// The registry is one map behind one lock, and the policies' state stripes
-// are a constant (policy::kPolicyStateShards): the shard-count knobs and
-// their accessor are gone.
+// The registry is one map behind one lock, and so is calibrated's state:
+// the shard-count knobs and their accessor are gone.
 template <typename Options>
 constexpr bool kHasRegistryShards =
     requires(Options options) { options.registryShards; };
@@ -118,8 +117,33 @@ static_assert(!kHasShardCount<TargetRuntime>,
               "TargetRuntime::shardCount was removed with the registry "
               "shards");
 static_assert(!kHasPolicyShards<policy::PolicyOptions>,
-              "PolicyOptions::shards was removed; policy state uses "
-              "policy::kPolicyStateShards stripes");
+              "PolicyOptions::shards was removed; calibrated keeps its "
+              "state in one map behind one mutex");
+#if __has_include("runtime/policy/sharded.h")
+constexpr bool kHasShardedHeader = true;
+#else
+constexpr bool kHasShardedHeader = false;
+#endif
+static_assert(!kHasShardedHeader,
+              "runtime/policy/sharded.h (ShardedRegionMap) was removed; "
+              "calibrated keeps its state in one map behind one mutex");
+
+// One state-generation counter and one way to invalidate cached decisions:
+// the policy's refits() is the cache epoch, so the duplicate stateEpoch()
+// and the runtime's own invalidation bump are gone.
+template <typename Policy>
+constexpr bool kHasStateEpoch =
+    requires(const Policy& selection) { selection.stateEpoch(); };
+template <typename Runtime>
+constexpr bool kHasInvalidateDecisionCaches =
+    requires(Runtime& runtime) { runtime.invalidateDecisionCaches(); };
+
+static_assert(!kHasStateEpoch<policy::SelectionPolicy>,
+              "SelectionPolicy::stateEpoch was removed; refits() is the "
+              "monotonic state generation and the cache epoch");
+static_assert(!kHasInvalidateDecisionCaches<TargetRuntime>,
+              "TargetRuntime::invalidateDecisionCaches was removed; a policy "
+              "refit is what invalidates cached decisions");
 
 // Only model-compare and calibrated ship: the hysteresis and epsilon-greedy
 // knobs, the cache-bypass flag that existed for epsilon-greedy, the probe
