@@ -7,9 +7,13 @@
 #include <unistd.h>
 
 #include <array>
+#include <cmath>
 #include <cstdint>
+#include <memory>
+#include <random>
 #include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -290,6 +294,129 @@ void BM_BatchDecideTraced(benchmark::State& state) {
                           static_cast<std::int64_t>(batch));
 }
 BENCHMARK(BM_BatchDecideTraced)->Arg(64)->ThreadRange(1, 2)->UseRealTime();
+
+/// Every suite region on one traced runtime, as oseld runs it, with
+/// `capacity` entries per region cache. Shared by the threads of one
+/// BM_ColdFrameDecide run.
+struct ColdSuite {
+  explicit ColdSuite(std::size_t capacity) {
+    std::vector<ir::TargetRegion> regions;
+    for (const polybench::Benchmark& benchmark : polybench::suite()) {
+      for (const ir::TargetRegion& kernel : benchmark.kernels()) {
+        regions.push_back(kernel);
+      }
+    }
+    const std::array<mca::MachineModel, 1> models{mca::MachineModel::power9()};
+    runtime::RuntimeOptions options;
+    options.decisionCacheCapacity = capacity;
+    options.trace = &session;
+    rt = std::make_unique<runtime::TargetRuntime>(
+        compiler::compileAll(regions, models), options);
+    for (const ir::TargetRegion& region : regions) rt->registerRegion(region);
+  }
+  obs::TraceSession session;
+  std::unique_ptr<runtime::TargetRuntime> rt;
+};
+
+/// One pre-built 64-row frame: a region, its slot names, slot-major values.
+struct ColdFrame {
+  std::string region;
+  std::vector<std::string> names;
+  std::vector<std::string_view> nameViews;
+  std::vector<std::int64_t> values;
+};
+
+/// `count` frames over the suite: regions drawn zipfian (s = 1.2, suite
+/// order is rank order), each row a size drawn from 4096 per region — the
+/// serve_cold_batch shape, so a 64-entry region cache hits under 2% of rows.
+std::vector<ColdFrame> coldFrames(std::size_t count, std::size_t rows,
+                                  std::uint64_t seed) {
+  struct Region {
+    std::string name;
+    const polybench::Benchmark* benchmark;
+  };
+  std::vector<Region> regions;
+  std::vector<double> weights;
+  for (const polybench::Benchmark& benchmark : polybench::suite()) {
+    for (const ir::TargetRegion& kernel : benchmark.kernels()) {
+      regions.push_back({kernel.name, &benchmark});
+      weights.push_back(
+          1.0 / std::pow(static_cast<double>(regions.size()), 1.2));
+    }
+  }
+  std::mt19937_64 rng(seed);
+  std::discrete_distribution<std::size_t> pickRegion(weights.begin(),
+                                                     weights.end());
+  std::uniform_int_distribution<std::int64_t> pickSize(0, 4095);
+  std::vector<ColdFrame> frames(count);
+  for (ColdFrame& frame : frames) {
+    const Region& region = regions[pickRegion(rng)];
+    frame.region = region.name;
+    std::vector<symbolic::Bindings> bindings(rows);
+    for (symbolic::Bindings& row : bindings) {
+      row = region.benchmark->bindings(64 + 4 * pickSize(rng));
+    }
+    for (const auto& [name, value] : bindings.front()) {
+      frame.names.push_back(name);
+    }
+    for (const std::string& name : frame.names) {
+      frame.nameViews.push_back(name);
+      for (const symbolic::Bindings& row : bindings) {
+        frame.values.push_back(row.at(name));
+      }
+    }
+  }
+  return frames;
+}
+
+void BM_ColdFrameDecide(benchmark::State& state) {
+  // The decide stage of a miss-heavy oseld frame, in process: traced
+  // decideColumns calls of 64 fresh rows over the whole suite, record tail
+  // (cache back-fill, explain publish) included. Arg is the region cache
+  // capacity: 0 has no cache to probe or fill, 64 probes and back-fills
+  // every row for the few that hit. With two threads both write the same
+  // hot regions' caches. Reports no gate; compare the pair.
+  static ColdSuite* shared = nullptr;
+  constexpr std::size_t kRows = 64;
+  if (state.thread_index() == 0) {
+    shared = new ColdSuite(static_cast<std::size_t>(state.range(0)));
+  }
+  const std::vector<ColdFrame> frames = coldFrames(
+      256, kRows, 0xC01DULL + static_cast<std::uint64_t>(state.thread_index()));
+  std::vector<runtime::Decision> out(kRows);
+  std::size_t next = 0;
+  for (auto _ : state) {
+    const ColdFrame& frame = frames[next++ % frames.size()];
+    shared->rt->decideColumns(frame.region, frame.nameViews,
+                              reinterpret_cast<const char*>(frame.values.data()),
+                              kRows, out);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kRows));
+  if (state.thread_index() == 0) {
+    std::uint64_t lookups = 0;
+    std::uint64_t hits = 0;
+    for (const polybench::Benchmark& benchmark : polybench::suite()) {
+      for (const ir::TargetRegion& kernel : benchmark.kernels()) {
+        const runtime::DecisionCache::Stats stats =
+            shared->rt->decisionCacheStats(kernel.name);
+        lookups += stats.lookups;
+        hits += stats.hits;
+      }
+    }
+    state.counters["hit_ratio"] =
+        lookups > 0 ? static_cast<double>(hits) / static_cast<double>(lookups)
+                    : 0.0;
+    delete shared;
+    shared = nullptr;
+  }
+}
+BENCHMARK(BM_ColdFrameDecide)
+    ->Arg(0)
+    ->Arg(64)
+    ->ThreadRange(1, 2)
+    ->UseRealTime();
 
 void BM_ServeDecide(benchmark::State& state) {
   // One scalar decide over the oseld wire (loopback Unix socket): client

@@ -12,20 +12,37 @@
 // `columns` are filled. With a trace session attached, the explain records
 // of every row a call decides afresh collect in `explains` and publish to
 // the explain ring once per call, after the call's overhead is stamped.
+//
+// A call's *record tail* — the decision-cache back-fill of its fresh rows
+// and its explain publish — is work its answer does not read. The tail
+// lives in the arena: in-process calls run it before they return, and
+// TargetRuntime::decideColumnsDeferred (every oseld decide frame) leaves it
+// pending behind a PendingRecord so the server can send the reply first.
+// Whatever happens, a pending tail runs before the thread's next decide call
+// reuses the arena.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <numeric>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "cpumodel/cpu_model.h"
 #include "gpumodel/gpu_model.h"
 #include "obs/explain.h"
+#include "runtime/decision_cache.h"
 #include "runtime/selector.h"
 #include "symbolic/expr.h"
 
+namespace osel::obs {
+class TraceSession;
+}  // namespace osel::obs
+
 namespace osel::runtime {
+
+class TargetRuntime;
 
 /// One request of a TargetRuntime::decideBatch() call: which region to
 /// decide for and the runtime bindings. Both fields are non-owning views —
@@ -78,12 +95,38 @@ struct BatchArena {
   std::vector<obs::DecisionExplain> explains;
   std::size_t explained = 0;
 
-  /// Starts a batch of `requests` requests: order becomes the identity
-  /// permutation (sorted by the caller), the call's explain records reset.
+  // --- The call's record tail ---------------------------------------------
+  /// The last group's back-fill: its fresh rows (`missRows`, keyed by
+  /// `columns`/`masks` as `backfillKeys`, decisions read through `targets`)
+  /// go into `backfillCache` under `backfillEpoch`. The pointer shares
+  /// ownership of the region's registry entry, so a re-registration cannot
+  /// free the cache under a pending back-fill. Null when nothing is parked.
+  std::shared_ptr<DecisionCache> backfillCache;
+  DecisionCache::KeyBlock backfillKeys;
+  std::uint64_t backfillEpoch = 0;
+  /// The call's explain publish: explains[0, explained) stamped with
+  /// `explainOverhead` and published to `explainSession`. Null when nothing
+  /// is parked.
+  obs::TraceSession* explainSession = nullptr;
+  double explainOverhead = 0.0;
+  /// Decide calls begun on this arena; a PendingRecord runs the tail only
+  /// while the call that parked it is still the latest.
+  std::uint64_t calls = 0;
+
+  /// Runs the parked back-fill, if any.
+  void backfill();
+  /// Runs the parked back-fill and explain publish, if any.
+  void runRecord();
+
+  /// Starts a batch of `requests` requests: a tail an earlier call left
+  /// pending runs first, then order becomes the identity permutation
+  /// (sorted by the caller) and the call's explain records reset.
   /// The miss row list is reserved up front — it is push_back'd on a
   /// data-dependent path, so growing it lazily would allocate on the first
   /// batch whose hit/miss mix differs from the warm-up's.
   void begin(std::size_t requests) {
+    if (backfillCache != nullptr || explainSession != nullptr) runRecord();
+    ++calls;
     order.resize(requests);
     std::iota(order.begin(), order.end(), 0U);
     missRows.reserve(requests);
@@ -113,6 +156,46 @@ struct BatchArena {
     explained += rows;
     return claimed;
   }
+};
+
+/// The record tail of one TargetRuntime::decideColumnsDeferred() call,
+/// left pending in the calling thread's BatchArena: the decision-cache
+/// back-fill of the call's fresh rows and its explain publish. run() runs
+/// it; the destructor runs it if run() was never called; either is a no-op
+/// once the thread's next decide call has run it (every decide entry point
+/// runs a pending tail before it reuses the arena). Move-only. Run or
+/// destroy it on the thread that made it, before the call's `out` rows
+/// change (the back-fill reads them) and while the runtime's trace session
+/// lives.
+class PendingRecord {
+ public:
+  PendingRecord() = default;
+  PendingRecord(PendingRecord&& other) noexcept
+      : arena_(std::exchange(other.arena_, nullptr)), call_(other.call_) {}
+  PendingRecord& operator=(PendingRecord&& other) noexcept {
+    if (this != &other) {
+      run();
+      arena_ = std::exchange(other.arena_, nullptr);
+      call_ = other.call_;
+    }
+    return *this;
+  }
+  PendingRecord(const PendingRecord&) = delete;
+  PendingRecord& operator=(const PendingRecord&) = delete;
+  ~PendingRecord() { run(); }
+
+  void run() {
+    BatchArena* const arena = std::exchange(arena_, nullptr);
+    if (arena != nullptr && arena->calls == call_) arena->runRecord();
+  }
+
+ private:
+  friend class TargetRuntime;
+  PendingRecord(BatchArena& arena, std::uint64_t call)
+      : arena_(&arena), call_(call) {}
+
+  BatchArena* arena_ = nullptr;
+  std::uint64_t call_ = 0;
 };
 
 }  // namespace osel::runtime

@@ -125,11 +125,13 @@ void DecisionCache::clearLocked() {
   tail_ = kNone;
 }
 
-void DecisionCache::syncEpoch(std::uint64_t epoch) {
-  if (epoch != epoch_) {
+bool DecisionCache::syncEpoch(std::uint64_t epoch) {
+  if (epoch < epoch_) return false;
+  if (epoch > epoch_) {
     clearLocked();
     epoch_ = epoch;
   }
+  return true;
 }
 
 bool DecisionCache::findLocked(const KeyRef& key, Decision& out) {
@@ -182,9 +184,9 @@ std::size_t DecisionCache::findMany(const KeyBlock& keys, Decision* const* out,
   std::size_t found = 0;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    syncEpoch(epoch);
+    const bool current = syncEpoch(epoch);
     for (std::size_t row = 0; row < keys.rows; ++row) {
-      hit[row] = findLocked(rowKey(keys, row), *out[row]) ? 1 : 0;
+      hit[row] = current && findLocked(rowKey(keys, row), *out[row]) ? 1 : 0;
       found += hit[row];
     }
   }
@@ -199,7 +201,7 @@ void DecisionCache::insertMany(const KeyBlock& keys,
                                std::uint64_t epoch) {
   if (capacity_ == 0 || rows.empty()) return;
   std::lock_guard<std::mutex> lock(mutex_);
-  syncEpoch(epoch);
+  if (!syncEpoch(epoch)) return;
   for (const std::uint32_t row : rows) {
     insertLocked(rowKey(keys, row), *decisions[row]);
   }

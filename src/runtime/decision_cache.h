@@ -28,9 +28,12 @@
 //
 // Invalidation is epoch-based so a selection-policy refit is one atomic
 // bump instead of a walk over every cache: findMany() and insertMany() take
-// the runtime's current epoch (the policy's refits()), and a cache lazily
-// drops its entries the first time it observes a newer epoch than the one
-// it stored under.
+// the epoch their decide call read (the policy's refits()), and a cache
+// lazily drops its entries the first time it observes a newer epoch than
+// the one it stored under. The cache's epoch never goes backwards: a call
+// that read its epoch before a refit another call already brought here
+// leaves the cache alone — its probes miss and its inserts are dropped — so
+// it can neither wipe the newer entries nor store pre-refit decisions.
 #pragma once
 
 #include <atomic>
@@ -90,7 +93,8 @@ class DecisionCache {
   /// row — `rows` lookups and exactly one hit or miss each. `epoch` is the
   /// owner's invalidation epoch: when it advanced past the epoch the
   /// entries were stored under, the stale entries are dropped first (a
-  /// lazy, O(1)-to-signal invalidation). Copying a cached Decision whose
+  /// lazy, O(1)-to-signal invalidation); when it is older than theirs,
+  /// every row misses and the entries stay. Copying a cached Decision whose
   /// diagnostic is empty (every valid decision) does not allocate. Returns
   /// the number of hits.
   std::size_t findMany(const KeyBlock& keys, Decision* const* out,
@@ -101,7 +105,7 @@ class DecisionCache {
   /// evicts the least-recently-used entry at capacity; a key already
   /// present (including a duplicate earlier in the same call) has its
   /// decision refreshed. Stats (insertions/evictions) count per inserted
-  /// entry.
+  /// entry. An `epoch` older than the entries' drops the whole call.
   void insertMany(const KeyBlock& keys, std::span<const std::uint32_t> rows,
                   const Decision* const* decisions, std::uint64_t epoch = 0);
 
@@ -163,8 +167,9 @@ class DecisionCache {
   void growIndex();
   /// Drops every entry, keeping entry storage for reuse.
   void clearLocked();
-  /// Drops stale entries when `epoch` advanced.
-  void syncEpoch(std::uint64_t epoch);
+  /// Drops stale entries when `epoch` advanced; false, leaving everything
+  /// as it is, when `epoch` is older than the entries'.
+  [[nodiscard]] bool syncEpoch(std::uint64_t epoch);
 
   std::size_t capacity_;
   mutable std::mutex mutex_;

@@ -196,7 +196,9 @@ double TargetRuntime::measureTraced(const std::string& regionName,
 namespace {
 
 /// One arena per thread: decide/decideBatch are re-entrant across runtimes
-/// (the arena is pure scratch) and steady-state calls reuse its capacity.
+/// (the arena is pure scratch, and a tail one runtime left pending runs
+/// before another's call reuses it) and steady-state calls reuse its
+/// capacity.
 BatchArena& threadBatchArena() {
   static thread_local BatchArena arena;
   return arena;
@@ -211,7 +213,7 @@ void TargetRuntime::decideGroup(std::string_view region,
                                 std::uint64_t epoch, BatchArena& arena,
                                 BatchCounters& counters) {
   const std::size_t rows = group.size();
-  const std::shared_ptr<const RegionEntry> entry = findEntry(region);
+  std::shared_ptr<const RegionEntry> entry = findEntry(region);
 
   // A registered region with a PAD entry has a plan and its cache. A region
   // that has a PAD entry but is not registered decides through a plan
@@ -288,7 +290,13 @@ void TargetRuntime::decideGroup(std::string_view region,
                          complete ? nullptr : &row);
   }
   if (useCache) {
-    cache->insertMany(keys, arena.missRows, arena.targets.data(), epoch);
+    // Parked, not run: the caller runs it before the next group reuses the
+    // columns, or leaves it to the call's record tail. The parked pointer
+    // takes over the entry's ownership.
+    arena.backfillKeys = keys;
+    arena.backfillEpoch = epoch;
+    arena.backfillCache =
+        std::shared_ptr<DecisionCache>(std::move(entry), cache);
   }
 }
 
@@ -381,11 +389,12 @@ BatchCounters TargetRuntime::decideRequests(
       }
     };
     decideGroup(region, group, out, bind, epoch, arena, counters);
+    arena.backfill();
     ++groups;
     i = j;
   }
   finishCall(requests[arena.order[0]].region, n, groups, startNs, wallStart,
-             arena, counters, out);
+             /*deferRecord=*/false, arena, counters, out);
   return counters;
 }
 
@@ -393,9 +402,24 @@ void TargetRuntime::decideColumns(std::string_view region,
                                   std::span<const std::string_view> slotNames,
                                   const char* values, std::size_t rows,
                                   std::span<Decision> out) {
+  (void)columnsCall(region, slotNames, values, rows, out,
+                    /*deferRecord=*/false);
+}
+
+PendingRecord TargetRuntime::decideColumnsDeferred(
+    std::string_view region, std::span<const std::string_view> slotNames,
+    const char* values, std::size_t rows, std::span<Decision> out) {
+  return columnsCall(region, slotNames, values, rows, out,
+                     /*deferRecord=*/true);
+}
+
+PendingRecord TargetRuntime::columnsCall(
+    std::string_view region, std::span<const std::string_view> slotNames,
+    const char* values, std::size_t rows, std::span<Decision> out,
+    bool deferRecord) {
   require(out.size() >= rows,
           "TargetRuntime::decideColumns: output span smaller than row count");
-  if (rows == 0) return;
+  if (rows == 0) return {};
   require(values != nullptr || slotNames.empty(),
           "TargetRuntime::decideColumns: value columns missing");
   const std::int64_t startNs = trace_ != nullptr ? trace_->nowNs() : 0;
@@ -415,13 +439,18 @@ void TargetRuntime::decideColumns(std::string_view region,
   BatchCounters counters;
   decideGroup(region, arena.order, out, bind, policy_->refits(), arena,
               counters);
-  finishCall(region, rows, 1, startNs, wallStart, arena, counters, out);
+  if (!deferRecord) arena.backfill();
+  finishCall(region, rows, 1, startNs, wallStart, deferRecord, arena, counters,
+             out);
+  if (!deferRecord) return {};
+  return PendingRecord(arena, arena.calls);
 }
 
 void TargetRuntime::finishCall(std::string_view label, std::size_t n,
                                std::size_t groups, std::int64_t startNs,
                                std::chrono::steady_clock::time_point wallStart,
-                               BatchArena& arena, const BatchCounters& counters,
+                               bool deferRecord, BatchArena& arena,
+                               const BatchCounters& counters,
                                std::span<Decision> out) {
   // Every row, cache hit or fresh, reports the call's amortized
   // per-decision cost, and so does every explain record the call filled.
@@ -431,7 +460,9 @@ void TargetRuntime::finishCall(std::string_view label, std::size_t n,
           .count();
   const double amortized = callSeconds / static_cast<double>(n);
   for (std::size_t i = 0; i < n; ++i) out[i].overheadSeconds = amortized;
-  publishExplains(arena, amortized);
+  arena.explainSession = trace_;
+  arena.explainOverhead = amortized;
+  if (!deferRecord) arena.runRecord();
   if (counters.cacheLookups > 0) {
     state_->cacheLookups.fetch_add(counters.cacheLookups,
                                    std::memory_order_relaxed);
@@ -477,17 +508,6 @@ void TargetRuntime::finishCall(std::string_view label, std::size_t n,
                      trace_->nowNs() - startNs,
                      {"requests", static_cast<double>(n)},
                      {"groups", static_cast<double>(groups)});
-}
-
-void TargetRuntime::publishExplains(BatchArena& arena,
-                                    double overheadSeconds) {
-  if (trace_ == nullptr) return;
-  const std::span<obs::DecisionExplain> records(arena.explains.data(),
-                                                arena.explained);
-  for (obs::DecisionExplain& record : records) {
-    record.overheadSeconds = overheadSeconds;
-  }
-  trace_->recordExplains(records);
 }
 
 void TargetRuntime::recordExecution(LaunchRecord& record,

@@ -22,7 +22,12 @@
 // read of its own: every row a call serves reports the call's wall time
 // divided by its rows. With a trace session attached, the call's fresh
 // decisions publish their explain records together, after that stamp: one
-// ring lock and one timestamp per call. A region that has a PAD entry but
+// ring lock and one timestamp per call. The back-fill of the fresh rows into
+// the cache and that explain publish are the call's record tail: decide(),
+// decideBatch() and decideColumns() run it before they return;
+// decideColumnsDeferred(), oseld's entry point, answers first and hands the
+// tail back as a PendingRecord, so the server sends the reply before the
+// tail runs (runtime/batch.h). A region that has a PAD entry but
 // is not registered yet decides through a plan compiled for that group (no
 // cache); a region with no PAD entry, an unusable plan and a row missing a
 // required symbol degrade to the safe default with their diagnostic.
@@ -255,6 +260,22 @@ class TargetRuntime {
                      const char* values, std::size_t rows,
                      std::span<Decision> out);
 
+  /// decideColumns() split into its answer and its record tail — how oseld
+  /// decides every DecideRequest and DecideBatch frame. Returns once out[0,
+  /// rows) holds the decisions, the span, counters and overhead sample are
+  /// recorded and the explain records are filled; the decision-cache
+  /// back-fill of the fresh rows and the explain publish stay pending in
+  /// the returned PendingRecord, to run after the reply is sent. Decisions,
+  /// cache traffic and explain contents are those of decideColumns(); only
+  /// the time the tail runs differs: overheadSeconds (rows and explain
+  /// records) covers the answer phase only, and the records are stamped
+  /// when they are published. Until the tail runs, the cache lacks the
+  /// call's fresh rows, so a concurrent caller may decide them afresh; the
+  /// thread's next decide call runs the tail first, whatever the runtime.
+  [[nodiscard]] PendingRecord decideColumnsDeferred(
+      std::string_view region, std::span<const std::string_view> slotNames,
+      const char* values, std::size_t rows, std::span<Decision> out);
+
   /// Measures one execution of a region on a specific device (ground-truth
   /// simulation against `store`).
   [[nodiscard]] double measure(const std::string& regionName,
@@ -401,7 +422,8 @@ class TargetRuntime {
   /// selector's untimed in-place tail (OffloadSelector::decideInto) for the
   /// misses — including the rows the plan cannot complete (an unusable
   /// plan, an unbindable row), which raise the plan's diagnostic from their
-  /// column row — and one bulk back-fill. Tallies land in `counters`; with
+  /// column row — and one bulk back-fill, parked in the arena (holding the
+  /// region entry) for the caller to run. Tallies land in `counters`; with
   /// a session attached, fresh rows claim explain records from the arena
   /// for the call to publish. Defined in target_runtime.cpp, its only user.
   template <typename Bind>
@@ -409,22 +431,27 @@ class TargetRuntime {
                    std::span<const std::uint32_t> group,
                    std::span<Decision> out, Bind&& bind, std::uint64_t epoch,
                    BatchArena& arena, BatchCounters& counters);
-  /// Stamps `overheadSeconds` on the call's explain records
-  /// (arena.explains[0, arena.explained)) and publishes them to the session
-  /// (one ring lock, one clock read); no-op when detached.
-  void publishExplains(BatchArena& arena, double overheadSeconds);
+  /// decideColumns() (`deferRecord` false: the tail runs before the
+  /// return, inside the call's timed window) and decideColumnsDeferred()
+  /// (true: the tail is handed back pending).
+  PendingRecord columnsCall(std::string_view region,
+                            std::span<const std::string_view> slotNames,
+                            const char* values, std::size_t rows,
+                            std::span<Decision> out, bool deferRecord);
   /// The one tail of every decide call over `n` rows in `groups` region
-  /// groups: stamps every row of out[0, n) and every explain record with
-  /// the call's amortized cost, publishes the records, the cache and path
-  /// counters (and the decision_cache.hit_ratio gauge, runtime-wide) and,
-  /// with a session attached, the overhead sample and the
-  /// call's span — `decide` (tagged compiled, cache_hit or degenerate) for
-  /// a one-row call, `decide.batch` plus a batch-size sample otherwise.
+  /// groups: stamps every row of out[0, n) with the call's amortized cost,
+  /// parks the explain publish (records stamped with that cost, one ring
+  /// lock and one clock read) and runs the arena's record tail unless
+  /// `deferRecord`; publishes the cache and path counters (and the
+  /// decision_cache.hit_ratio gauge, runtime-wide) and, with a session
+  /// attached, the overhead sample and the call's span — `decide` (tagged
+  /// compiled, cache_hit or degenerate) for a one-row call, `decide.batch`
+  /// plus a batch-size sample otherwise.
   void finishCall(std::string_view label, std::size_t n, std::size_t groups,
                   std::int64_t startNs,
                   std::chrono::steady_clock::time_point wallStart,
-                  BatchArena& arena, const BatchCounters& counters,
-                  std::span<Decision> out);
+                  bool deferRecord, BatchArena& arena,
+                  const BatchCounters& counters, std::span<Decision> out);
   /// measure() plus, when a trace session is attached, execution spans —
   /// GPU runs additionally get kernel/transfer sub-spans whose simulated
   /// fractions are projected onto the wall-clock span.

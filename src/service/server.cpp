@@ -1,11 +1,14 @@
 // oseld's server loop (service/server.h). Each connection is served by one
-// worker: decode a frame, decide, encode the reply, flush. Every decide
-// frame goes to TargetRuntime::decideColumns as slot-major value columns:
-// a DecideBatch frame's columns as they are, a DecideRequest's bindings as
-// a one-row frame (one name and one value per binding, in wire order, so a
-// duplicate symbol binds its last value). No Bindings map is built. The
-// runtime decides the frame as one region group and publishes its explain
-// records to the server's session in one call.
+// worker: decode a frame, decide, encode the reply, flush, then record.
+// Every decide frame goes to TargetRuntime::decideColumnsDeferred as
+// slot-major value columns: a DecideBatch frame's columns as they are, a
+// DecideRequest's bindings as a one-row frame (one name and one value per
+// binding, in wire order, so a duplicate symbol binds its last value). No
+// Bindings map is built. The runtime decides the frame as one region group
+// and hands back its record tail (the cache back-fill and the explain
+// publish), which the worker runs with its own per-frame bookkeeping once
+// the reply is sent: after the flush, or before the connection's next frame
+// when several arrive in one read.
 #include "service/server.h"
 
 #include <algorithm>
@@ -30,6 +33,21 @@ constexpr std::uint32_t kSupportedFeatures =
 /// the first this-many connections, bounding metric cardinality under
 /// connection churn; the aggregate series always update.
 constexpr std::uint64_t kMaxClientMetricSeries = 64;
+
+/// What the server records for the one answered decide frame of a
+/// connection whose record phase has not run yet.
+struct FrameRecord {
+  bool pending = false;  ///< the frame's reply was encoded
+  bool batch = false;    ///< a DecideBatch frame (batch_rows sample)
+  bool sampled = false;  ///< client set kTraceFlagSampled
+  std::uint64_t requestId = 0;
+  std::uint64_t traceId = 0;
+  std::uint32_t rows = 0;
+  std::int64_t t0 = 0;  ///< decode start
+  std::int64_t t1 = 0;  ///< decide start
+  std::int64_t t2 = 0;  ///< encode start
+  std::int64_t t3 = 0;  ///< encode end
+};
 
 /// One decide-carrying frame's stage times, parked until the reply flush
 /// closes its wall clock (send happens per flush, not per frame).
@@ -102,6 +120,8 @@ Server::Server(pad::AttributeDatabase database,
   instruments_.sendSeconds = &metrics.histogram("service.send_s", stageBounds);
   instruments_.requestSeconds =
       &metrics.histogram("service.request_s", stageBounds);
+  instruments_.recordSeconds =
+      &metrics.histogram("service.record_s", stageBounds);
 }
 
 Server::~Server() { stop(); }
@@ -257,6 +277,8 @@ void Server::serveConnection(Socket socket, std::uint64_t clientId) {
   DecideRequestView requestView;
   DecideBatchView batchView;
   std::vector<runtime::Decision> decisions;
+  runtime::PendingRecord tail;  ///< the last decide frame's runtime tail
+  FrameRecord frame;
   std::vector<PendingCapture> pendingCaptures;
   char buffer[64 * 1024];
 
@@ -264,19 +286,36 @@ void Server::serveConnection(Socket socket, std::uint64_t clientId) {
       options_.slowThresholdSeconds > 0.0
           ? static_cast<std::int64_t>(options_.slowThresholdSeconds * 1e9)
           : -1;
-  // Folds one decide-carrying frame's decode/decide/encode stage times into
-  // the histograms and parks its wide-event record until the flush closes
-  // the send stage and the wall clock.
-  const auto stageDone = [&](std::uint64_t requestId, std::uint64_t traceId,
-                             bool sampled, std::uint32_t rows,
-                             std::int64_t t0, std::int64_t t1, std::int64_t t2,
-                             std::int64_t t3) {
+  // The record phase of the answered frame, if any: the runtime's tail, the
+  // frame's decode/decide/encode stage times and counters, and its
+  // wide-event record, parked until the flush closes the send stage and
+  // the wall clock. Runs after the flush that sent the frame's reply, or
+  // before the next frame when several arrive in one read, and always
+  // before `decisions` and `regionName` move on to the next frame (the
+  // tail and the row tally read them). Timed into service.record_s.
+  const auto recordFrame = [&] {
+    if (!frame.pending) {
+      tail.run();  // a frame whose reply failed to encode
+      return;
+    }
+    frame.pending = false;
+    const std::int64_t recordStart = session_.nowNs();
+    tail.run();
+    if (frame.batch) {
+      instruments_.batchRows->record(static_cast<double>(frame.rows));
+    }
+    instruments_.decisions->add(frame.rows);
+    if (clientDecisions != nullptr) clientDecisions->add(frame.rows);
+    const std::int64_t t0 = frame.t0;
+    const std::int64_t t1 = frame.t1;
+    const std::int64_t t2 = frame.t2;
+    const std::int64_t t3 = frame.t3;
     instruments_.decodeSeconds->record(static_cast<double>(t1 - t0) * 1e-9);
     instruments_.decideSeconds->record(static_cast<double>(t2 - t1) * 1e-9);
     instruments_.encodeSeconds->record(static_cast<double>(t3 - t2) * 1e-9);
-    if (sampled) {
+    if (frame.sampled) {
       const auto client = static_cast<double>(clientId);
-      const auto trace = static_cast<double>(traceId);
+      const auto trace = static_cast<double>(frame.traceId);
       session_.recordSpan("service.decode", "service", regionName, t0, t1 - t0,
                           {"client", client}, {"trace_id", trace});
       session_.recordSpan("service.decide", "service", regionName, t1, t2 - t1,
@@ -287,23 +326,25 @@ void Server::serveConnection(Socket socket, std::uint64_t clientId) {
     PendingCapture capture;
     capture.startNs = t0;
     capture.encodeEndNs = t3;
-    capture.sampled = sampled;
+    capture.sampled = frame.sampled;
     obs::SlowRequestRecord& record = capture.record;
     record.setRegion(regionName);
-    record.traceId = traceId;
+    record.traceId = frame.traceId;
     record.clientId = clientId;
-    record.requestId = requestId;
-    record.rows = rows;
+    record.requestId = frame.requestId;
+    record.rows = frame.rows;
     record.stateEpoch = runtime_.selector().policy().refits();
     record.decodeNs = t1 - t0;
     record.decideNs = t2 - t1;
     record.encodeNs = t3 - t2;
-    for (std::uint32_t row = 0; row < rows; ++row) {
+    for (std::uint32_t row = 0; row < frame.rows; ++row) {
       const runtime::Decision& decision = decisions[row];
       if (decision.device == runtime::Device::Gpu) record.gpuDecisions += 1;
       if (!decision.valid) record.invalidDecisions += 1;
     }
     pendingCaptures.push_back(capture);
+    instruments_.recordSeconds->record(
+        static_cast<double>(session_.nowNs() - recordStart) * 1e-9);
   };
 
   try {
@@ -324,6 +365,9 @@ void Server::serveConnection(Socket socket, std::uint64_t clientId) {
           closing = true;
           break;
         }
+        // Pipelined frames: the previous one was answered into `out`, not
+        // sent yet; it records before this frame reads anything.
+        recordFrame();
         instruments_.frames->add();
         if (clientFrames != nullptr) clientFrames->add();
         const auto type = static_cast<FrameType>(header.type);
@@ -394,18 +438,22 @@ void Server::serveConnection(Socket socket, std::uint64_t clientId) {
               }
               decisions.resize(1);
               const std::int64_t t1 = session_.nowNs();
-              runtime_.decideColumns(
+              tail = runtime_.decideColumnsDeferred(
                   regionName, scalarNames,
                   reinterpret_cast<const char*>(scalarValues.data()), 1,
                   decisions);
               const std::int64_t t2 = session_.nowNs();
               encodeDecision(out, requestView.requestId, decisions[0], echo);
-              const std::int64_t t3 = session_.nowNs();
-              instruments_.decisions->add();
-              if (clientDecisions != nullptr) clientDecisions->add();
-              stageDone(requestView.requestId, frameTrace.traceId,
-                        (frameTrace.flags & kTraceFlagSampled) != 0, 1, t0, t1,
-                        t2, t3);
+              frame = {.pending = true,
+                       .batch = false,
+                       .sampled = (frameTrace.flags & kTraceFlagSampled) != 0,
+                       .requestId = requestView.requestId,
+                       .traceId = frameTrace.traceId,
+                       .rows = 1,
+                       .t0 = t0,
+                       .t1 = t1,
+                       .t2 = t2,
+                       .t3 = session_.nowNs()};
               break;
             }
             case FrameType::DecideBatch: {
@@ -418,18 +466,22 @@ void Server::serveConnection(Socket socket, std::uint64_t clientId) {
               // fills, so the reply buffer is only sized, not re-initialised.
               decisions.resize(rows);
               const std::int64_t t1 = session_.nowNs();
-              runtime_.decideColumns(regionName, batchView.slots,
-                                     batchView.values, rows, decisions);
+              tail = runtime_.decideColumnsDeferred(
+                  regionName, batchView.slots, batchView.values, rows,
+                  decisions);
               const std::int64_t t2 = session_.nowNs();
               encodeDecisionBatch(out, batchView.requestId,
                                   std::span(decisions.data(), rows), echo);
-              const std::int64_t t3 = session_.nowNs();
-              instruments_.batchRows->record(static_cast<double>(rows));
-              instruments_.decisions->add(rows);
-              if (clientDecisions != nullptr) clientDecisions->add(rows);
-              stageDone(batchView.requestId, frameTrace.traceId,
-                        (frameTrace.flags & kTraceFlagSampled) != 0,
-                        static_cast<std::uint32_t>(rows), t0, t1, t2, t3);
+              frame = {.pending = true,
+                       .batch = true,
+                       .sampled = (frameTrace.flags & kTraceFlagSampled) != 0,
+                       .requestId = batchView.requestId,
+                       .traceId = frameTrace.traceId,
+                       .rows = static_cast<std::uint32_t>(rows),
+                       .t0 = t0,
+                       .t1 = t1,
+                       .t2 = t2,
+                       .t3 = session_.nowNs()};
               break;
             }
             case FrameType::StatsRequest: {
@@ -498,6 +550,10 @@ void Server::serveConnection(Socket socket, std::uint64_t clientId) {
         const std::int64_t sendEnd = session_.nowNs();
         instruments_.bytesOut->add(out.size());
         out.clear();
+        // The reply is on the wire: the record phase runs now, before the
+        // next read, so the connection's next frame sees what this one
+        // recorded.
+        recordFrame();
         if (!pendingCaptures.empty()) {
           // One send(2) flushes every reply buffered this round. A frame's
           // send stage runs from its own encode end to the point the next
@@ -547,6 +603,9 @@ void Server::serveConnection(Socket socket, std::uint64_t clientId) {
   } catch (const SocketError&) {
     // Peer vanished mid-conversation; nothing to answer.
   }
+  // A frame answered but never flushed (the peer vanished first) still
+  // records.
+  recordFrame();
 
   {
     std::lock_guard<std::mutex> lock(activeMutex_);

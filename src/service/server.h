@@ -10,9 +10,18 @@
 // shed-don't-queue doctrine: when the hand-off queue is full a new
 // connection is answered Error{Shed} and closed instead of waiting.
 //
+// A decide frame is answered before it is recorded: the worker decides it
+// (TargetRuntime::decideColumnsDeferred), encodes and sends the reply, and
+// only then runs the frame's record phase — the decision-cache back-fill,
+// the explain publish and the per-frame stage samples and counters, timed
+// into service.record_s — before it reads the connection's next frame. So
+// a connection's next frame sees everything its earlier frames recorded;
+// other connections see it once that worker's record phase has run.
+//
 // Observability: the server owns an obs::TraceSession, attaches it to the
 // runtime, and adds its own service.* counters (connections, sheds, frames,
-// decisions, errors, bytes in/out, a batch-rows histogram) plus capped
+// decisions, errors, bytes in/out, a batch-rows histogram), the per-stage
+// decode/decide/encode/send/request and record histograms, plus capped
 // per-client series. The session's Prometheus exposition is served on an
 // optional loopback HTTP endpoint (`GET /metrics`) so the renderPrometheus
 // text is scraped for real. docs/SERVICE.md covers deployment.
@@ -133,6 +142,10 @@ class Server {
     obs::Histogram* encodeSeconds = nullptr;
     obs::Histogram* sendSeconds = nullptr;
     obs::Histogram* requestSeconds = nullptr;
+    /// A decide frame's record phase (the runtime's record tail plus the
+    /// per-frame bookkeeping), run after its reply is sent and so outside
+    /// request_s.
+    obs::Histogram* recordSeconds = nullptr;
   };
 
   void acceptLoop(Socket& listener);

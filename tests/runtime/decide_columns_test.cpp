@@ -10,6 +10,13 @@
 // routine, so the degraded rows (a missing required slot, an unusable plan)
 // are also diffed against the interpreted oracle. Plus the traced full-miss
 // allocation pin, with one-row calls (a cache hit and a fresh miss).
+//
+// decideColumnsDeferred, oseld's form, answers first and leaves its record
+// tail (cache back-fill, explain publish) pending: pinned equal to
+// decideBatch once the tail ran, recording nothing before it, running a
+// pending tail from any later decide call on the thread (another runtime's
+// included), keeping a re-registered region's cache alive for its tail,
+// and allocating nothing in steady state.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -493,6 +500,168 @@ TEST(DecideColumns, TracedFullMissGroupDoesNotAllocate) {
   EXPECT_EQ(oneRow.evictions - warmed.evictions, 1u);
   EXPECT_EQ(session.explainRing().recorded() - oneRowExplained, 1u);
   EXPECT_TRUE(out[0].valid);
+}
+
+/// decideColumnsDeferred over the frame; the tail is left to the caller.
+PendingRecord decideDeferred(TargetRuntime& runtime, const Frame& frame,
+                             std::vector<Decision>& out) {
+  std::vector<std::string_view> names(frame.names.begin(), frame.names.end());
+  out.assign(frame.rows, Decision{});
+  return runtime.decideColumnsDeferred(
+      frame.region, names,
+      reinterpret_cast<const char*>(frame.values.data()), frame.rows, out);
+}
+
+TEST(DecideColumns, DeferredTailMatchesDecideBatchOnceItRuns) {
+  Twins twins = makeTwins(/*traced=*/true);
+  const std::vector<Frame> frames = gridFrames();
+  obs::TraceSession& session = *twins.columnsTrace;
+  // Twice over the grid: every row fresh, then every row a hit.
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const Frame& frame : frames) {
+      SCOPED_TRACE("pass " + std::to_string(pass) + " region '" +
+                   frame.region + "'");
+      const DecisionCache::Stats before =
+          twins.columns->decisionCacheStats(frame.region);
+      const std::uint64_t recorded = session.explainRing().recorded();
+      std::vector<Decision> deferred;
+      PendingRecord tail = decideDeferred(*twins.columns, frame, deferred);
+      // Answered, not recorded: nothing stored or published yet.
+      EXPECT_EQ(twins.columns->decisionCacheStats(frame.region).insertions,
+                before.insertions);
+      EXPECT_EQ(session.explainRing().recorded(), recorded);
+      tail.run();
+      const std::vector<Decision> batched = decideBatch(*twins.batch, frame);
+      for (std::size_t r = 0; r < frame.rows; ++r) {
+        SCOPED_TRACE("row " + std::to_string(r));
+        expectIdenticalDecisions(deferred[r], batched[r]);
+      }
+    }
+    expectTwinsAgree(twins);
+  }
+}
+
+TEST(DecideColumns, PendingTailRunsBeforeTheThreadsNextDecideCall) {
+  Twins twins = makeTwins(/*traced=*/true);
+  TargetRuntime& a = *twins.columns;
+  obs::TraceSession& ringA = *twins.columnsTrace;
+  const std::string region =
+      polybench::benchmarkByName("GEMM").kernels()[0].name;
+  const Frame first = makeFrame(region, {"n"}, {{100}, {200}, {300}});
+  const Frame second = makeFrame(region, {"n"}, {{400}, {500}});
+
+  // Another runtime's in-process call on this thread runs A's tail first.
+  std::vector<Decision> out1;
+  PendingRecord tail = decideDeferred(a, first, out1);
+  EXPECT_EQ(ringA.explainRing().recorded(), 0u);
+  (void)twins.batch->decide(region, {{"n", 64}});
+  EXPECT_EQ(a.decisionCacheStats(region).insertions, first.rows);
+  EXPECT_EQ(ringA.explainRing().recorded(), first.rows);
+  // The handle's tail already ran: run() does nothing more.
+  tail.run();
+  EXPECT_EQ(ringA.explainRing().recorded(), first.rows);
+
+  // A pipelined frame: the next deferred call sees everything the previous
+  // one recorded (all hits) and, moved over a spent handle, records
+  // nothing twice.
+  std::vector<Decision> out2;
+  tail = decideDeferred(a, first, out2);
+  EXPECT_EQ(a.decisionCacheStats(region).hits, first.rows);
+  std::vector<Decision> out3;
+  tail = decideDeferred(a, second, out3);
+  EXPECT_EQ(ringA.explainRing().recorded(), first.rows);
+  {
+    // A handle destroyed without run() still records.
+    const PendingRecord dropped = std::move(tail);
+  }
+  EXPECT_EQ(a.decisionCacheStats(region).insertions,
+            first.rows + second.rows);
+  const std::vector<obs::DecisionExplain> records =
+      ringA.explainRing().snapshot();
+  ASSERT_EQ(records.size(), first.rows + second.rows);
+  for (std::size_t r = 0; r < records.size(); ++r) {
+    EXPECT_EQ(records[r].seq, r);
+    // Each record carries its call's answer-phase amortized cost.
+    EXPECT_EQ(records[r].overheadSeconds, r < first.rows
+                                              ? out1[0].overheadSeconds
+                                              : out3[0].overheadSeconds);
+  }
+}
+
+TEST(DecideColumns, PendingTailKeepsAReRegisteredRegionsCacheAlive) {
+  const ir::TargetRegion& kernel =
+      polybench::benchmarkByName("GEMM").kernels()[0];
+  const std::array<ir::TargetRegion, 1> regions{kernel};
+  const std::array<mca::MachineModel, 1> models{mca::MachineModel::power9()};
+  obs::TraceSession session;
+  RuntimeOptions options;
+  options.trace = &session;
+  TargetRuntime runtime(compiler::compileAll(regions, models), options);
+  runtime.registerRegion(kernel);
+  const Frame frame = makeFrame(kernel.name, {"n"}, {{96}, {128}, {4096}});
+  std::vector<Decision> out;
+  PendingRecord tail = decideDeferred(runtime, frame, out);
+  // The re-registration swaps in a fresh plan and cache and drops the
+  // registry's hold on the old ones; the pending back-fill still holds the
+  // old entry, so it fills the old cache, which is freed after it.
+  runtime.registerRegion(kernel);
+  tail.run();
+  EXPECT_EQ(session.explainRing().recorded(), frame.rows);
+  const DecisionCache::Stats fresh = runtime.decisionCacheStats(kernel.name);
+  EXPECT_EQ(fresh.lookups, 0u);
+  EXPECT_EQ(fresh.insertions, 0u);
+  for (const Decision& decision : out) EXPECT_TRUE(decision.valid);
+}
+
+TEST(DecideColumns, DeferredTracedFullMissGroupAndItsTailDoNotAllocate) {
+  // TracedFullMissGroupDoesNotAllocate's shape through oseld's entry point:
+  // the answer and, separately, its record tail (64 inserts evicting 64
+  // entries, 64 explain records in one publish) touch no heap once a first
+  // such frame sized everything.
+  const polybench::Benchmark& gemm = polybench::benchmarkByName("GEMM");
+  const ir::TargetRegion& kernel = gemm.kernels()[0];
+  const std::array<ir::TargetRegion, 1> regions{kernel};
+  const std::array<mca::MachineModel, 1> models{mca::MachineModel::power9()};
+  obs::TraceSession session;
+  RuntimeOptions options;
+  options.selector.cpuThreads = 160;
+  options.trace = &session;
+  TargetRuntime runtime(compiler::compileAll(regions, models), options);
+  runtime.registerRegion(kernel);
+  constexpr std::size_t kRows = 64;
+  ASSERT_EQ(RuntimeOptions{}.decisionCacheCapacity, kRows);
+  std::array<std::int64_t, kRows> warm{};
+  std::array<std::int64_t, kRows> fresh{};
+  for (std::size_t r = 0; r < kRows; ++r) {
+    warm[r] = 64 + 4 * static_cast<std::int64_t>(r);
+    fresh[r] = 64 + 4 * static_cast<std::int64_t>(kRows + r);
+  }
+  const std::array<std::string_view, 1> names{"n"};
+  std::vector<Decision> out(kRows);
+  PendingRecord tail = runtime.decideColumnsDeferred(
+      kernel.name, names, reinterpret_cast<const char*>(warm.data()), kRows,
+      out);
+  tail.run();
+  const std::uint64_t explained = session.explainRing().recorded();
+
+  const std::uint64_t before = allocationCount();
+  tail = runtime.decideColumnsDeferred(
+      kernel.name, names, reinterpret_cast<const char*>(fresh.data()), kRows,
+      out);
+  const std::uint64_t answered = allocationCount();
+  EXPECT_EQ(session.explainRing().recorded(), explained);
+  tail.run();
+  const std::uint64_t after = allocationCount();
+  EXPECT_EQ(answered - before, 0u)
+      << "traced full-miss decideColumnsDeferred allocated "
+      << (answered - before) << " times";
+  EXPECT_EQ(after - answered, 0u)
+      << "its record tail allocated " << (after - answered) << " times";
+  EXPECT_EQ(session.explainRing().recorded() - explained, kRows);
+  const DecisionCache::Stats stats = runtime.decisionCacheStats(kernel.name);
+  EXPECT_EQ(stats.hits, 0u);
+  EXPECT_EQ(stats.evictions, kRows);
+  for (const Decision& decision : out) EXPECT_TRUE(decision.valid);
 }
 
 }  // namespace

@@ -144,6 +144,30 @@ TEST(DecisionCache, EpochAdvanceDropsEntriesLazily) {
   EXPECT_DOUBLE_EQ(out.cpu.seconds, 2.0);
 }
 
+TEST(DecisionCache, StaleEpochLeavesTheCacheAlone) {
+  // A call that read its epoch before a refit another call already brought
+  // to this cache: its probes miss without wiping the newer entries, and
+  // its pre-refit decisions are not stored.
+  DecisionCache cache(4);
+  Decision out;
+  insertOne(cache, 0b1, key(1, 0), makeDecision(1.0), /*epoch=*/3);
+  EXPECT_FALSE(findOne(cache, 0b1, key(1, 0), out, /*epoch=*/2));
+  EXPECT_EQ(cache.size(), 1u);
+  insertOne(cache, 0b1, key(2, 0), makeDecision(2.0), /*epoch=*/2);
+  insertOne(cache, 0b1, key(1, 0), makeDecision(5.0), /*epoch=*/0);
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.stats().insertions, 1u);
+  // The current epoch still sees its own entry, unrefreshed.
+  ASSERT_TRUE(findOne(cache, 0b1, key(1, 0), out, /*epoch=*/3));
+  EXPECT_DOUBLE_EQ(out.cpu.seconds, 1.0);
+  EXPECT_FALSE(findOne(cache, 0b1, key(2, 0), out, /*epoch=*/3));
+  // A stale probe still counts one lookup and one miss per row.
+  const DecisionCache::Stats stats = cache.stats();
+  EXPECT_EQ(stats.lookups, 3u);
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.misses, 2u);
+}
+
 // Satellite regression: 8 threads hammer one cache; the atomic Stats must
 // never lose or tear a count — after joining, hits + misses == lookups and
 // the totals match the per-thread work exactly.
@@ -207,7 +231,10 @@ class ReferenceLru {
   bool find(std::uint64_t mask, const std::vector<std::int64_t>& values,
             Decision& out, std::uint64_t epoch) {
     ++stats_.lookups;
-    syncEpoch(epoch);
+    if (!syncEpoch(epoch)) {
+      ++stats_.misses;
+      return false;
+    }
     if (Entry* entry = locate(mask, values)) {
       ++stats_.hits;
       entry->lastUse = ++tick_;
@@ -220,8 +247,7 @@ class ReferenceLru {
 
   void insert(std::uint64_t mask, const std::vector<std::int64_t>& values,
               const Decision& decision, std::uint64_t epoch) {
-    if (capacity_ == 0) return;
-    syncEpoch(epoch);
+    if (capacity_ == 0 || !syncEpoch(epoch)) return;
     if (Entry* existing = locate(mask, values)) {
       existing->decision = decision;
       existing->lastUse = ++tick_;
@@ -240,9 +266,12 @@ class ReferenceLru {
     ++stats_.evictions;
   }
 
-  void syncEpoch(std::uint64_t epoch) {
-    if (epoch != epoch_) entries_.clear();
+  /// False for a call whose epoch is older than the entries'.
+  bool syncEpoch(std::uint64_t epoch) {
+    if (epoch < epoch_) return false;
+    if (epoch > epoch_) entries_.clear();
     epoch_ = epoch;
+    return true;
   }
   void clear() { entries_.clear(); }
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
@@ -308,19 +337,22 @@ void expectSameState(const DecisionCache& cache, const ReferenceLru& ref) {
 
 /// One seeded sequence of one-row and multi-row findMany / insertMany
 /// calls, epoch bumps and clears, applied to both caches with the results
-/// compared after every step.
+/// compared after every step. About one call in eight passes a stale epoch,
+/// as a call that read the epoch before a concurrent refit does.
 void runDifferential(std::size_t capacity, std::uint64_t seed) {
   SCOPED_TRACE("capacity " + std::to_string(capacity) + " seed " +
                std::to_string(seed));
   DecisionCache cache(capacity);
   ReferenceLru ref(capacity);
   std::mt19937_64 rng(seed);
-  std::uint64_t epoch = 0;
+  std::uint64_t latest = 0;  // the newest epoch a refit has produced
   double nextValue = 1.0;  // every inserted decision is distinguishable
   const Decision sentinel = makeDecision(-1.0);
   for (int step = 0; step < 3000; ++step) {
     const std::uint64_t op = rng() % 100;
     const std::size_t slots = 1 + rng() % 3;
+    const std::uint64_t epoch =
+        latest > 0 && rng() % 8 == 0 ? rng() % latest : latest;
     if (op < 30) {
       const TestKey key = drawKey(rng, capacity, slots);
       Decision actual = sentinel;
@@ -391,7 +423,7 @@ void runDifferential(std::size_t capacity, std::uint64_t seed) {
         }
       }
     } else if (op < 98) {
-      ++epoch;
+      ++latest;
     } else {
       cache.clear();
       ref.clear();

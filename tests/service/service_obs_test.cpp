@@ -4,8 +4,9 @@
 // layouts, pinned against hand-assembled golden bytes), trace-context echo
 // on every reply, trace blocks on post-handshake errors, the per-stage
 // latency histograms accounting for >= 99% of request wall time, the
-// slow-request capture ring served as JSONL over the SlowLog RPC, and the
-// stage/drop-counter series in the Prometheus exposition. Labelled
+// slow-request capture ring served as JSONL over the SlowLog RPC, the
+// stage/drop-counter series in the Prometheus exposition, and the
+// record-phase histogram (one sample per decide frame, exported). Labelled
 // test_service_obs; the tsan preset runs this binary under ThreadSanitizer
 // and the asan-ubsan-service-obs preset under ASan/UBSan.
 #include <gtest/gtest.h>
@@ -401,6 +402,47 @@ TEST(ServiceObs, StageHistogramsAccountForRequestWallTime) {
   EXPECT_GE(ratio, 0.99) << "unattributed service time: stages " << stages
                          << "s vs wall " << request->sum << "s";
   EXPECT_LE(ratio, 1.0 + 1e-6);
+}
+
+TEST(ServiceObs, RecordHistogramCountsDecideFramesAndIsExported) {
+  TestServer fixture;
+  fixture.server->start();
+  Client client = Client::connect(fixture.server->options().socketPath);
+  const std::vector<std::int64_t> sizes{16, 64, 96, 512};
+  for (int i = 0; i < 12; ++i) {
+    (void)client.decide("stream", {{"n", sizes[i % sizes.size()]}});
+  }
+  const std::vector<std::string_view> slots{"n"};
+  std::vector<runtime::Decision> decisions;
+  for (int i = 0; i < 5; ++i) {
+    client.decideBatch("stream_b", slots,
+                       static_cast<std::uint32_t>(sizes.size()), sizes,
+                       decisions);
+  }
+  // A Ping is no decide frame: it adds no sample, and it is read only
+  // after the last decide frame's record phase ran.
+  client.ping();
+
+  const obs::MetricsRegistry::Snapshot snapshot =
+      fixture.server->session().metrics().snapshot();
+  const obs::Histogram::Stats* record =
+      findHistogram(snapshot, "service.record_s");
+  const obs::Histogram::Stats* request =
+      findHistogram(snapshot, "service.request_s");
+  ASSERT_NE(record, nullptr);
+  ASSERT_NE(request, nullptr);
+  EXPECT_EQ(record->count, 17u);
+  EXPECT_EQ(request->count, 17u);
+  EXPECT_GT(record->sum, 0.0);
+
+  const std::string prometheus = client.stats(StatsFormat::Prometheus);
+  for (const char* series :
+       {"osel_service_record_s_bucket", "osel_service_record_s_sum",
+        "osel_service_record_s_count"}) {
+    EXPECT_NE(prometheus.find(series), std::string::npos) << series;
+  }
+  EXPECT_NE(client.stats(StatsFormat::Summary).find("service.record_s"),
+            std::string::npos);
 }
 
 TEST(ServiceObs, SlowLogServesThresholdCapturesAsJsonl) {

@@ -527,6 +527,7 @@ constexpr struct {
     {"encode", "osel_service_encode_s"},
     {"send", "osel_service_send_s"},
     {"request", "osel_service_request_s"},
+    {"record", "osel_service_record_s"},
 };
 
 void renderTop(const std::string& socketPath, const PromSnapshot& snap,
