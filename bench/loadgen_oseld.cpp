@@ -171,7 +171,7 @@ std::vector<PreparedFrame> prepareFrames(
 /// reply echoes its request's id, so a pass proves end-to-end correlation,
 /// not just that a block survived the round trip. Every 16th request is
 /// marked sampled to exercise server-side span + slow-ring capture too.
-/// traceBase == 0 disables trace attachment (the timed sweep runs).
+/// traceBase == 0 sends zeroed blocks (the timed sweep runs).
 service::TraceContextBlock makeTrace(std::uint64_t id) {
   service::TraceContextBlock block;
   block.traceId = id;
@@ -338,11 +338,10 @@ bool checkBitIdentical(const std::string& socketPath,
   std::vector<runtime::Decision> socketDecisions(items.size());
   std::vector<double> scratch;
   service::Client client = service::Client::connect(socketPath);
-  // With the feature granted, the client asserts every reply echoes its
-  // request's trace id — the check also proves end-to-end correlation.
-  const bool traced = client.traceContextGranted();
+  // The client asserts every reply echoes its request's trace id, so the
+  // check also proves end-to-end correlation.
   driveBatched(client, prepareFrames(items, std::max<std::size_t>(batch, 2)),
-               scratch, &socketDecisions, traced ? 1 : 0);
+               scratch, &socketDecisions, 1);
 
   runtime::TargetRuntime reference(makeDatabase(), referenceOptions());
   for (ir::TargetRegion& region : suiteRegions()) {
@@ -377,9 +376,9 @@ bool checkBitIdentical(const std::string& socketPath,
     }
   }
   std::printf("check: PASS (%zu socket decisions bit-identical to "
-              "in-process decideBatch%s)\n",
-              items.size(),
-              traced ? "; trace-context echo verified on every frame" : "");
+              "in-process decideBatch; trace-context echo verified on every "
+              "frame)\n",
+              items.size());
   return true;
 }
 

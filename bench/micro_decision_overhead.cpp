@@ -420,38 +420,29 @@ BENCHMARK(BM_ColdFrameDecide)
 
 void BM_ServeDecide(benchmark::State& state) {
   // One scalar decide over the oseld wire (loopback Unix socket): client
-  // framing, two syscalls, server decode/decide/encode/send. Arg 0 runs the
-  // pre-trace-context feature set, arg 1 negotiates kFeatureTraceContext —
-  // the pair pins that the observability wiring costs nothing when the
-  // feature is off and only the 16-byte block + stage clocks when on.
-  const bool traced = state.range(0) != 0;
+  // framing (with its 16-byte trace block), two syscalls, server
+  // decode/decide/encode/send and the stage clocks.
   const std::array<mca::MachineModel, 1> models{mca::MachineModel::power9()};
   const ir::TargetRegion& kernel =
       polybench::benchmarkByName("GEMM").kernels()[0];
   const std::array<ir::TargetRegion, 1> regions{kernel};
   service::ServiceOptions options;
-  options.socketPath = "/tmp/osel_bm_serve_" + std::to_string(::getpid()) +
-                       (traced ? "_t.sock" : ".sock");
+  options.socketPath =
+      "/tmp/osel_bm_serve_" + std::to_string(::getpid()) + ".sock";
   options.workerThreads = 1;
   service::Server server(compiler::compileAll(regions, models),
                          runtime::RuntimeOptions{}, options);
   server.registerRegion(kernel);
   server.start();
-  const std::uint32_t features =
-      traced ? service::Client::kDefaultFeatureRequest
-             : (service::kFeatureBatch | service::kFeatureStats |
-                service::kFeaturePrometheus);
-  service::Client client =
-      service::Client::connect(options.socketPath, features);
+  service::Client client = service::Client::connect(options.socketPath);
   const symbolic::Bindings bindings{{"n", 9600}};
   (void)client.decide(kernel.name, bindings);  // warm the decision cache
   for (auto _ : state) {
     benchmark::DoNotOptimize(client.decide(kernel.name, bindings));
   }
-  state.SetLabel(traced ? "trace-context" : "feature-off");
   server.stop();
 }
-BENCHMARK(BM_ServeDecide)->Arg(0)->Arg(1);
+BENCHMARK(BM_ServeDecide);
 
 void BM_CpuModelPredict(benchmark::State& state) {
   const symbolic::Bindings bindings{{"n", 9600}};

@@ -4,26 +4,23 @@
 
 namespace osel::service {
 
-Client Client::connect(const std::string& path,
-                       std::uint32_t featureRequest) {
+Client Client::connect(const std::string& path) {
   Client client(connectUnix(path));
-  client.handshake(featureRequest);
+  client.handshake();
   return client;
 }
 
-Client Client::connectPort(std::uint16_t port, std::uint32_t featureRequest) {
+Client Client::connectPort(std::uint16_t port) {
   Client client(connectTcp(port));
-  client.handshake(featureRequest);
+  client.handshake();
   return client;
 }
 
 Client::Client(Socket socket) : socket_(std::move(socket)) {}
 
-void Client::handshake(std::uint32_t featureRequest) {
+void Client::handshake() {
   HelloFrame hello;
-  hello.versionMin = 1;
-  hello.versionMax = kProtocolVersion;
-  hello.featureBits = featureRequest;
+  hello.featureBits = kRequestedFeatures;
   encodeHello(outBuffer_, hello);
   const FrameHeader header = exchange();
   expectType(header, payload_, FrameType::HelloAck);
@@ -46,31 +43,23 @@ runtime::Decision Client::decide(std::string_view region,
                                  const symbolic::Bindings& bindings,
                                  const TraceContextBlock* trace) {
   const std::uint64_t id = nextRequestId_++;
-  // On a trace-granted connection every decide frame carries a block (the
-  // layouts are negotiation-dependent, not per-frame optional), so a caller
-  // without a trace id still sends a zeroed one.
-  TraceContextBlock block;
-  const TraceContextBlock* wire = nullptr;
-  if (traceContextGranted()) {
-    if (trace != nullptr) block = *trace;
-    wire = &block;
-  }
-  encodeDecideRequest(outBuffer_, id, region, bindings, wire);
+  const std::uint64_t traceId = trace != nullptr ? trace->traceId : 0;
+  encodeDecideRequest(outBuffer_, id, region, bindings, trace);
   const FrameHeader header = exchange();
   expectType(header, payload_, FrameType::Decision);
   DecisionView view;
-  parseDecision(payload_, view, traceContextGranted());
+  parseDecision(payload_, view);
   if (view.requestId != id) {
     throw CodecError(WireCode::BadFrame,
                      "client: Decision answered request " +
                          std::to_string(view.requestId) + ", expected " +
                          std::to_string(id));
   }
-  if (wire != nullptr && view.hasTrace && view.trace.traceId != wire->traceId) {
+  if (view.trace.traceId != traceId) {
     throw CodecError(WireCode::BadFrame,
                      "client: Decision echoed trace id " +
                          std::to_string(view.trace.traceId) + ", expected " +
-                         std::to_string(wire->traceId));
+                         std::to_string(traceId));
   }
   return view.decision;
 }
@@ -92,31 +81,24 @@ void Client::decideBatch(std::string_view region,
     }
     return;
   }
-  TraceContextBlock block;
-  const TraceContextBlock* wire = nullptr;
-  if (traceContextGranted()) {
-    if (trace != nullptr) block = *trace;
-    wire = &block;
-  }
+  const std::uint64_t traceId = trace != nullptr ? trace->traceId : 0;
   const std::uint64_t id = nextRequestId_;
   nextRequestId_ += rows == 0 ? 1 : rows;  // rows echo id..id+rows-1
-  encodeDecideBatch(outBuffer_, id, region, slots, rows, values, wire);
+  encodeDecideBatch(outBuffer_, id, region, slots, rows, values, trace);
   const FrameHeader header = exchange();
   expectType(header, payload_, FrameType::DecisionBatch);
-  parseDecisionBatch(payload_, batchViews_, traceContextGranted());
+  parseDecisionBatch(payload_, batchViews_);
   if (batchViews_.size() != rows) {
     throw CodecError(WireCode::BadFrame,
                      "client: DecisionBatch carried " +
                          std::to_string(batchViews_.size()) +
                          " rows, expected " + std::to_string(rows));
   }
-  if (wire != nullptr && !batchViews_.empty() &&
-      batchViews_.front().hasTrace &&
-      batchViews_.front().trace.traceId != wire->traceId) {
+  if (!batchViews_.empty() && batchViews_.front().trace.traceId != traceId) {
     throw CodecError(WireCode::BadFrame,
                      "client: DecisionBatch echoed trace id " +
                          std::to_string(batchViews_.front().trace.traceId) +
-                         ", expected " + std::to_string(wire->traceId));
+                         ", expected " + std::to_string(traceId));
   }
   out.resize(batchViews_.size());
   for (std::size_t row = 0; row < batchViews_.size(); ++row) {
@@ -180,10 +162,9 @@ void Client::expectType(const FrameHeader& header, std::string_view payload,
   const auto type = static_cast<FrameType>(header.type);
   if (type == expected) return;
   if (type == FrameType::Error) {
-    // Pre-handshake featureBits_ is 0, so handshake-time errors correctly
-    // parse without a trace block; post-handshake errors on trace-granted
-    // connections always carry one (zeroed when the context is unknown).
-    const ErrorView error = parseError(payload, traceContextGranted());
+    // Handshake-time errors carry no trace block (version_ is still 0);
+    // every later one carries one, zeroed when the context is unknown.
+    const ErrorView error = parseError(payload, version_ != 0);
     throw ServiceError(error.code, std::string(error.message));
   }
   throw CodecError(WireCode::BadFrame,

@@ -42,24 +42,17 @@ class ServiceError : public std::runtime_error, public osel::Error {
 
 class Client {
  public:
-  /// Feature bits a Client requests by default: everything it implements.
-  /// The server grants the intersection with what *it* supports; a request
-  /// without a bit (e.g. an old client, or the trace-off benchmark) keeps
-  /// the corresponding wire layouts byte-identical to the pre-feature ones.
-  static constexpr std::uint32_t kDefaultFeatureRequest =
-      kFeatureBatch | kFeatureStats | kFeaturePrometheus |
-      kFeatureTraceContext | kFeatureSlowLog;
+  /// Feature bits a Client requests: everything it implements. The server
+  /// grants the intersection with what *it* supports.
+  static constexpr std::uint32_t kRequestedFeatures =
+      kFeatureBatch | kFeatureStats | kFeaturePrometheus | kFeatureSlowLog;
 
   /// Connects to a Unix-domain socket and completes the handshake. Throws
   /// ConnectError when nothing listens on `path`, ServiceError when the
   /// server refuses (version mismatch, shed), CodecError on wire garbage.
-  [[nodiscard]] static Client connect(
-      const std::string& path,
-      std::uint32_t featureRequest = kDefaultFeatureRequest);
+  [[nodiscard]] static Client connect(const std::string& path);
   /// Same over loopback TCP (the optional transport).
-  [[nodiscard]] static Client connectPort(
-      std::uint16_t port,
-      std::uint32_t featureRequest = kDefaultFeatureRequest);
+  [[nodiscard]] static Client connectPort(std::uint16_t port);
 
   Client(Client&&) = default;
   Client& operator=(Client&&) = default;
@@ -70,21 +63,14 @@ class Client {
   [[nodiscard]] std::uint32_t featureBits() const { return featureBits_; }
   [[nodiscard]] std::uint32_t maxFrameBytes() const { return maxFrameBytes_; }
 
-  /// True when the server granted kFeatureTraceContext: every decide frame
-  /// on this connection carries a TraceContextBlock (attached automatically,
-  /// zeroed unless the caller passes one) and every reply echoes it back.
-  [[nodiscard]] bool traceContextGranted() const {
-    return (featureBits_ & kFeatureTraceContext) != 0;
-  }
-
   /// Ping → Pong round trip (liveness probe for `oselctl ping`).
   void ping();
 
   /// One decision over the wire. Only the wire-stable Decision subset is
   /// populated (device, valid, diagnostic, cpu.seconds, gpu.totalSeconds,
-  /// overheadSeconds). `trace` is the request's trace context (used only
-  /// when the feature was granted); the reply's echoed block must carry the
-  /// same traceId or the client throws CodecError{BadFrame}.
+  /// overheadSeconds). `trace` is the request's trace context (a zeroed
+  /// block when null); the reply's echoed block must carry the same traceId
+  /// or the client throws CodecError{BadFrame}.
   [[nodiscard]] runtime::Decision decide(std::string_view region,
                                          const symbolic::Bindings& bindings,
                                          const TraceContextBlock* trace =
@@ -111,7 +97,7 @@ class Client {
  private:
   explicit Client(Socket socket);
 
-  void handshake(std::uint32_t featureRequest);
+  void handshake();
   /// Sends `outBuffer_` and blocks until one complete frame arrives; its
   /// payload lands in `payload_`.
   FrameHeader exchange();

@@ -81,14 +81,9 @@ std::string_view takeString(Cursor& cursor, std::uint32_t bytes) {
   return cursor.take(bytes);
 }
 
-/// Consumes the negotiation-dependent TraceContextBlock. With the feature
-/// off this reads nothing (a block's bytes would then fail the parser's
-/// trailing-junk check); with it on, a missing block is a truncated frame.
-TraceContextBlock takeTrace(Cursor& cursor, bool traceContext,
-                            bool& hasTrace) {
-  hasTrace = traceContext;
-  if (!traceContext) return {};
-  return cursor.read<TraceContextBlock>();
+/// Writes the frame's TraceContextBlock; null writes a zeroed one.
+void appendTrace(std::string& out, const TraceContextBlock* trace) {
+  appendPod(out, trace != nullptr ? *trace : TraceContextBlock{});
 }
 
 DecisionRecord recordFor(std::uint64_t requestId,
@@ -210,7 +205,7 @@ void encodeDecideRequest(std::string& out, std::uint64_t requestId,
   frame.regionNameBytes = static_cast<std::uint32_t>(region.size());
   frame.bindingCount = static_cast<std::uint32_t>(bindings.size());
   appendPod(out, frame);
-  if (trace != nullptr) appendPod(out, *trace);
+  appendTrace(out, trace);
   out.append(region);
   for (const auto& [symbol, value] : bindings) {
     appendPod(out, static_cast<std::uint32_t>(symbol.size()));
@@ -241,7 +236,7 @@ void encodeDecideBatch(std::string& out, std::uint64_t requestId,
   frame.slotCount = static_cast<std::uint32_t>(slots.size());
   frame.rowCount = rows;
   appendPod(out, frame);
-  if (trace != nullptr) appendPod(out, *trace);
+  appendTrace(out, trace);
   out.append(region);
   for (const std::string_view slot : slots) {
     appendPod(out, static_cast<std::uint32_t>(slot.size()));
@@ -257,7 +252,7 @@ void encodeDecision(std::string& out, std::uint64_t requestId,
                     const TraceContextBlock* trace) {
   const std::size_t at = beginFrame(out, FrameType::Decision);
   appendPod(out, recordFor(requestId, decision));
-  if (trace != nullptr) appendPod(out, *trace);
+  appendTrace(out, trace);
   out.append(decision.diagnostic);
   endFrame(out, at);
 }
@@ -269,7 +264,7 @@ void encodeDecisionBatch(std::string& out, std::uint64_t requestId,
   DecisionBatchFrame frame;
   frame.count = static_cast<std::uint32_t>(decisions.size());
   appendPod(out, frame);
-  if (trace != nullptr) appendPod(out, *trace);
+  appendTrace(out, trace);
   for (std::size_t i = 0; i < decisions.size(); ++i) {
     appendPod(out, recordFor(requestId + i, decisions[i]));
   }
@@ -384,12 +379,11 @@ HelloAckFrame parseHelloAck(std::string_view payload) {
   return ack;
 }
 
-void parseDecideRequest(std::string_view payload, DecideRequestView& view,
-                        bool traceContext) {
+void parseDecideRequest(std::string_view payload, DecideRequestView& view) {
   Cursor cursor(payload);
   const auto frame = cursor.read<DecideRequestFrame>();
   view.requestId = frame.requestId;
-  view.trace = takeTrace(cursor, traceContext, view.hasTrace);
+  view.trace = cursor.read<TraceContextBlock>();
   view.region = takeString(cursor, frame.regionNameBytes);
   view.bindings.clear();
   // Each binding is at least 12 fixed bytes, so a hostile bindingCount that
@@ -409,12 +403,11 @@ void parseDecideRequest(std::string_view payload, DecideRequestView& view,
   cursor.finish();
 }
 
-void parseDecideBatch(std::string_view payload, DecideBatchView& view,
-                      bool traceContext) {
+void parseDecideBatch(std::string_view payload, DecideBatchView& view) {
   Cursor cursor(payload);
   const auto frame = cursor.read<DecideBatchFrame>();
   view.requestId = frame.requestId;
-  view.trace = takeTrace(cursor, traceContext, view.hasTrace);
+  view.trace = cursor.read<TraceContextBlock>();
   view.region = takeString(cursor, frame.regionNameBytes);
   view.slots.clear();
   if (static_cast<std::uint64_t>(frame.slotCount) * 4 > cursor.remaining()) {
@@ -456,11 +449,10 @@ std::int64_t DecideBatchView::value(std::size_t slot, std::size_t row) const {
   return out;
 }
 
-void parseDecision(std::string_view payload, DecisionView& view,
-                   bool traceContext) {
+void parseDecision(std::string_view payload, DecisionView& view) {
   Cursor cursor(payload);
   const auto record = cursor.read<DecisionRecord>();
-  view.trace = takeTrace(cursor, traceContext, view.hasTrace);
+  view.trace = cursor.read<TraceContextBlock>();
   const std::string_view diagnostic =
       takeString(cursor, record.diagnosticBytes);
   cursor.finish();
@@ -468,11 +460,10 @@ void parseDecision(std::string_view payload, DecisionView& view,
 }
 
 void parseDecisionBatch(std::string_view payload,
-                        std::vector<DecisionView>& views, bool traceContext) {
+                        std::vector<DecisionView>& views) {
   Cursor cursor(payload);
   const auto frame = cursor.read<DecisionBatchFrame>();
-  bool hasTrace = false;
-  const TraceContextBlock trace = takeTrace(cursor, traceContext, hasTrace);
+  const auto trace = cursor.read<TraceContextBlock>();
   if (static_cast<std::uint64_t>(frame.count) * sizeof(DecisionRecord) >
       cursor.remaining()) {
     throw CodecError(WireCode::BadFrame,
@@ -490,7 +481,6 @@ void parseDecisionBatch(std::string_view payload,
                 sizeof(DecisionRecord));
     fillDecision(record, takeString(cursor, record.diagnosticBytes),
                  views[i]);
-    views[i].hasTrace = hasTrace;
     views[i].trace = trace;
   }
   cursor.finish();
@@ -514,12 +504,12 @@ SlowLogRequestFrame parseSlowLogRequest(std::string_view payload) {
   return frame;
 }
 
-ErrorView parseError(std::string_view payload, bool traceContext) {
+ErrorView parseError(std::string_view payload, bool afterHandshake) {
   Cursor cursor(payload);
   const auto frame = cursor.read<ErrorFrame>();
   ErrorView view;
   view.code = static_cast<WireCode>(frame.wireCode);
-  view.trace = takeTrace(cursor, traceContext, view.hasTrace);
+  if (afterHandshake) view.trace = cursor.read<TraceContextBlock>();
   view.message = takeString(cursor, frame.messageBytes);
   cursor.finish();
   return view;

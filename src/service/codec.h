@@ -19,6 +19,7 @@
 
 #include "runtime/selector.h"
 #include "service/osel_abi.h"
+#include "support/check.h"
 #include "support/error.h"
 #include "symbolic/expr.h"
 
@@ -54,12 +55,11 @@ class CodecError : public std::runtime_error, public osel::Error {
 // which accumulates bytes ready for send(). Appending to one string lets a
 // caller coalesce many frames into a single write.
 
-// The `trace` parameter on the decide/decision/error encoders is the
-// kFeatureTraceContext block: nullptr (the default) leaves the frame
-// byte-identical to the pre-trace-context layout; non-null inserts the
-// block immediately after the fixed POD struct. Callers pass it only on
-// connections where the feature was granted — the layouts are
-// negotiation-dependent, never mixed.
+// The `trace` parameter on the decide and decision encoders is the frame's
+// TraceContextBlock, written immediately after the fixed POD struct;
+// nullptr (the default) writes a zeroed block. On encodeError, nullptr means
+// a pre-handshake error, which carries no block; after the handshake the
+// server always passes one (zeroed when the request's is unknown).
 
 void encodeHello(std::string& out, const HelloFrame& hello);
 void encodeHelloAck(std::string& out, const HelloAckFrame& ack);
@@ -131,7 +131,6 @@ struct DecideRequestView {
     std::int64_t value = 0;
   };
   std::vector<Binding> bindings;
-  bool hasTrace = false;  ///< a TraceContextBlock was parsed
   TraceContextBlock trace;
 };
 
@@ -144,7 +143,6 @@ struct DecideBatchView {
   std::vector<std::string_view> slots;
   std::uint32_t rows = 0;
   const char* values = nullptr;  ///< slots.size() * rows little-endian i64s
-  bool hasTrace = false;         ///< a TraceContextBlock was parsed
   TraceContextBlock trace;
 
   [[nodiscard]] std::int64_t value(std::size_t slot, std::size_t row) const;
@@ -156,42 +154,62 @@ struct DecideBatchView {
 struct DecisionView {
   std::uint64_t requestId = 0;
   runtime::Decision decision;
-  bool hasTrace = false;  ///< a TraceContextBlock was parsed (echoed)
   TraceContextBlock trace;
 };
 
 struct ErrorView {
   WireCode code = WireCode::Unknown;
   std::string_view message;
-  bool hasTrace = false;  ///< a TraceContextBlock was parsed (echoed)
   TraceContextBlock trace;
 };
 
 // All parsers throw CodecError{BadFrame} on truncated/oversized/ill-formed
-// payloads (and {UnsupportedVersion} where magic/version checks apply).
-// `traceContext` is per-connection negotiation state: true means the frame
-// MUST carry a TraceContextBlock (its absence is a truncated payload), false
-// means it must not (extra bytes are trailing junk) — a peer cannot half-
-// speak the feature.
+// payloads (and {UnsupportedVersion} where magic/version checks apply). A
+// decide frame or decision reply without its TraceContextBlock is a
+// truncated payload.
 [[nodiscard]] HelloFrame parseHello(std::string_view payload);
 [[nodiscard]] HelloAckFrame parseHelloAck(std::string_view payload);
-void parseDecideRequest(std::string_view payload, DecideRequestView& view,
-                        bool traceContext = false);
-void parseDecideBatch(std::string_view payload, DecideBatchView& view,
-                      bool traceContext = false);
-void parseDecision(std::string_view payload, DecisionView& view,
-                   bool traceContext = false);
-/// With traceContext, the frame-level block is echoed into every view
-/// (row order carries one shared block on the wire).
+void parseDecideRequest(std::string_view payload, DecideRequestView& view);
+void parseDecideBatch(std::string_view payload, DecideBatchView& view);
+void parseDecision(std::string_view payload, DecisionView& view);
+/// The frame-level block is echoed into every view (the wire carries one
+/// block shared by all rows).
 void parseDecisionBatch(std::string_view payload,
-                        std::vector<DecisionView>& views,
-                        bool traceContext = false);
+                        std::vector<DecisionView>& views);
 [[nodiscard]] StatsRequestFrame parseStatsRequest(std::string_view payload);
 [[nodiscard]] SlowLogRequestFrame parseSlowLogRequest(
     std::string_view payload);
+/// `afterHandshake`: the Error carries a TraceContextBlock (every
+/// post-handshake Error does; pre-handshake ones never do).
 [[nodiscard]] ErrorView parseError(std::string_view payload,
-                                   bool traceContext = false);
+                                   bool afterHandshake);
 [[nodiscard]] std::string_view parseStats(std::string_view payload);
 [[nodiscard]] std::string_view parseSlowLog(std::string_view payload);
+
+// The call form bench/ledger still uses, `parse*(payload, view, true)` from
+// protocol version 1, where the flag asked for the trace block that every
+// frame now carries. Delete these once the ledger drops the argument
+// (ROADMAP item 8).
+inline void parseDecideRequest(std::string_view payload,
+                               DecideRequestView& view, bool traceBlock) {
+  support::require(traceBlock, "parseDecideRequest: every frame has a block");
+  parseDecideRequest(payload, view);
+}
+inline void parseDecideBatch(std::string_view payload, DecideBatchView& view,
+                             bool traceBlock) {
+  support::require(traceBlock, "parseDecideBatch: every frame has a block");
+  parseDecideBatch(payload, view);
+}
+inline void parseDecision(std::string_view payload, DecisionView& view,
+                          bool traceBlock) {
+  support::require(traceBlock, "parseDecision: every frame has a block");
+  parseDecision(payload, view);
+}
+inline void parseDecisionBatch(std::string_view payload,
+                               std::vector<DecisionView>& views,
+                               bool traceBlock) {
+  support::require(traceBlock, "parseDecisionBatch: every frame has a block");
+  parseDecisionBatch(payload, views);
+}
 
 }  // namespace osel::service

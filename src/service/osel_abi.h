@@ -1,4 +1,4 @@
-// osel/service/osel_abi.h — the oseld wire protocol, version 1.
+// osel/service/osel_abi.h — the oseld wire protocol, version 2.
 //
 // The project's first *stable* public API: a small length-prefixed binary
 // protocol that serves decide()/decideBatch() over a Unix-domain socket
@@ -18,13 +18,13 @@
 // must memcpy fields in and out (service/codec.h does).
 //
 // Versioning and compatibility rules (docs/SERVICE.md spells these out):
-//   * A connection opens with Hello/HelloAck. The server picks
-//     min(client versionMax, kProtocolVersion); if that falls below the
-//     client's versionMin (or the client's range excludes every server
-//     version) the server answers Error{UnsupportedVersion} and closes.
+//   * A connection opens with Hello/HelloAck. The server speaks only
+//     kProtocolVersion; a Hello whose [versionMin, versionMax] range
+//     excludes it is answered Error{UnsupportedVersion} and closed.
 //   * Additive evolution uses feature bits: a capability both sides set in
 //     Hello/HelloAck is on, anything else is off. Bits are never reused.
-//   * Any layout change to an existing frame bumps kProtocolVersion.
+//   * Any layout change to an existing frame bumps kProtocolVersion. Each
+//     frame has exactly one layout per version: no feature bit changes one.
 //   * Unknown frame types are answered with Error{UnknownType}; the
 //     connection stays usable (forward compatibility for new RPCs).
 #pragma once
@@ -40,8 +40,10 @@ namespace osel::service {
 static_assert(std::endian::native == std::endian::little,
               "oseld wire codec assumes a little-endian host");
 
-/// Protocol version this build speaks (the only one, today).
-inline constexpr std::uint16_t kProtocolVersion = 1;
+/// Protocol version this build speaks (the only one). Version 2 made the
+/// TraceContextBlock a fixed part of every decide frame, decision reply and
+/// post-handshake Error; version 1 peers are refused.
+inline constexpr std::uint16_t kProtocolVersion = 2;
 
 /// First payload field of Hello/HelloAck: "OSEL" in ASCII, little-endian.
 inline constexpr std::uint32_t kMagic = 0x4C45534Fu;
@@ -59,11 +61,8 @@ inline constexpr std::uint32_t kFeatureBatch = 1u << 0;  ///< DecideBatch
 inline constexpr std::uint32_t kFeatureStats = 1u << 1;  ///< StatsRequest
 /// StatsRequest::format == Prometheus supported.
 inline constexpr std::uint32_t kFeaturePrometheus = 1u << 2;
-/// Request-scoped tracing: when granted, DecideRequest/DecideBatch carry a
-/// TraceContextBlock between the fixed struct and the variable tail, and the
-/// server echoes the same block on Decision/DecisionBatch/Error replies.
-/// Never granted means never on the wire — old peers see today's layouts.
-inline constexpr std::uint32_t kFeatureTraceContext = 1u << 3;
+// 1u << 3 is retired: it negotiated the version 1 trace-context layouts,
+// which version 2 carries unconditionally. Never reuse it.
 /// SlowLogRequest/SlowLog RPC (the slow-request capture ring) supported.
 inline constexpr std::uint32_t kFeatureSlowLog = 1u << 4;
 
@@ -117,8 +116,8 @@ static_assert(offsetof(FrameHeader, length) == 0);
 static_assert(offsetof(FrameHeader, type) == 4);
 static_assert(offsetof(FrameHeader, reserved) == 6);
 
-/// Client's opening frame. The version *range* lets an old client talk to a
-/// new server and vice versa without a flag day.
+/// Client's opening frame. The version *range* lets a client that speaks
+/// several versions meet a server that speaks one of them.
 struct HelloFrame {
   std::uint32_t magic = kMagic;
   std::uint16_t versionMin = kProtocolVersion;
@@ -153,18 +152,19 @@ static_assert(offsetof(HelloAckFrame, version) == 4);
 static_assert(offsetof(HelloAckFrame, featureBits) == 8);
 static_assert(offsetof(HelloAckFrame, maxFrameBytes) == 12);
 
-// --- Trace context (kFeatureTraceContext) ---------------------------------
+// --- Trace context --------------------------------------------------------
 
 /// TraceContextBlock::flags: this request is trace-sampled — the server
 /// records spans / wide events for it regardless of its own tail sampling.
 inline constexpr std::uint32_t kTraceFlagSampled = 1u << 0;
 
-/// Request-scoped trace identity. Present on the wire only when
-/// kFeatureTraceContext was granted in HelloAck; then it sits immediately
-/// after the fixed POD struct (before the variable tail) of DecideRequest
-/// and DecideBatch, and the server echoes the request's block in the same
-/// position on Decision, DecisionBatch, and post-handshake Error replies
-/// (pre-handshake errors predate negotiation and never carry one).
+/// Request-scoped trace identity. Always on the wire after the handshake: it
+/// sits immediately after the fixed POD struct (before the variable tail) of
+/// DecideRequest and DecideBatch, and the server echoes the request's block
+/// in the same position on Decision, DecisionBatch, and post-handshake Error
+/// replies (zeroed when the request never parsed far enough to carry one).
+/// Pre-handshake errors never carry one, so a peer of any version can read
+/// the refusal.
 struct TraceContextBlock {
   std::uint64_t traceId = 0;  ///< caller-chosen 64-bit trace id (0 = none)
   std::uint32_t flags = 0;    ///< kTraceFlagSampled | reserved zeros
@@ -176,7 +176,7 @@ static_assert(offsetof(TraceContextBlock, flags) == 8);
 static_assert(offsetof(TraceContextBlock, reserved) == 12);
 
 /// One scalar decide(). Tail, in order:
-///   [TraceContextBlock          only when kFeatureTraceContext granted]
+///   TraceContextBlock       16 bytes
 ///   regionNameBytes bytes   UTF-8 region name (no NUL)
 ///   bindingCount ×  { u32 symbolBytes | i64 value | symbol bytes }
 struct DecideRequestFrame {
@@ -193,6 +193,7 @@ static_assert(offsetof(DecideRequestFrame, bindingCount) == 12);
 /// slot-major columns — the layout TargetRuntime's SoA batch evaluator
 /// (CompiledExpr::evaluateColumns) consumes, so a server never transposes.
 /// Tail, in order:
+///   TraceContextBlock                    16 bytes
 ///   regionNameBytes bytes                region name
 ///   slotCount ×  { u32 symbolBytes | symbol bytes }   slot symbol table
 ///   slotCount*rowCount × i64             values[slot*rowCount + row]
@@ -237,10 +238,12 @@ static_assert(offsetof(DecisionRecord, device) == 32);
 static_assert(offsetof(DecisionRecord, valid) == 33);
 static_assert(offsetof(DecisionRecord, diagnosticBytes) == 36);
 
-/// Decision (type 6) payload: one DecisionRecord + diagnostic bytes.
-/// DecisionBatch (type 8) payload: this header, then `count` DecisionRecords
-/// (row order = request row order), then every record's diagnostic bytes
-/// concatenated in the same order.
+/// Decision (type 6) payload: one DecisionRecord, the echoed
+/// TraceContextBlock, then diagnostic bytes.
+/// DecisionBatch (type 8) payload: this header, the echoed
+/// TraceContextBlock, then `count` DecisionRecords (row order = request row
+/// order), then every record's diagnostic bytes concatenated in the same
+/// order.
 struct DecisionBatchFrame {
   std::uint32_t count = 0;
   std::uint32_t reserved = 0;
@@ -268,7 +271,8 @@ struct SlowLogRequestFrame {
 };
 static_assert(sizeof(SlowLogRequestFrame) == 8);
 
-/// Error payload: stable code + human-readable message bytes in the tail.
+/// Error payload: stable code, then (after the handshake only) the echoed
+/// TraceContextBlock, then human-readable message bytes.
 struct ErrorFrame {
   std::uint32_t wireCode = 0;  ///< WireCode
   std::uint32_t messageBytes = 0;

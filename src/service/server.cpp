@@ -26,8 +26,7 @@ namespace osel::service {
 namespace {
 
 constexpr std::uint32_t kSupportedFeatures =
-    kFeatureBatch | kFeatureStats | kFeaturePrometheus | kFeatureTraceContext |
-    kFeatureSlowLog;
+    kFeatureBatch | kFeatureStats | kFeaturePrometheus | kFeatureSlowLog;
 
 /// Per-client counter series (service.client.<id>.*) are only created for
 /// the first this-many connections, bounding metric cardinality under
@@ -268,8 +267,6 @@ void Server::serveConnection(Socket socket, std::uint64_t clientId) {
   std::string out;
   bool helloDone = false;
   bool closing = false;
-  // Negotiated per-connection wire state (set once at HelloAck).
-  bool traceWire = false;  ///< kFeatureTraceContext granted
   // Per-connection scratch, reused across frames.
   std::string regionName;
   std::vector<std::string_view> scalarNames;  ///< a DecideRequest's columns
@@ -360,7 +357,10 @@ void Server::serveConnection(Socket socket, std::uint64_t clientId) {
           if (!decoder.next(header, payload)) break;
         } catch (const CodecError& error) {
           // A bad length prefix desynchronizes the stream; answer and drop.
-          encodeError(out, error.wireCode(), error.what());
+          // After the handshake the Error carries a (zeroed) trace block.
+          const TraceContextBlock unknown;
+          encodeError(out, error.wireCode(), error.what(),
+                      helloDone ? &unknown : nullptr);
           instruments_.errors->add();
           closing = true;
           break;
@@ -382,9 +382,8 @@ void Server::serveConnection(Socket socket, std::uint64_t clientId) {
           }
           try {
             const HelloFrame hello = parseHello(payload);
-            const std::uint16_t version =
-                std::min(hello.versionMax, kProtocolVersion);
-            if (version < hello.versionMin || version == 0) {
+            if (hello.versionMin > kProtocolVersion ||
+                hello.versionMax < kProtocolVersion) {
               encodeError(out, WireCode::UnsupportedVersion,
                           "oseld: no common protocol version (server speaks v" +
                               std::to_string(kProtocolVersion) + ")");
@@ -393,12 +392,10 @@ void Server::serveConnection(Socket socket, std::uint64_t clientId) {
               break;
             }
             HelloAckFrame ack;
-            ack.version = version;
             ack.featureBits = hello.featureBits & kSupportedFeatures;
             ack.maxFrameBytes = options_.maxFrameBytes;
             encodeHelloAck(out, ack);
             helloDone = true;
-            traceWire = (ack.featureBits & kFeatureTraceContext) != 0;
           } catch (const CodecError& error) {
             encodeError(out, error.wireCode(), error.what());
             instruments_.errors->add();
@@ -414,12 +411,11 @@ void Server::serveConnection(Socket socket, std::uint64_t clientId) {
         // blocks discard a partially encoded reply (e.g. a batch whose
         // encoding tripped the absolute frame ceiling) — sending half a
         // frame followed by an Error frame would desync the peer.
-        // On a trace-context connection every post-handshake reply carries
-        // a TraceContextBlock; `frameTrace` holds the current frame's (a
-        // zeroed block until its request parsed far enough to know it).
+        // Every post-handshake decide reply and Error carries a
+        // TraceContextBlock; `frameTrace` holds the current frame's (a
+        // zeroed block until its request parsed).
         const std::size_t outMark = out.size();
         TraceContextBlock frameTrace;
-        const TraceContextBlock* echo = traceWire ? &frameTrace : nullptr;
         try {
           switch (type) {
             case FrameType::Ping:
@@ -427,8 +423,8 @@ void Server::serveConnection(Socket socket, std::uint64_t clientId) {
               break;
             case FrameType::DecideRequest: {
               const std::int64_t t0 = session_.nowNs();
-              parseDecideRequest(payload, requestView, traceWire);
-              if (requestView.hasTrace) frameTrace = requestView.trace;
+              parseDecideRequest(payload, requestView);
+              frameTrace = requestView.trace;
               regionName.assign(requestView.region);
               scalarNames.clear();
               scalarValues.clear();
@@ -443,7 +439,8 @@ void Server::serveConnection(Socket socket, std::uint64_t clientId) {
                   reinterpret_cast<const char*>(scalarValues.data()), 1,
                   decisions);
               const std::int64_t t2 = session_.nowNs();
-              encodeDecision(out, requestView.requestId, decisions[0], echo);
+              encodeDecision(out, requestView.requestId, decisions[0],
+                             &frameTrace);
               frame = {.pending = true,
                        .batch = false,
                        .sampled = (frameTrace.flags & kTraceFlagSampled) != 0,
@@ -458,8 +455,8 @@ void Server::serveConnection(Socket socket, std::uint64_t clientId) {
             }
             case FrameType::DecideBatch: {
               const std::int64_t t0 = session_.nowNs();
-              parseDecideBatch(payload, batchView, traceWire);
-              if (batchView.hasTrace) frameTrace = batchView.trace;
+              parseDecideBatch(payload, batchView);
+              frameTrace = batchView.trace;
               const std::size_t rows = batchView.rows;
               regionName.assign(batchView.region);
               // decideColumns overwrites every field of every row it
@@ -471,7 +468,8 @@ void Server::serveConnection(Socket socket, std::uint64_t clientId) {
                   decisions);
               const std::int64_t t2 = session_.nowNs();
               encodeDecisionBatch(out, batchView.requestId,
-                                  std::span(decisions.data(), rows), echo);
+                                  std::span(decisions.data(), rows),
+                                  &frameTrace);
               frame = {.pending = true,
                        .batch = true,
                        .sampled = (frameTrace.flags & kTraceFlagSampled) != 0,
@@ -518,28 +516,29 @@ void Server::serveConnection(Socket socket, std::uint64_t clientId) {
               encodeError(out, WireCode::BadFrame,
                           "oseld: unexpected frame type " +
                               std::to_string(header.type),
-                          echo);
+                          &frameTrace);
               instruments_.errors->add();
               break;
             default:
               encodeError(out, WireCode::UnknownType,
                           "oseld: unknown frame type " +
                               std::to_string(header.type),
-                          echo);
+                          &frameTrace);
               instruments_.errors->add();
               break;
           }
         } catch (const CodecError& error) {
           out.resize(outMark);
-          encodeError(out, error.wireCode(), error.what(), echo);
+          encodeError(out, error.wireCode(), error.what(), &frameTrace);
           instruments_.errors->add();
         } catch (const osel::Error& error) {
           out.resize(outMark);
-          encodeError(out, wireCodeFor(error.code()), error.what(), echo);
+          encodeError(out, wireCodeFor(error.code()), error.what(),
+                      &frameTrace);
           instruments_.errors->add();
         } catch (const std::exception& error) {
           out.resize(outMark);
-          encodeError(out, WireCode::Unknown, error.what(), echo);
+          encodeError(out, WireCode::Unknown, error.what(), &frameTrace);
           instruments_.errors->add();
         }
       }

@@ -56,7 +56,6 @@ struct LoopbackServer {
 TEST(ClientAlloc, WarmedUpDecideAndDecideBatchDoNotAllocate) {
   LoopbackServer loopback;
   Client client = Client::connect(loopback.server->options().socketPath);
-  ASSERT_TRUE(client.traceContextGranted());
 
   const symbolic::Bindings bindings{{"n", 512}};
   constexpr std::uint32_t kRows = 64;

@@ -36,6 +36,100 @@ runtime::Decision sampleDecision() {
   return decision;
 }
 
+TraceContextBlock sampleTrace() {
+  TraceContextBlock trace;
+  trace.traceId = 0xABCDEF0123456789ull;
+  trace.flags = kTraceFlagSampled;
+  return trace;
+}
+
+/// One payload of every frame type that carries a TraceContextBlock, plus
+/// a pre-handshake Error (which carries none), in the order `parseAny`
+/// dispatches on. `trace` is the block every carrying frame is encoded
+/// with; nullptr encodes the zeroed block an untraced peer sends.
+std::vector<std::string> blockFramePayloads(
+    const TraceContextBlock* trace = nullptr) {
+  const TraceContextBlock zeroed;
+  const TraceContextBlock* errorTrace = trace != nullptr ? trace : &zeroed;
+  const symbolic::Bindings bindings{{"n", 64}, {"m", 32}};
+  const std::vector<std::string_view> slots{"n", "m"};
+  const std::vector<std::int64_t> values{1, 2, 3, 4};
+  std::vector<std::string> payloads;
+  FrameHeader header;
+  std::string bytes;
+  const auto push = [&] {
+    payloads.push_back(decodeOne(bytes, header));
+    bytes.clear();
+  };
+  encodeDecideRequest(bytes, 5, "gemm_k1", bindings, trace);
+  push();
+  encodeDecideBatch(bytes, 5, "gemm_k1", slots, 2, values, trace);
+  push();
+  encodeDecision(bytes, 5, sampleDecision(), trace);
+  push();
+  encodeDecisionBatch(bytes, 5,
+                      std::vector<runtime::Decision>(2, sampleDecision()),
+                      trace);
+  push();
+  encodeError(bytes, WireCode::Shed, "queue full", errorTrace);
+  push();
+  encodeError(bytes, WireCode::Shed, "queue full");
+  push();
+  return payloads;
+}
+
+/// Parses `payload` as frame kind `which` (blockFramePayloads' order).
+void parseAny(std::size_t which, std::string_view payload) {
+  DecideRequestView request;
+  DecideBatchView batch;
+  DecisionView decision;
+  std::vector<DecisionView> decisions;
+  switch (which) {
+    case 0: parseDecideRequest(payload, request); break;
+    case 1: parseDecideBatch(payload, batch); break;
+    case 2: parseDecision(payload, decision); break;
+    case 3: parseDecisionBatch(payload, decisions); break;
+    case 4: (void)parseError(payload, true); break;
+    default: (void)parseError(payload, false); break;
+  }
+}
+
+/// Every strict prefix of every payload must throw CodecError; the whole
+/// payload must parse.
+void expectEveryTruncationThrows(const std::vector<std::string>& payloads) {
+  for (std::size_t which = 0; which < payloads.size(); ++which) {
+    const std::string& full = payloads[which];
+    EXPECT_NO_THROW(parseAny(which, full)) << "frame kind " << which;
+    for (std::size_t cut = 0; cut < full.size(); ++cut) {
+      EXPECT_THROW(parseAny(which, full.substr(0, cut)), CodecError)
+          << "frame kind " << which << " cut at " << cut;
+    }
+  }
+}
+
+/// 2000 random byte mutations of `seeds`, drawn from the deterministic
+/// `corpus` (a regression corpus). Every mutant is parsed as every frame
+/// kind, so no parser sees only well-shaped input; anything thrown that is
+/// not a CodecError fails the test.
+void parseRandomMutations(const std::vector<std::string>& seeds,
+                          std::uint32_t corpus) {
+  std::mt19937 rng(corpus);
+  for (int round = 0; round < 2000; ++round) {
+    std::string mutated = seeds[rng() % seeds.size()];
+    const int flips = 1 + static_cast<int>(rng() % 8);
+    for (int f = 0; f < flips; ++f) {
+      mutated[rng() % mutated.size()] =
+          static_cast<char>(static_cast<unsigned char>(rng()));
+    }
+    for (std::size_t which = 0; which < seeds.size(); ++which) {
+      try {
+        parseAny(which, mutated);
+      } catch (const CodecError&) {
+      }
+    }
+  }
+}
+
 TEST(Codec, HelloRoundTrip) {
   HelloFrame hello;
   hello.versionMin = 1;
@@ -187,7 +281,7 @@ TEST(Codec, StatsAndErrorRoundTrip) {
   ASSERT_TRUE(decoder.next(header, payload));
   EXPECT_EQ(parseStats(payload), "osel_decisions_total 5\n");
   ASSERT_TRUE(decoder.next(header, payload));
-  const ErrorView error = parseError(payload);
+  const ErrorView error = parseError(payload, false);
   EXPECT_EQ(error.code, WireCode::Shed);
   EXPECT_EQ(error.message, "queue full");
 }
@@ -249,64 +343,7 @@ TEST(CodecHostile, TightenedLimitAppliesToTheNextFrame) {
 }
 
 TEST(CodecHostile, EveryTruncationOfEveryFrameThrowsBadFrame) {
-  const symbolic::Bindings bindings{{"n", 64}, {"m", 32}};
-  const std::vector<std::string_view> slots{"n"};
-  const std::vector<std::int64_t> values{1, 2};
-  std::vector<std::string> payloads;
-  {
-    std::string bytes;
-    encodeDecideRequest(bytes, 5, "gemm_k1", bindings);
-    FrameHeader header;
-    payloads.push_back(decodeOne(bytes, header));
-  }
-  {
-    std::string bytes;
-    encodeDecideBatch(bytes, 5, "gemm_k1", slots, 2, values);
-    FrameHeader header;
-    payloads.push_back(decodeOne(bytes, header));
-  }
-  {
-    std::string bytes;
-    encodeDecision(bytes, 5, sampleDecision());
-    FrameHeader header;
-    payloads.push_back(decodeOne(bytes, header));
-  }
-  {
-    std::string bytes;
-    encodeDecisionBatch(bytes, 5, std::vector<runtime::Decision>(
-                                      2, sampleDecision()));
-    FrameHeader header;
-    payloads.push_back(decodeOne(bytes, header));
-  }
-
-  for (std::size_t which = 0; which < payloads.size(); ++which) {
-    const std::string& full = payloads[which];
-    for (std::size_t cut = 0; cut < full.size(); ++cut) {
-      const std::string truncated = full.substr(0, cut);
-      DecideRequestView request;
-      DecideBatchView batch;
-      DecisionView decision;
-      std::vector<DecisionView> decisions;
-      switch (which) {
-        case 0:
-          EXPECT_THROW(parseDecideRequest(truncated, request), CodecError)
-              << "DecideRequest cut at " << cut;
-          break;
-        case 1:
-          EXPECT_THROW(parseDecideBatch(truncated, batch), CodecError)
-              << "DecideBatch cut at " << cut;
-          break;
-        case 2:
-          EXPECT_THROW(parseDecision(truncated, decision), CodecError)
-              << "Decision cut at " << cut;
-          break;
-        default:
-          EXPECT_THROW(parseDecisionBatch(truncated, decisions), CodecError)
-              << "DecisionBatch cut at " << cut;
-          break;
-      }
-    }
-  }
+  expectEveryTruncationThrows(blockFramePayloads());
 }
 
 TEST(CodecHostile, TrailingJunkIsRejected) {
@@ -345,7 +382,9 @@ TEST(CodecHostile, BadMagicAndInvertedVersionRangeThrow) {
 
 TEST(CodecHostile, CountsThatDoNotAddUpThrow) {
   // bindingCount far larger than the payload could carry (overflow bait).
-  std::string payload(sizeof(DecideRequestFrame), '\0');
+  // The zeroed bytes after each fixed struct are its TraceContextBlock.
+  std::string payload(sizeof(DecideRequestFrame) + sizeof(TraceContextBlock),
+                      '\0');
   DecideRequestFrame request;
   request.regionNameBytes = 0;
   request.bindingCount = 0x40000000u;
@@ -354,7 +393,7 @@ TEST(CodecHostile, CountsThatDoNotAddUpThrow) {
   EXPECT_THROW(parseDecideRequest(payload, requestView), CodecError);
 
   // slotCount * rowCount value block missing.
-  payload.assign(sizeof(DecideBatchFrame), '\0');
+  payload.assign(sizeof(DecideBatchFrame) + sizeof(TraceContextBlock), '\0');
   DecideBatchFrame batch;
   batch.regionNameBytes = 0;
   batch.slotCount = 0x20000000u;
@@ -366,10 +405,12 @@ TEST(CodecHostile, CountsThatDoNotAddUpThrow) {
 
 TEST(CodecHostile, ZeroSlotBatchClaimingRowsThrows) {
   // With slotCount == 0 the value-matrix size check is vacuous (0 * rows
-  // values == 0 remaining bytes), so without its own guard a 32-byte frame
+  // values == 0 remaining bytes), so without its own guard a 40-byte frame
   // could claim 4 billion rows and drive the server into rowCount-sized
-  // allocations.
-  std::string payload(sizeof(DecideBatchFrame), '\0');
+  // allocations. The zeroed bytes after the fixed struct are its
+  // TraceContextBlock.
+  std::string payload(sizeof(DecideBatchFrame) + sizeof(TraceContextBlock),
+                      '\0');
   DecideBatchFrame batch;
   batch.regionNameBytes = 0;
   batch.slotCount = 0;
@@ -408,46 +449,7 @@ TEST(CodecHostile, DeviceOutOfRangeThrows) {
 }
 
 TEST(CodecHostile, RandomMutationsNeverEscapeAsNonCodecErrors) {
-  std::vector<std::string> seeds;
-  {
-    std::string bytes;
-    encodeDecideRequest(bytes, 1, "gemm_k1", {{"n", 64}, {"m", 8}});
-    FrameHeader header;
-    seeds.push_back(decodeOne(bytes, header));
-    bytes.clear();
-    const std::vector<std::string_view> slots{"n", "m"};
-    const std::vector<std::int64_t> values{1, 2, 3, 4};
-    encodeDecideBatch(bytes, 1, "gemm_k1", slots, 2, values);
-    seeds.push_back(decodeOne(bytes, header));
-    bytes.clear();
-    encodeDecisionBatch(bytes, 1,
-                        std::vector<runtime::Decision>(2, sampleDecision()));
-    seeds.push_back(decodeOne(bytes, header));
-  }
-  std::mt19937 rng(2019);  // deterministic: this is a regression corpus
-  for (int round = 0; round < 2000; ++round) {
-    std::string mutated = seeds[rng() % seeds.size()];
-    const int flips = 1 + static_cast<int>(rng() % 8);
-    for (int f = 0; f < flips; ++f) {
-      mutated[rng() % mutated.size()] =
-          static_cast<char>(static_cast<unsigned char>(rng()));
-    }
-    DecideRequestView request;
-    DecideBatchView batch;
-    std::vector<DecisionView> decisions;
-    try {
-      parseDecideRequest(mutated, request);
-    } catch (const CodecError&) {
-    }
-    try {
-      parseDecideBatch(mutated, batch);
-    } catch (const CodecError&) {
-    }
-    try {
-      parseDecisionBatch(mutated, decisions);
-    } catch (const CodecError&) {
-    }
-  }
+  parseRandomMutations(blockFramePayloads(), 2019);
 }
 
 TEST(CodecHostile, RandomGarbageStreamsNeverCrashTheDecoder) {
@@ -471,17 +473,8 @@ TEST(CodecHostile, RandomGarbageStreamsNeverCrashTheDecoder) {
 }
 
 // --- Trace context --------------------------------------------------------
-// The kFeatureTraceContext layouts are negotiation-dependent: with the
-// feature granted every decide/decision/error frame carries a 16-byte
-// TraceContextBlock after its fixed struct; without it the frames must stay
-// byte-identical to the pre-feature layout. Both halves are fuzzed.
-
-TraceContextBlock sampleTrace() {
-  TraceContextBlock trace;
-  trace.traceId = 0xABCDEF0123456789ull;
-  trace.flags = kTraceFlagSampled;
-  return trace;
-}
+// Every decide frame, decision reply and post-handshake Error carries a
+// 16-byte TraceContextBlock after its fixed struct.
 
 TEST(CodecTrace, TraceBlockRoundTripsOnEveryDecideFrame) {
   const TraceContextBlock trace = sampleTrace();
@@ -495,8 +488,7 @@ TEST(CodecTrace, TraceBlockRoundTripsOnEveryDecideFrame) {
   // Each payload is a named local: the views below point into it.
   const std::string requestPayload = decodeOne(bytes, header);
   DecideRequestView request;
-  parseDecideRequest(requestPayload, request, true);
-  EXPECT_TRUE(request.hasTrace);
+  parseDecideRequest(requestPayload, request);
   EXPECT_EQ(request.trace.traceId, trace.traceId);
   EXPECT_EQ(request.trace.flags, kTraceFlagSampled);
   EXPECT_EQ(request.region, "gemm_k1");
@@ -507,8 +499,7 @@ TEST(CodecTrace, TraceBlockRoundTripsOnEveryDecideFrame) {
   encodeDecideBatch(bytes, 5, "gemm_k1", slots, 2, values, &trace);
   const std::string batchPayload = decodeOne(bytes, header);
   DecideBatchView batch;
-  parseDecideBatch(batchPayload, batch, true);
-  EXPECT_TRUE(batch.hasTrace);
+  parseDecideBatch(batchPayload, batch);
   EXPECT_EQ(batch.trace.traceId, trace.traceId);
   EXPECT_EQ(batch.value(0, 1), 2);
 
@@ -516,10 +507,16 @@ TEST(CodecTrace, TraceBlockRoundTripsOnEveryDecideFrame) {
   encodeDecision(bytes, 5, sampleDecision(), &trace);
   const std::string decisionPayload = decodeOne(bytes, header);
   DecisionView decision;
-  parseDecision(decisionPayload, decision, true);
-  EXPECT_TRUE(decision.hasTrace);
+  parseDecision(decisionPayload, decision);
   EXPECT_EQ(decision.trace.traceId, trace.traceId);
   EXPECT_EQ(decision.decision.diagnostic, "all models agree");
+  // The version 1 call form (`true` = "frame has a block") decodes the same
+  // bytes; `false` no longer names a layout.
+  DecisionView legacyForm;
+  parseDecision(decisionPayload, legacyForm, true);
+  EXPECT_EQ(legacyForm.trace.traceId, trace.traceId);
+  EXPECT_THROW(parseDecision(decisionPayload, legacyForm, false),
+               std::logic_error);
 
   bytes.clear();
   encodeDecisionBatch(bytes, 1000,
@@ -527,168 +524,28 @@ TEST(CodecTrace, TraceBlockRoundTripsOnEveryDecideFrame) {
                       &trace);
   const std::string decisionBatchPayload = decodeOne(bytes, header);
   std::vector<DecisionView> views;
-  parseDecisionBatch(decisionBatchPayload, views, true);
+  parseDecisionBatch(decisionBatchPayload, views);
   ASSERT_EQ(views.size(), 2u);
   // One shared frame-level block, echoed into every row view.
-  EXPECT_TRUE(views[0].hasTrace);
-  EXPECT_TRUE(views[1].hasTrace);
+  EXPECT_EQ(views[0].trace.traceId, trace.traceId);
   EXPECT_EQ(views[1].trace.traceId, trace.traceId);
 
   bytes.clear();
   encodeError(bytes, WireCode::Shed, "queue full", &trace);
   const std::string errorPayload = decodeOne(bytes, header);
   const ErrorView error = parseError(errorPayload, true);
-  EXPECT_TRUE(error.hasTrace);
   EXPECT_EQ(error.trace.traceId, trace.traceId);
   EXPECT_EQ(error.message, "queue full");
 }
 
-TEST(CodecTrace, NegotiationMismatchIsRejectedBothWays) {
-  // A trace-carrying frame parsed trace-off has 16 trailing bytes; a plain
-  // frame parsed trace-on is 16 bytes short. Either way the peer is
-  // half-speaking the feature and the parse must throw, never misread.
-  const TraceContextBlock trace = sampleTrace();
-  FrameHeader header;
-  std::string bytes;
-  encodeDecideRequest(bytes, 5, "gemm_k1", {{"n", 64}}, &trace);
-  const std::string withTrace = decodeOne(bytes, header);
-  bytes.clear();
-  encodeDecideRequest(bytes, 5, "gemm_k1", {{"n", 64}});
-  const std::string withoutTrace = decodeOne(bytes, header);
-
-  DecideRequestView view;
-  EXPECT_THROW(parseDecideRequest(withTrace, view, false), CodecError);
-  EXPECT_THROW(parseDecideRequest(withoutTrace, view, true), CodecError);
-
-  bytes.clear();
-  encodeDecision(bytes, 5, sampleDecision(), &trace);
-  const std::string decisionWith = decodeOne(bytes, header);
-  bytes.clear();
-  encodeDecision(bytes, 5, sampleDecision());
-  const std::string decisionWithout = decodeOne(bytes, header);
-  DecisionView decision;
-  EXPECT_THROW(parseDecision(decisionWith, decision, false), CodecError);
-  EXPECT_THROW(parseDecision(decisionWithout, decision, true), CodecError);
-}
-
 TEST(CodecTrace, EveryTruncationOfEveryTraceFrameThrowsBadFrame) {
   const TraceContextBlock trace = sampleTrace();
-  const symbolic::Bindings bindings{{"n", 64}, {"m", 32}};
-  const std::vector<std::string_view> slots{"n"};
-  const std::vector<std::int64_t> values{1, 2};
-  FrameHeader header;
-  std::vector<std::string> payloads;
-  {
-    std::string bytes;
-    encodeDecideRequest(bytes, 5, "gemm_k1", bindings, &trace);
-    payloads.push_back(decodeOne(bytes, header));
-  }
-  {
-    std::string bytes;
-    encodeDecideBatch(bytes, 5, "gemm_k1", slots, 2, values, &trace);
-    payloads.push_back(decodeOne(bytes, header));
-  }
-  {
-    std::string bytes;
-    encodeDecision(bytes, 5, sampleDecision(), &trace);
-    payloads.push_back(decodeOne(bytes, header));
-  }
-  {
-    std::string bytes;
-    encodeDecisionBatch(bytes, 5,
-                        std::vector<runtime::Decision>(2, sampleDecision()),
-                        &trace);
-    payloads.push_back(decodeOne(bytes, header));
-  }
-  {
-    std::string bytes;
-    encodeError(bytes, WireCode::Shed, "queue full", &trace);
-    payloads.push_back(decodeOne(bytes, header));
-  }
-
-  for (std::size_t which = 0; which < payloads.size(); ++which) {
-    const std::string& full = payloads[which];
-    for (std::size_t cut = 0; cut < full.size(); ++cut) {
-      const std::string truncated = full.substr(0, cut);
-      DecideRequestView request;
-      DecideBatchView batch;
-      DecisionView decision;
-      std::vector<DecisionView> decisions;
-      switch (which) {
-        case 0:
-          EXPECT_THROW(parseDecideRequest(truncated, request, true),
-                       CodecError)
-              << "traced DecideRequest cut at " << cut;
-          break;
-        case 1:
-          EXPECT_THROW(parseDecideBatch(truncated, batch, true), CodecError)
-              << "traced DecideBatch cut at " << cut;
-          break;
-        case 2:
-          EXPECT_THROW(parseDecision(truncated, decision, true), CodecError)
-              << "traced Decision cut at " << cut;
-          break;
-        case 3:
-          EXPECT_THROW(parseDecisionBatch(truncated, decisions, true),
-                       CodecError)
-              << "traced DecisionBatch cut at " << cut;
-          break;
-        default:
-          EXPECT_THROW((void)parseError(truncated, true), CodecError)
-              << "traced Error cut at " << cut;
-          break;
-      }
-    }
-  }
+  expectEveryTruncationThrows(blockFramePayloads(&trace));
 }
 
 TEST(CodecTrace, RandomMutationsOfTraceFramesNeverEscapeAsNonCodecErrors) {
   const TraceContextBlock trace = sampleTrace();
-  std::vector<std::string> seeds;
-  {
-    std::string bytes;
-    FrameHeader header;
-    encodeDecideRequest(bytes, 1, "gemm_k1", {{"n", 64}, {"m", 8}}, &trace);
-    seeds.push_back(decodeOne(bytes, header));
-    bytes.clear();
-    const std::vector<std::string_view> slots{"n", "m"};
-    const std::vector<std::int64_t> values{1, 2, 3, 4};
-    encodeDecideBatch(bytes, 1, "gemm_k1", slots, 2, values, &trace);
-    seeds.push_back(decodeOne(bytes, header));
-    bytes.clear();
-    encodeDecisionBatch(bytes, 1,
-                        std::vector<runtime::Decision>(2, sampleDecision()),
-                        &trace);
-    seeds.push_back(decodeOne(bytes, header));
-  }
-  std::mt19937 rng(2026);  // deterministic: this is a regression corpus
-  for (int round = 0; round < 2000; ++round) {
-    std::string mutated = seeds[rng() % seeds.size()];
-    const int flips = 1 + static_cast<int>(rng() % 8);
-    for (int f = 0; f < flips; ++f) {
-      mutated[rng() % mutated.size()] =
-          static_cast<char>(static_cast<unsigned char>(rng()));
-    }
-    // Each mutant is parsed under both negotiation states: mutations must
-    // surface as CodecError regardless of which layout the parser expects.
-    for (const bool traced : {true, false}) {
-      DecideRequestView request;
-      DecideBatchView batch;
-      std::vector<DecisionView> decisions;
-      try {
-        parseDecideRequest(mutated, request, traced);
-      } catch (const CodecError&) {
-      }
-      try {
-        parseDecideBatch(mutated, batch, traced);
-      } catch (const CodecError&) {
-      }
-      try {
-        parseDecisionBatch(mutated, decisions, traced);
-      } catch (const CodecError&) {
-      }
-    }
-  }
+  parseRandomMutations(blockFramePayloads(&trace), 2026);
 }
 
 TEST(Codec, SlowLogRoundTrip) {

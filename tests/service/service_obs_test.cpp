@@ -1,8 +1,8 @@
 // Request-scoped observability of the oseld service, end to end over real
-// sockets: the negotiation-downgrade matrix (a client that never asks for
-// kFeatureTraceContext sees frames byte-identical to the pre-trace-context
-// layouts, pinned against hand-assembled golden bytes), trace-context echo
-// on every reply, trace blocks on post-handshake errors, the per-stage
+// sockets: the version 2 frame layouts (every decide frame, decision reply
+// and post-handshake error carries a TraceContextBlock, pinned against
+// hand-assembled golden bytes), trace-context echo on every reply, trace
+// blocks on post-handshake errors (FrameTooLarge included), the per-stage
 // latency histograms accounting for >= 99% of request wall time, the
 // slow-request capture ring served as JSONL over the SlowLog RPC, the
 // stage/drop-counter series in the Prometheus exposition, and the
@@ -32,10 +32,6 @@ namespace osel::service {
 namespace {
 
 using namespace osel::ir;
-
-/// The pre-trace-context feature set an old client requests.
-constexpr std::uint32_t kLegacyFeatures =
-    kFeatureBatch | kFeatureStats | kFeaturePrometheus;
 
 TargetRegion streamKernel(const std::string& name) {
   return RegionBuilder(name)
@@ -81,10 +77,10 @@ struct TestServer {
   std::unique_ptr<Server> server;
 };
 
-// --- Golden-byte assembly (the pre-trace-context v1 layouts) --------------
+// --- Golden-byte assembly (the version 2 layouts) --------------------------
 // Hand-built from the osel_abi.h struct definitions alone, so a codec
-// change that silently perturbs the feature-off wire layout fails here even
-// if encode and parse drift together.
+// change that silently perturbs the wire layout fails here even if encode
+// and parse drift together.
 
 template <typename T>
 void appendPod(std::string& out, const T& value) {
@@ -99,19 +95,23 @@ void appendHeader(std::string& out, FrameType type, std::uint32_t length) {
   appendPod(out, header);
 }
 
+constexpr auto kBlock = static_cast<std::uint32_t>(sizeof(TraceContextBlock));
+
 std::string goldenDecideRequest(std::uint64_t requestId,
                                 std::string_view region,
-                                std::string_view symbol, std::int64_t value) {
+                                std::string_view symbol, std::int64_t value,
+                                const TraceContextBlock& trace) {
   std::string out;
   const auto length = static_cast<std::uint32_t>(
-      sizeof(DecideRequestFrame) + region.size() + sizeof(std::uint32_t) +
-      sizeof(std::int64_t) + symbol.size());
+      sizeof(DecideRequestFrame) + kBlock + region.size() +
+      sizeof(std::uint32_t) + sizeof(std::int64_t) + symbol.size());
   appendHeader(out, FrameType::DecideRequest, length);
   DecideRequestFrame fixed;
   fixed.requestId = requestId;
   fixed.regionNameBytes = static_cast<std::uint32_t>(region.size());
   fixed.bindingCount = 1;
   appendPod(out, fixed);
+  appendPod(out, trace);
   out.append(region);
   appendPod(out, static_cast<std::uint32_t>(symbol.size()));
   appendPod(out, value);
@@ -130,12 +130,8 @@ runtime::Decision sampleDecision() {
   return decision;
 }
 
-std::string goldenDecision(std::uint64_t requestId,
-                           const runtime::Decision& decision) {
-  std::string out;
-  const auto length = static_cast<std::uint32_t>(sizeof(DecisionRecord) +
-                                                 decision.diagnostic.size());
-  appendHeader(out, FrameType::Decision, length);
+DecisionRecord goldenRecord(std::uint64_t requestId,
+                            const runtime::Decision& decision) {
   DecisionRecord record;
   record.requestId = requestId;
   record.cpuSeconds = decision.cpu.seconds;
@@ -145,18 +141,51 @@ std::string goldenDecision(std::uint64_t requestId,
   record.valid = decision.valid ? 1 : 0;
   record.diagnosticBytes =
       static_cast<std::uint32_t>(decision.diagnostic.size());
-  appendPod(out, record);
+  return record;
+}
+
+std::string goldenDecision(std::uint64_t requestId,
+                           const runtime::Decision& decision,
+                           const TraceContextBlock& trace) {
+  std::string out;
+  const auto length = static_cast<std::uint32_t>(
+      sizeof(DecisionRecord) + kBlock + decision.diagnostic.size());
+  appendHeader(out, FrameType::Decision, length);
+  appendPod(out, goldenRecord(requestId, decision));
+  appendPod(out, trace);
   out.append(decision.diagnostic);
   return out;
 }
 
+std::string goldenDecisionBatch(std::uint64_t requestId,
+                                std::span<const runtime::Decision> decisions,
+                                const TraceContextBlock& trace) {
+  std::string records;
+  std::string diagnostics;
+  for (std::size_t i = 0; i < decisions.size(); ++i) {
+    appendPod(records, goldenRecord(requestId + i, decisions[i]));
+    diagnostics += decisions[i].diagnostic;
+  }
+  std::string out;
+  appendHeader(out, FrameType::DecisionBatch,
+               static_cast<std::uint32_t>(sizeof(DecisionBatchFrame) + kBlock +
+                                          records.size() + diagnostics.size()));
+  DecisionBatchFrame fixed;
+  fixed.count = static_cast<std::uint32_t>(decisions.size());
+  appendPod(out, fixed);
+  appendPod(out, trace);
+  return out + records + diagnostics;
+}
+
 std::string goldenDecideBatch(std::uint64_t requestId, std::string_view region,
                               std::string_view slot,
-                              std::span<const std::int64_t> values) {
+                              std::span<const std::int64_t> values,
+                              const TraceContextBlock& trace) {
   std::string out;
   const auto length = static_cast<std::uint32_t>(
-      sizeof(DecideBatchFrame) + region.size() + sizeof(std::uint32_t) +
-      slot.size() + values.size() * sizeof(std::int64_t));
+      sizeof(DecideBatchFrame) + kBlock + region.size() +
+      sizeof(std::uint32_t) + slot.size() +
+      values.size() * sizeof(std::int64_t));
   appendHeader(out, FrameType::DecideBatch, length);
   DecideBatchFrame fixed;
   fixed.requestId = requestId;
@@ -164,6 +193,7 @@ std::string goldenDecideBatch(std::uint64_t requestId, std::string_view region,
   fixed.slotCount = 1;
   fixed.rowCount = static_cast<std::uint32_t>(values.size());
   appendPod(out, fixed);
+  appendPod(out, trace);
   out.append(region);
   appendPod(out, static_cast<std::uint32_t>(slot.size()));
   out.append(slot);
@@ -171,15 +201,18 @@ std::string goldenDecideBatch(std::uint64_t requestId, std::string_view region,
   return out;
 }
 
-std::string goldenError(WireCode code, std::string_view message) {
+/// `trace == nullptr` is the pre-handshake Error, which carries no block.
+std::string goldenError(WireCode code, std::string_view message,
+                        const TraceContextBlock* trace) {
   std::string out;
-  const auto length =
-      static_cast<std::uint32_t>(sizeof(ErrorFrame) + message.size());
+  const auto length = static_cast<std::uint32_t>(
+      sizeof(ErrorFrame) + (trace != nullptr ? kBlock : 0) + message.size());
   appendHeader(out, FrameType::Error, length);
   ErrorFrame fixed;
   fixed.wireCode = static_cast<std::uint32_t>(code);
   fixed.messageBytes = static_cast<std::uint32_t>(message.size());
   appendPod(out, fixed);
+  if (trace != nullptr) appendPod(out, *trace);
   out.append(message);
   return out;
 }
@@ -199,86 +232,54 @@ FrameHeader readOneFrame(const Socket& socket, FrameDecoder& decoder,
 }
 
 TEST(ServiceObsWire, FeatureOffEncodersMatchHandAssembledGoldenBytes) {
-  // The downgrade contract's foundation: every trace-capable encoder with
-  // trace == nullptr must produce exactly the bytes the v1 protocol carried
-  // before the feature existed.
-  std::string encoded;
-  encodeDecideRequest(encoded, 7, "stream", symbolic::Bindings{{"n", 96}});
-  EXPECT_EQ(encoded, goldenDecideRequest(7, "stream", "n", 96));
-
+  // One layout per frame. The feature-off call form (a null `trace`) writes
+  // a zeroed block in the same place a caller's block goes; only the
+  // pre-handshake Error has none.
+  TraceContextBlock traced;
+  traced.traceId = 0x0123456789abcdefull;
+  traced.flags = kTraceFlagSampled;
+  const TraceContextBlock zeroed;
   const runtime::Decision decision = sampleDecision();
-  encoded.clear();
-  encodeDecision(encoded, 7, decision);
-  EXPECT_EQ(encoded, goldenDecision(7, decision));
-
+  const std::vector<runtime::Decision> decisions{decision, {}};
   const std::vector<std::int64_t> values{16, 64, 512};
   const std::vector<std::string_view> slots{"n"};
+  const std::array<const TraceContextBlock*, 2> traces{&traced, nullptr};
+  for (const TraceContextBlock* trace : traces) {
+    const TraceContextBlock& block = trace != nullptr ? *trace : zeroed;
+    std::string encoded;
+    encodeDecideRequest(encoded, 7, "stream", symbolic::Bindings{{"n", 96}},
+                        trace);
+    EXPECT_EQ(encoded, goldenDecideRequest(7, "stream", "n", 96, block));
+
+    encoded.clear();
+    encodeDecision(encoded, 7, decision, trace);
+    EXPECT_EQ(encoded, goldenDecision(7, decision, block));
+
+    encoded.clear();
+    encodeDecisionBatch(encoded, 40, decisions, trace);
+    EXPECT_EQ(encoded, goldenDecisionBatch(40, decisions, block));
+
+    encoded.clear();
+    encodeDecideBatch(encoded, 11, "stream", slots,
+                      static_cast<std::uint32_t>(values.size()), values, trace);
+    EXPECT_EQ(encoded, goldenDecideBatch(11, "stream", "n", values, block));
+  }
+
+  std::string encoded;
+  encodeError(encoded, WireCode::UnknownType, "oseld: unknown frame type 42",
+              &traced);
+  EXPECT_EQ(encoded, goldenError(WireCode::UnknownType,
+                                 "oseld: unknown frame type 42", &traced));
   encoded.clear();
-  encodeDecideBatch(encoded, 11, "stream", slots,
-                    static_cast<std::uint32_t>(values.size()), values);
-  EXPECT_EQ(encoded, goldenDecideBatch(11, "stream", "n", values));
-
-  encoded.clear();
-  encodeError(encoded, WireCode::UnknownType, "oseld: unknown frame type 42");
-  EXPECT_EQ(encoded,
-            goldenError(WireCode::UnknownType, "oseld: unknown frame type 42"));
-}
-
-TEST(ServiceObsWire, LegacyClientNegotiatesDownAndSeesPreTraceReplies) {
-  TestServer fixture;
-  fixture.server->start();
-
-  // Raw socket so the request bytes themselves are the hand-assembled
-  // pre-trace-context layout — what a binary built before this feature
-  // actually sends.
-  Socket raw = connectUnix(fixture.server->options().socketPath);
-  HelloFrame hello;
-  hello.featureBits = kLegacyFeatures;
-  std::string out;
-  encodeHello(out, hello);
-  sendAll(raw, out);
-
-  FrameDecoder decoder;
-  std::string payload;
-  FrameHeader header = readOneFrame(raw, decoder, payload);
-  ASSERT_EQ(header.type, static_cast<std::uint16_t>(FrameType::HelloAck));
-  const HelloAckFrame ack = parseHelloAck(payload);
-  // Granted = requested ∩ supported: no trace or slow-log bit sneaks in.
-  EXPECT_EQ(ack.featureBits, kLegacyFeatures);
-
-  sendAll(raw, goldenDecideRequest(1, "stream", "n", 96));
-  header = readOneFrame(raw, decoder, payload);
-  ASSERT_EQ(header.type, static_cast<std::uint16_t>(FrameType::Decision));
-  DecisionView view;
-  parseDecision(payload, view, /*traceContext=*/false);
-  EXPECT_EQ(view.requestId, 1u);
-  EXPECT_FALSE(view.hasTrace);
-  EXPECT_TRUE(view.decision.valid);
-  // The reply must carry no trace block: under the traced layout the same
-  // payload is malformed, which pins its byte-identity to the old frames.
-  DecisionView traced;
-  EXPECT_THROW(parseDecision(payload, traced, /*traceContext=*/true),
-               CodecError);
-
-  // Post-handshake errors on a downgraded connection stay pre-trace too.
-  FrameHeader junk;
-  junk.length = 0;
-  junk.type = 99;
-  out.assign(reinterpret_cast<const char*>(&junk), sizeof(junk));
-  sendAll(raw, out);
-  header = readOneFrame(raw, decoder, payload);
-  ASSERT_EQ(header.type, static_cast<std::uint16_t>(FrameType::Error));
-  const ErrorView error = parseError(payload, /*traceContext=*/false);
-  EXPECT_EQ(error.code, WireCode::UnknownType);
-  EXPECT_FALSE(error.hasTrace);
-  EXPECT_THROW((void)parseError(payload, /*traceContext=*/true), CodecError);
+  encodeError(encoded, WireCode::UnsupportedVersion, "oseld: no version");
+  EXPECT_EQ(encoded, goldenError(WireCode::UnsupportedVersion,
+                                 "oseld: no version", nullptr));
 }
 
 TEST(ServiceObs, TraceContextEchoesOnEveryReply) {
   TestServer fixture;
   fixture.server->start();
   Client client = Client::connect(fixture.server->options().socketPath);
-  ASSERT_TRUE(client.traceContextGranted());
   ASSERT_NE(client.featureBits() & kFeatureSlowLog, 0u);
 
   // Client::decide verifies the echoed trace id internally and throws on a
@@ -299,42 +300,70 @@ TEST(ServiceObs, TraceContextEchoesOnEveryReply) {
                      decisions, &trace);
   EXPECT_EQ(decisions.size(), sizes.size());
 
-  // No caller-provided block: the client attaches (and the server echoes) a
-  // zeroed one — the layouts are per-connection, never per-frame.
+  // No caller-provided block: the client sends (and the server echoes) a
+  // zeroed one.
   EXPECT_TRUE(client.decide("stream", bindings).valid);
 }
+
+/// A raw connection past the handshake, with its own frame decoder.
+struct RawConnection {
+  explicit RawConnection(const std::string& path) : socket(connectUnix(path)) {
+    HelloFrame hello;
+    hello.featureBits = Client::kRequestedFeatures;
+    std::string out;
+    encodeHello(out, hello);
+    sendAll(socket, out);
+    const FrameHeader header = readOneFrame(socket, decoder, payload);
+    EXPECT_EQ(header.type, static_cast<std::uint16_t>(FrameType::HelloAck));
+  }
+
+  /// Sends a bare frame header and reads the server's Error answer.
+  ErrorView errorFor(FrameHeader header) {
+    std::string out(reinterpret_cast<const char*>(&header), sizeof(header));
+    sendAll(socket, out);
+    const FrameHeader reply = readOneFrame(socket, decoder, payload);
+    EXPECT_EQ(reply.type, static_cast<std::uint16_t>(FrameType::Error));
+    // Without its block the reply is malformed: the layout is fixed.
+    EXPECT_THROW((void)parseError(payload, false), CodecError);
+    return parseError(payload, true);
+  }
+
+  Socket socket;
+  FrameDecoder decoder;
+  std::string payload;
+};
 
 TEST(ServiceObs, PostHandshakeErrorsCarryTraceBlockOnTraceConnections) {
   TestServer fixture;
   fixture.server->start();
-  Socket raw = connectUnix(fixture.server->options().socketPath);
-  HelloFrame hello;
-  hello.featureBits = Client::kDefaultFeatureRequest;
-  std::string out;
-  encodeHello(out, hello);
-  sendAll(raw, out);
-
-  FrameDecoder decoder;
-  std::string payload;
-  FrameHeader header = readOneFrame(raw, decoder, payload);
-  ASSERT_EQ(header.type, static_cast<std::uint16_t>(FrameType::HelloAck));
-  ASSERT_NE(parseHelloAck(payload).featureBits & kFeatureTraceContext, 0u);
+  RawConnection raw(fixture.server->options().socketPath);
 
   // An unknown frame type never parsed far enough to learn a trace id, but
-  // the reply still carries the (zeroed) block: layouts are negotiation
-  // state, not request state.
+  // the reply still carries the (zeroed) block.
   FrameHeader junk;
   junk.length = 0;
   junk.type = 99;
-  out.assign(reinterpret_cast<const char*>(&junk), sizeof(junk));
-  sendAll(raw, out);
-  header = readOneFrame(raw, decoder, payload);
-  ASSERT_EQ(header.type, static_cast<std::uint16_t>(FrameType::Error));
-  const ErrorView error = parseError(payload, /*traceContext=*/true);
+  const ErrorView error = raw.errorFor(junk);
   EXPECT_EQ(error.code, WireCode::UnknownType);
-  EXPECT_TRUE(error.hasTrace);
   EXPECT_EQ(error.trace.traceId, 0u);
-  EXPECT_THROW((void)parseError(payload, /*traceContext=*/false), CodecError);
+}
+
+TEST(ServiceObs, FrameTooLargeAfterHandshakeCarriesTraceBlock) {
+  // The length-prefix check fails before any payload is read, on the
+  // decoder's path rather than the dispatcher's; its Error carries the
+  // block like every other post-handshake one, then the server closes.
+  ServiceOptions options;
+  options.maxFrameBytes = 4096;
+  TestServer fixture(options);
+  fixture.server->start();
+  RawConnection raw(fixture.server->options().socketPath);
+
+  FrameHeader huge;
+  huge.length = 1u << 20;
+  huge.type = static_cast<std::uint16_t>(FrameType::DecideRequest);
+  const ErrorView error = raw.errorFor(huge);
+  EXPECT_EQ(error.code, WireCode::FrameTooLarge);
+  EXPECT_EQ(error.trace.traceId, 0u);
 }
 
 const obs::Histogram::Stats* findHistogram(

@@ -105,6 +105,7 @@ std::string rawDecideRequest(
   frame.regionNameBytes = static_cast<std::uint32_t>(region.size());
   frame.bindingCount = static_cast<std::uint32_t>(bindings.size());
   appendBytes(payload, frame);
+  appendBytes(payload, TraceContextBlock{});
   payload.append(region);
   for (const auto& [symbol, value] : bindings) {
     appendBytes(payload, static_cast<std::uint32_t>(symbol.size()));
@@ -237,20 +238,18 @@ TEST(Service, HandshakeNegotiatesVersionAndFeatures) {
   fixture.server->start();
   Client client = Client::connect(fixture.server->options().socketPath);
   EXPECT_EQ(client.version(), kProtocolVersion);
-  EXPECT_EQ(client.featureBits(),
-            kFeatureBatch | kFeatureStats | kFeaturePrometheus |
-                kFeatureTraceContext | kFeatureSlowLog);
+  EXPECT_EQ(client.featureBits(), kFeatureBatch | kFeatureStats |
+                                      kFeaturePrometheus | kFeatureSlowLog);
   EXPECT_EQ(client.maxFrameBytes(), fixture.server->options().maxFrameBytes);
   client.ping();
 }
 
-TEST(Service, FutureOnlyClientIsRefusedWithUnsupportedVersion) {
+/// Sends `hello` on a raw connection and expects the server's refusal: an
+/// Error frame without a trace block (the handshake never completed).
+void expectHelloRefused(const HelloFrame& hello) {
   TestServer fixture;
   fixture.server->start();
   Socket raw = connectUnix(fixture.server->options().socketPath);
-  HelloFrame hello;
-  hello.versionMin = 99;
-  hello.versionMax = 120;
   std::string out;
   encodeHello(out, hello);
   sendAll(raw, out);
@@ -266,7 +265,22 @@ TEST(Service, FutureOnlyClientIsRefusedWithUnsupportedVersion) {
     decoder.append(buffer, got);
   }
   EXPECT_EQ(header.type, static_cast<std::uint16_t>(FrameType::Error));
-  EXPECT_EQ(parseError(payload).code, WireCode::UnsupportedVersion);
+  EXPECT_EQ(parseError(payload, false).code, WireCode::UnsupportedVersion);
+}
+
+TEST(Service, FutureOnlyClientIsRefusedWithUnsupportedVersion) {
+  HelloFrame hello;
+  hello.versionMin = 99;
+  hello.versionMax = 120;
+  expectHelloRefused(hello);
+}
+
+TEST(Service, V1OnlyClientIsRefusedWithUnsupportedVersion) {
+  // Version 2 is a flag day: the server speaks no version 1 layout.
+  HelloFrame hello;
+  hello.versionMin = 1;
+  hello.versionMax = 1;
+  expectHelloRefused(hello);
 }
 
 TEST(Service, FirstFrameMustBeHello) {
@@ -287,7 +301,7 @@ TEST(Service, FirstFrameMustBeHello) {
     decoder.append(buffer, got);
   }
   EXPECT_EQ(header.type, static_cast<std::uint16_t>(FrameType::Error));
-  EXPECT_EQ(parseError(payload).code, WireCode::ExpectedHello);
+  EXPECT_EQ(parseError(payload, false).code, WireCode::ExpectedHello);
 }
 
 TEST(Service, DecideMatchesInProcessBitIdentical) {
@@ -431,7 +445,7 @@ TEST(Service, MalformedFrameKeepsTheConnectionUsable) {
   sendAll(raw, out);
   readFrame();
   EXPECT_EQ(header.type, static_cast<std::uint16_t>(FrameType::Error));
-  EXPECT_EQ(parseError(payload).code, WireCode::BadFrame);
+  EXPECT_EQ(parseError(payload, true).code, WireCode::BadFrame);
   readFrame();
   EXPECT_EQ(header.type, static_cast<std::uint16_t>(FrameType::Pong));
 }
@@ -469,7 +483,7 @@ TEST(Service, QueueOverflowShedsWithAnErrorFrame) {
     decoder.append(buffer, got);
   }
   EXPECT_EQ(header.type, static_cast<std::uint16_t>(FrameType::Error));
-  EXPECT_EQ(parseError(payload).code, WireCode::Shed);
+  EXPECT_EQ(parseError(payload, false).code, WireCode::Shed);
   EXPECT_GE(fixture.server->connectionsShed(), 1u);
 }
 
@@ -587,13 +601,15 @@ TEST(Service, RawZeroSlotBatchClaimingRowsIsAnsweredBadFrame) {
   // Hand-build the hostile frame the encoder refuses to produce: 0 slots,
   // a 4-billion rowCount, and no value bytes to bound it.
   FrameHeader hostile;
-  hostile.length = sizeof(DecideBatchFrame);
+  hostile.length = sizeof(DecideBatchFrame) + sizeof(TraceContextBlock);
   hostile.type = static_cast<std::uint16_t>(FrameType::DecideBatch);
   DecideBatchFrame batch;
   batch.slotCount = 0;
   batch.rowCount = 0xFFFFFFFFu;
+  const TraceContextBlock trace;
   out.append(reinterpret_cast<const char*>(&hostile), sizeof(hostile));
   out.append(reinterpret_cast<const char*>(&batch), sizeof(batch));
+  out.append(reinterpret_cast<const char*>(&trace), sizeof(trace));
   sendAll(raw, out);
 
   FrameDecoder decoder;
@@ -612,7 +628,7 @@ TEST(Service, RawZeroSlotBatchClaimingRowsIsAnsweredBadFrame) {
   ASSERT_EQ(header.type, static_cast<std::uint16_t>(FrameType::HelloAck));
   readFrame();
   EXPECT_EQ(header.type, static_cast<std::uint16_t>(FrameType::Error));
-  EXPECT_EQ(parseError(payload).code, WireCode::BadFrame);
+  EXPECT_EQ(parseError(payload, true).code, WireCode::BadFrame);
 }
 
 TEST(Service, BatchReplyLargerThanTheNegotiatedLimitStillParses) {

@@ -16,7 +16,7 @@
 // on the ready line); >0 = bind that port. The ready line goes to stdout
 // and is flushed before serving, so scripts can wait for it:
 //
-//   oseld: serving on /tmp/oseld.sock (workers=4, protocol v1)
+//   oseld: serving on /tmp/oseld.sock (workers=4, protocol v2)
 #include <csignal>
 #include <cstdio>
 #include <exception>
