@@ -18,9 +18,6 @@
 //                      i/rate and latency is measured from the *scheduled*
 //                      time, so queueing delay counts (coordinated omission
 //                      stays visible)
-//   --shed-demo        run an admission-control demo after the sweep: an
-//                      in-flight budget of 2 under 8 launching threads,
-//                      reporting how many launches shed to the safe default
 //   --workload W       draw (region, bindings) pairs from a workload::
 //                      generator (uniform | zipfian | bursty) instead of
 //                      round-robin over the regions with one fixed size;
@@ -34,8 +31,12 @@
 //                      then one batch, and decisions/sec counts N decisions
 //                      per call
 //   --workload-seed S  base seed for --workload streams (default 2019)
-//   --policy P         selection policy under contention: model-compare
-//                      (default) | calibrated (docs/POLICIES.md)
+//   --policy P         selection policy: model-compare (default) |
+//                      calibrated (docs/POLICIES.md). Every decide after a
+//                      region's first at a size is a cache hit, so the
+//                      policy's choose() runs once per (region, size) and
+//                      the numbers are the cache-hit path's for either
+//                      policy
 #include <algorithm>
 #include <array>
 #include <atomic>
@@ -52,7 +53,6 @@
 #include "compiler/compiler.h"
 #include "ir/builder.h"
 #include "obs/quantile.h"
-#include "ir/interpreter.h"
 #include "runtime/target_runtime.h"
 #include "support/cli.h"
 #include "workload/workload.h"
@@ -219,43 +219,6 @@ SweepResult runSweep(runtime::TargetRuntime& rt,
   return result;
 }
 
-void runShedDemo() {
-  runtime::RuntimeOptions options;
-  options.admission.maxInFlight = 2;
-  std::vector<std::string> names{"shed_demo"};
-  runtime::TargetRuntime rt = makeRuntime(names, options);
-  const ir::TargetRegion kernel = makeKernel("shed_demo");
-  const symbolic::Bindings bindings{{"n", 96}};
-  constexpr int kThreads = 8;
-  constexpr int kPerThread = 40;
-  std::vector<std::thread> workers;
-  for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&] {
-      ir::ArrayStore store = ir::allocateArrays(kernel, bindings);
-      for (int i = 0; i < kPerThread; ++i) {
-        (void)rt.launch("shed_demo", bindings, store,
-                        runtime::Policy::ModelGuided);
-      }
-    });
-  }
-  for (std::thread& worker : workers) worker.join();
-  const runtime::AdmissionController& admission = rt.admission();
-  std::printf(
-      "\nshed demo: budget=2 threads=%d launches=%d -> admitted=%llu "
-      "shed=%llu (%.1f%%)\n",
-      kThreads, kThreads * kPerThread,
-      static_cast<unsigned long long>(admission.admitted()),
-      static_cast<unsigned long long>(admission.shed()),
-      100.0 * static_cast<double>(admission.shed()) /
-          static_cast<double>(kThreads * kPerThread));
-  // The flag is also in the CSV (last column, `shed`).
-  std::size_t shedRows = 0;
-  for (const runtime::LaunchRecord& record : rt.logSnapshot()) {
-    if (record.shed) ++shedRows;
-  }
-  std::printf("shed demo: %zu launch records carry shed=1\n", shedRows);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -311,6 +274,5 @@ int main(int argc, char** argv) {
     std::fflush(stdout);
   }
 
-  if (cl.hasFlag("shed-demo")) runShedDemo();
   return 0;
 }

@@ -15,11 +15,12 @@
 //
 // A call's *record tail* — the decision-cache back-fill of its fresh rows
 // and its explain publish — is work its answer does not read. The tail
-// lives in the arena: in-process calls run it before they return, and
-// TargetRuntime::decideColumnsDeferred (every oseld decide frame) leaves it
-// pending behind a PendingRecord so the server can send the reply first.
-// Whatever happens, a pending tail runs before the thread's next decide call
-// reuses the arena.
+// lives in the arena: decide() and decideBatch() run it before they return,
+// and TargetRuntime::decideColumns (every oseld decide frame) leaves it
+// pending behind a PendingRecord so the server can send the reply first; a
+// caller that discards that handle runs the tail at the end of the
+// statement. Whatever happens, a pending tail runs before the thread's next
+// decide call reuses the arena.
 #pragma once
 
 #include <cstdint>
@@ -158,7 +159,7 @@ struct BatchArena {
   }
 };
 
-/// The record tail of one TargetRuntime::decideColumnsDeferred() call,
+/// The record tail of one TargetRuntime::decideColumns() call,
 /// left pending in the calling thread's BatchArena: the decision-cache
 /// back-fill of the call's fresh rows and its explain publish. run() runs
 /// it; the destructor runs it if run() was never called; either is a no-op

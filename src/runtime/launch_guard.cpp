@@ -36,8 +36,6 @@ std::string_view toString(FallbackReason value) {
       return "quarantined";
     case FallbackReason::InvalidDecision:
       return "invalid-decision";
-    case FallbackReason::Shed:
-      return "shed";
   }
   return "?";
 }

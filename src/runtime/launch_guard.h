@@ -43,7 +43,6 @@ enum class FallbackReason {
   FatalError,          ///< fatal/model-input error on the preferred device
   Quarantined,         ///< circuit breaker had the GPU benched
   InvalidDecision,     ///< selector degraded to the safe default device
-  Shed,                ///< admission control shed the launch over budget
 };
 
 /// A view of a string literal: `.data()` is a static NUL-terminated string.

@@ -32,23 +32,6 @@ std::string_view toString(Policy policy) {
   return "?";
 }
 
-namespace {
-
-/// Releases one admission slot on every way out of launch().
-class AdmissionSlot {
- public:
-  explicit AdmissionSlot(AdmissionController& controller)
-      : controller_(controller) {}
-  ~AdmissionSlot() { controller_.exit(); }
-  AdmissionSlot(const AdmissionSlot&) = delete;
-  AdmissionSlot& operator=(const AdmissionSlot&) = delete;
-
- private:
-  AdmissionController& controller_;
-};
-
-}  // namespace
-
 TargetRuntime::TargetRuntime(pad::AttributeDatabase database,
                              RuntimeOptions options)
     : database_(std::move(database)),
@@ -60,8 +43,7 @@ TargetRuntime::TargetRuntime(pad::AttributeDatabase database,
       guard_(options.retry),
       decisionCacheCapacity_(options.decisionCacheCapacity),
       trace_(options.trace),
-      state_(std::make_unique<MutableState>(options.health,
-                                            options.admission)) {
+      state_(std::make_unique<MutableState>(options.health)) {
   require(decisionCacheCapacity_ <= DecisionCache::kMaxCapacity,
           "RuntimeOptions::decisionCacheCapacity exceeds "
           "DecisionCache::kMaxCapacity");
@@ -81,7 +63,6 @@ void TargetRuntime::initInstruments() {
   instruments_.retries = &metrics.counter("guard.retries");
   instruments_.fallbacks = &metrics.counter("guard.fallbacks");
   instruments_.quarantinesOpened = &metrics.counter("health.quarantines");
-  instruments_.launchesShed = &metrics.counter("admission.shed");
   instruments_.policyRefits = &metrics.counter("policy.refit");
   instruments_.cacheHitRatio = &metrics.gauge("decision_cache.hit_ratio");
   instruments_.decisionOverhead = &metrics.histogram(
@@ -363,9 +344,8 @@ BatchCounters TargetRuntime::decideRequests(
   }
   // One epoch load per call: the cache epoch is the policy's refit count,
   // so a concurrent refit invalidates this call's cached decisions no later
-  // than the next call. Decides intentionally never consult the admission
-  // controller or the health tracker — both gate launch() execution, not
-  // model evaluation.
+  // than the next call. Decides intentionally never consult the health
+  // tracker — it gates launch() execution, not model evaluation.
   const std::uint64_t epoch = policy_->refits();
   BatchCounters counters;
   std::size_t groups = 0;
@@ -394,29 +374,16 @@ BatchCounters TargetRuntime::decideRequests(
     i = j;
   }
   finishCall(requests[arena.order[0]].region, n, groups, startNs, wallStart,
-             /*deferRecord=*/false, arena, counters, out);
+             arena, counters, out);
+  // In-process callers read the cache and the explain ring right after the
+  // call, so its record tail runs before the return.
+  arena.runRecord();
   return counters;
 }
 
-void TargetRuntime::decideColumns(std::string_view region,
-                                  std::span<const std::string_view> slotNames,
-                                  const char* values, std::size_t rows,
-                                  std::span<Decision> out) {
-  (void)columnsCall(region, slotNames, values, rows, out,
-                    /*deferRecord=*/false);
-}
-
-PendingRecord TargetRuntime::decideColumnsDeferred(
+PendingRecord TargetRuntime::decideColumns(
     std::string_view region, std::span<const std::string_view> slotNames,
     const char* values, std::size_t rows, std::span<Decision> out) {
-  return columnsCall(region, slotNames, values, rows, out,
-                     /*deferRecord=*/true);
-}
-
-PendingRecord TargetRuntime::columnsCall(
-    std::string_view region, std::span<const std::string_view> slotNames,
-    const char* values, std::size_t rows, std::span<Decision> out,
-    bool deferRecord) {
   require(out.size() >= rows,
           "TargetRuntime::decideColumns: output span smaller than row count");
   if (rows == 0) return {};
@@ -439,18 +406,14 @@ PendingRecord TargetRuntime::columnsCall(
   BatchCounters counters;
   decideGroup(region, arena.order, out, bind, policy_->refits(), arena,
               counters);
-  if (!deferRecord) arena.backfill();
-  finishCall(region, rows, 1, startNs, wallStart, deferRecord, arena, counters,
-             out);
-  if (!deferRecord) return {};
+  finishCall(region, rows, 1, startNs, wallStart, arena, counters, out);
   return PendingRecord(arena, arena.calls);
 }
 
 void TargetRuntime::finishCall(std::string_view label, std::size_t n,
                                std::size_t groups, std::int64_t startNs,
                                std::chrono::steady_clock::time_point wallStart,
-                               bool deferRecord, BatchArena& arena,
-                               const BatchCounters& counters,
+                               BatchArena& arena, const BatchCounters& counters,
                                std::span<Decision> out) {
   // Every row, cache hit or fresh, reports the call's amortized
   // per-decision cost, and so does every explain record the call filled.
@@ -462,7 +425,6 @@ void TargetRuntime::finishCall(std::string_view label, std::size_t n,
   for (std::size_t i = 0; i < n; ++i) out[i].overheadSeconds = amortized;
   arena.explainSession = trace_;
   arena.explainOverhead = amortized;
-  if (!deferRecord) arena.runRecord();
   if (counters.cacheLookups > 0) {
     state_->cacheLookups.fetch_add(counters.cacheLookups,
                                    std::memory_order_relaxed);
@@ -556,11 +518,8 @@ void TargetRuntime::recordExecution(LaunchRecord& record,
   }
 }
 
-void TargetRuntime::finalizeLaunch(LaunchRecord& record, std::int64_t startNs) {
-  // Fold the launch's simulated cost (execution + accounted backoff) into
-  // the admission ledger before logging so the record carries the verdict.
-  record.deadlineMissed =
-      state_->admission.charge(record.actualSeconds + record.backoffSeconds);
+void TargetRuntime::finalizeLaunch(const LaunchRecord& record,
+                                   std::int64_t startNs) {
   {
     std::lock_guard<std::mutex> lock(state_->logMutex);
     state_->log.push_back(record);
@@ -569,7 +528,6 @@ void TargetRuntime::finalizeLaunch(LaunchRecord& record, std::int64_t startNs) {
   // observe() hook is how Calibrated learns from measured times.
   feedPolicyFeedback(record);
   if (trace_ == nullptr) return;
-  if (record.shed) instruments_.launchesShed->add();
   if (record.fallbackReason != FallbackReason::None) {
     instruments_.fallbacks->add();
     trace_->recordInstant("fallback", toString(record.fallbackReason).data(),
@@ -585,9 +543,9 @@ void TargetRuntime::finalizeLaunch(LaunchRecord& record, std::int64_t startNs) {
 }
 
 void TargetRuntime::feedPolicyFeedback(const LaunchRecord& record) {
-  // Shed launches skipped model evaluation; invalid decisions carry
-  // degenerate predictions — neither is a usable accuracy sample.
-  if (record.shed || !record.decision.valid) return;
+  // Invalid decisions carry degenerate predictions — not a usable accuracy
+  // sample.
+  if (!record.decision.valid) return;
   bool refit = false;
   // Online predicted-vs-actual accuracy (the paper's Fig. 6–7 comparison,
   // tracked live): one sample per device the launch actually measured.
@@ -678,12 +636,6 @@ void TargetRuntime::pushPolicyStatus() {
   trace_->setPolicyStatus(std::move(status));
 }
 
-void TargetRuntime::drain() { state_->admission.drain(); }
-
-void TargetRuntime::resume() { state_->admission.resume(); }
-
-void TargetRuntime::quiesce() { state_->admission.quiesce(); }
-
 std::vector<LaunchRecord> TargetRuntime::logSnapshot() const {
   std::lock_guard<std::mutex> lock(state_->logMutex);
   return state_->log;
@@ -697,45 +649,20 @@ void TargetRuntime::clearLog() {
 LaunchRecord TargetRuntime::launch(const std::string& regionName,
                                    const symbolic::Bindings& bindings,
                                    ir::ArrayStore& store, Policy policy) {
-  const AdmissionOutcome admission = state_->admission.enter();
-  require(admission != AdmissionOutcome::Refused,
-          "TargetRuntime::launch: runtime is draining (refusing new work)");
-  // Admitted and Shed both hold an in-flight slot until this launch is done.
-  const AdmissionSlot slot(state_->admission);
-
   require(hasRegion(regionName),
           "TargetRuntime::launch: unregistered region " + regionName);
   const std::int64_t launchStartNs = trace_ != nullptr ? trace_->nowNs() : 0;
-  const bool shed = admission == AdmissionOutcome::Shed;
   LaunchRecord record;
   record.regionName = regionName;
   record.policy = policy;
-  if (shed) {
-    // Over the in-flight budget: skip model evaluation entirely and run on
-    // the always-available safe default — shed work degrades, it does not
-    // queue.
-    record.shed = true;
-    record.decision.device = selector_.config().safeDefaultDevice;
-    record.decision.valid = false;
-    record.decision.diagnostic = "shed: admission in-flight budget exceeded";
-    record.fallbackReason = FallbackReason::Shed;
-    record.fallbackDetail = record.decision.diagnostic;
-    if (trace_ != nullptr) {
-      trace_->recordInstant(
-          "admission.shed", "admission", regionName, trace_->nowNs(),
-          {"in_flight",
-           static_cast<double>(state_->admission.inFlight())});
-    }
-  } else {
-    record.decision = guardedDecision(regionName, bindings, record);
-  }
+  record.decision = guardedDecision(regionName, bindings, record);
   record.gpuQuarantined = state_->health.quarantined();
 
   const auto measureOn = [&](Device device) {
     return measureTraced(regionName, bindings, store, device);
   };
 
-  if (!shed && policy == Policy::Oracle) {
+  if (policy == Policy::Oracle) {
     record.preferred = Device::Gpu;
     const GuardedExecution cpuExec =
         guard_.execute(Device::Cpu, measureOn, /*allowFallback=*/false);
@@ -779,38 +706,29 @@ LaunchRecord TargetRuntime::launch(const std::string& regionName,
     return record;
   }
 
-  // Shed launches (any policy, including Oracle) run once on the safe
-  // default device chosen above.
   Device preferred = record.decision.device;
-  if (!shed) {
-    switch (policy) {
-      case Policy::AlwaysCpu:
-        preferred = Device::Cpu;
-        break;
-      case Policy::AlwaysGpu:
-        preferred = Device::Gpu;
-        break;
-      case Policy::ModelGuided:
-        preferred = record.decision.device;
-        if (!record.decision.valid) {
-          record.fallbackReason = FallbackReason::InvalidDecision;
-          record.fallbackDetail = record.decision.diagnostic;
-        }
-        break;
-      case Policy::Oracle:
-        break;  // handled above
-    }
+  switch (policy) {
+    case Policy::AlwaysCpu:
+      preferred = Device::Cpu;
+      break;
+    case Policy::AlwaysGpu:
+      preferred = Device::Gpu;
+      break;
+    case Policy::ModelGuided:
+      if (!record.decision.valid) {
+        record.fallbackReason = FallbackReason::InvalidDecision;
+        record.fallbackDetail = record.decision.diagnostic;
+      }
+      break;
+    case Policy::Oracle:
+      break;  // handled above
   }
   record.preferred = preferred;
 
   if (preferred == Device::Gpu && !state_->health.admitGpu()) {
     preferred = Device::Cpu;
-    // A shed launch keeps Shed as its fallback reason even when the breaker
-    // also redirects it; the shed column already explains the degradation.
-    if (!record.shed) {
-      record.fallbackReason = FallbackReason::Quarantined;
-      record.fallbackDetail = "GPU quarantined by circuit breaker";
-    }
+    record.fallbackReason = FallbackReason::Quarantined;
+    record.fallbackDetail = "GPU quarantined by circuit breaker";
     if (trace_ != nullptr) {
       trace_->recordInstant(
           "quarantine.block", "health", regionName, trace_->nowNs(),
@@ -865,8 +783,7 @@ std::string renderLogCsv(std::span<const LaunchRecord> log) {
   constexpr std::string_view kHeader =
       "region,policy,chosen,predicted_cpu_s,predicted_gpu_s,actual_s,"
       "actual_cpu_s,actual_gpu_s,decision_overhead_s,decision_valid,"
-      "attempts,fallback,backoff_s,quarantined,decision_path,decision_cache,"
-      "shed";
+      "attempts,fallback,backoff_s,quarantined,decision_path,decision_cache";
   std::string out;
   out.reserve(kHeader.size() + 1 + log.size() * 192);
   out.append(kHeader);
@@ -905,8 +822,6 @@ std::string renderLogCsv(std::span<const LaunchRecord> log) {
     out.append(record.decisionCompiled ? "compiled" : "degenerate");
     out.push_back(',');
     out.append(record.decisionCacheHit ? "hit" : "miss");
-    out.push_back(',');
-    out.push_back(record.shed ? '1' : '0');
     out.push_back('\n');
   }
   return out;

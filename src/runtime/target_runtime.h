@@ -23,14 +23,15 @@
 // divided by its rows. With a trace session attached, the call's fresh
 // decisions publish their explain records together, after that stamp: one
 // ring lock and one timestamp per call. The back-fill of the fresh rows into
-// the cache and that explain publish are the call's record tail: decide(),
-// decideBatch() and decideColumns() run it before they return;
-// decideColumnsDeferred(), oseld's entry point, answers first and hands the
-// tail back as a PendingRecord, so the server sends the reply before the
-// tail runs (runtime/batch.h). A region that has a PAD entry but
-// is not registered yet decides through a plan compiled for that group (no
-// cache); a region with no PAD entry, an unusable plan and a row missing a
-// required symbol degrade to the safe default with their diagnostic.
+// the cache and that explain publish are the call's record tail: decide()
+// and decideBatch() run it before they return; decideColumns() answers first
+// and hands the tail back as a PendingRecord, so oseld sends the reply
+// before the tail runs, and an in-process caller that drops the handle runs
+// it at the end of the statement (runtime/batch.h). A region that has a PAD
+// entry but is not registered yet decides through a plan compiled for that
+// group (no cache); a region with no PAD entry, an unusable plan and a row
+// missing a required symbol degrade to the safe default with their
+// diagnostic.
 //
 // Concurrency: the runtime is safe for concurrent registerRegion / decide /
 // launch callers (the ROADMAP's `oseld` service needs many). The registry is
@@ -42,9 +43,9 @@
 // decision caches are internally locked (the per-region caches are the lock
 // stripes) and validated by one epoch, the selection policy's refits(),
 // read once per decide call, so a refit drops cached decisions lazily.
-// Launch-log appends are mutex-guarded, and the health tracker /
-// admission counters are atomic. See the "Thread-safety contract" section
-// of docs/ROBUSTNESS.md for what callers may rely on.
+// Launch-log appends are mutex-guarded, and the health tracker is atomic.
+// See the "Thread-safety contract" section of docs/ROBUSTNESS.md for what
+// callers may rely on.
 #pragma once
 
 #include <atomic>
@@ -65,7 +66,6 @@
 #include "ir/region.h"
 #include "obs/trace.h"
 #include "pad/attribute_db.h"
-#include "runtime/admission.h"
 #include "runtime/batch.h"
 #include "runtime/compiled_plan.h"
 #include "runtime/decision_cache.h"
@@ -120,15 +120,6 @@ struct LaunchRecord {
   bool decisionCompiled = false;
   /// True when the decision was served from the memoization cache.
   bool decisionCacheHit = false;
-
-  // --- Admission telemetry (runtime/admission.h) --------------------------
-  /// True when admission control shed this launch over the in-flight
-  /// budget: model evaluation was skipped and the decision degraded to
-  /// SelectorConfig::safeDefaultDevice.
-  bool shed = false;
-  /// True when the launch's simulated cost exceeded the per-launch
-  /// deadline in AdmissionPolicy (accounted, not enforced).
-  bool deadlineMissed = false;
 };
 
 /// Everything configurable about a TargetRuntime, in one aggregate: the
@@ -159,13 +150,10 @@ struct RuntimeOptions {
   /// all observability work: every hook is one pointer test, no
   /// allocations (pinned by test and bench).
   obs::TraceSession* trace = nullptr;
-  /// Overload protection (in-flight budget, deadline ledger, drain). The
-  /// default policy admits everything.
-  AdmissionPolicy admission;
 };
 
 /// The runtime: device simulators + PAD + selector + launch guard + health
-/// tracker + admission controller + launch log.
+/// tracker + launch log.
 class TargetRuntime {
  public:
   explicit TargetRuntime(pad::AttributeDatabase database,
@@ -228,8 +216,8 @@ class TargetRuntime {
   /// Output rows are overwritten, not merged: decide* write every field of
   /// every row they fill, so `out` may be reused across calls without
   /// re-initialising it (oseld keeps one reply buffer per connection).
-  /// Decide-only batches never touch the admission controller or the GPU
-  /// health tracker; those gate launch(), not decisions.
+  /// Decide-only batches never touch the GPU health tracker; it gates
+  /// launch(), not decisions.
   /// Thread-safe against concurrent decide/decideBatch/registerRegion/
   /// launch callers, like decide().
   void decideBatch(std::span<const DecideRequest> requests,
@@ -255,26 +243,25 @@ class TargetRuntime {
   /// explain record), with the same cache traffic, counters, span and
   /// explain records. Like decideBatch(), it overwrites every field of
   /// every row it fills.
-  void decideColumns(std::string_view region,
-                     std::span<const std::string_view> slotNames,
-                     const char* values, std::size_t rows,
-                     std::span<Decision> out);
-
-  /// decideColumns() split into its answer and its record tail — how oseld
-  /// decides every DecideRequest and DecideBatch frame. Returns once out[0,
-  /// rows) holds the decisions, the span, counters and overhead sample are
-  /// recorded and the explain records are filled; the decision-cache
-  /// back-fill of the fresh rows and the explain publish stay pending in
-  /// the returned PendingRecord, to run after the reply is sent. Decisions,
-  /// cache traffic and explain contents are those of decideColumns(); only
-  /// the time the tail runs differs: overheadSeconds (rows and explain
-  /// records) covers the answer phase only, and the records are stamped
-  /// when they are published. Until the tail runs, the cache lacks the
-  /// call's fresh rows, so a concurrent caller may decide them afresh; the
-  /// thread's next decide call runs the tail first, whatever the runtime.
-  [[nodiscard]] PendingRecord decideColumnsDeferred(
-      std::string_view region, std::span<const std::string_view> slotNames,
-      const char* values, std::size_t rows, std::span<Decision> out);
+  ///
+  /// The call is split into its answer and its record tail — how oseld
+  /// decides every DecideRequest and DecideBatch frame. It returns once
+  /// out[0, rows) holds the decisions, the span, counters and overhead
+  /// sample are recorded and the explain records are filled; the
+  /// decision-cache back-fill of the fresh rows and the explain publish stay
+  /// pending in the returned PendingRecord, which runs them on run() or when
+  /// it is destroyed. A caller that discards the handle runs the tail at the
+  /// end of the full-expression, so the call has recorded by the next
+  /// statement; oseld holds it until the reply is sent. overheadSeconds
+  /// (rows and explain records) covers the answer phase only, and the
+  /// records are stamped when they are published. Until the tail runs, the
+  /// cache lacks the call's fresh rows, so a concurrent caller may decide
+  /// them afresh; the thread's next decide call runs the tail first,
+  /// whatever the runtime.
+  PendingRecord decideColumns(std::string_view region,
+                              std::span<const std::string_view> slotNames,
+                              const char* values, std::size_t rows,
+                              std::span<Decision> out);
 
   /// Measures one execution of a region on a specific device (ground-truth
   /// simulation against `store`).
@@ -282,34 +269,17 @@ class TargetRuntime {
                                const symbolic::Bindings& bindings,
                                ir::ArrayStore& store, Device device) const;
 
-  /// Launches under `policy`: admission control first (over the in-flight
-  /// budget the launch is shed to the safe default device; a draining
-  /// runtime refuses with support::PreconditionError), then selects (if
-  /// applicable), executes on the chosen device through the launch guard
-  /// (retry/backoff, CPU fallback, circuit breaker), logs, and returns the
-  /// record. Device failures never escape while the CPU fallback path can
-  /// still run; only a launch whose every path failed rethrows (as
-  /// support::DeviceError), after logging.
+  /// Launches under `policy`: selects (if applicable), executes on the
+  /// chosen device through the launch guard (retry/backoff, CPU fallback,
+  /// circuit breaker), logs, and returns the record. Device failures never
+  /// escape while the CPU fallback path can still run; only a launch whose
+  /// every path failed rethrows (as support::DeviceError), after logging.
   LaunchRecord launch(const std::string& regionName,
                       const symbolic::Bindings& bindings, ir::ArrayStore& store,
                       Policy policy);
 
-  /// Stop admitting launches (they throw support::PreconditionError);
-  /// in-flight launches finish. resume() re-opens intake.
-  void drain();
-  void resume();
-  /// Blocks until every in-flight launch finished. drain() + quiesce() is
-  /// the full shutdown barrier.
-  void quiesce();
-  /// Admission counters/state (in-flight, admitted, shed, refused,
-  /// deadline misses, simulated-seconds ledger).
-  [[nodiscard]] const AdmissionController& admission() const {
-    return state_->admission;
-  }
-
-  /// The launch log. The reference is only stable while no launch is in
-  /// flight — quiesce (or single-thread) before iterating; use
-  /// logSnapshot() under concurrency.
+  /// The launch log. The reference is stable once the launching threads
+  /// have joined; use logSnapshot() otherwise.
   [[nodiscard]] const std::vector<LaunchRecord>& log() const {
     return state_->log;
   }
@@ -352,10 +322,8 @@ class TargetRuntime {
   /// Launch-to-launch mutable state, heap-held so TargetRuntime stays
   /// movable (mutexes/atomics aren't, and tests return runtimes by value).
   struct MutableState {
-    MutableState(HealthPolicy healthPolicy, AdmissionPolicy admissionPolicy)
-        : health(healthPolicy), admission(admissionPolicy) {}
+    explicit MutableState(HealthPolicy healthPolicy) : health(healthPolicy) {}
     DeviceHealthTracker health;
-    AdmissionController admission;
     /// Runtime-wide cache traffic for the hit-ratio gauge (summing the
     /// per-cache counters on the hot path would race registration).
     std::atomic<std::uint64_t> cacheLookups{0};
@@ -382,7 +350,6 @@ class TargetRuntime {
     obs::Counter* retries = nullptr;
     obs::Counter* fallbacks = nullptr;
     obs::Counter* quarantinesOpened = nullptr;
-    obs::Counter* launchesShed = nullptr;
     obs::Counter* policyRefits = nullptr;
     obs::Gauge* cacheHitRatio = nullptr;
     obs::Histogram* decisionOverhead = nullptr;
@@ -408,7 +375,8 @@ class TargetRuntime {
   /// decideBatch() after its argument checks, and the one-row call of
   /// decide()/launch(): groups the requests by region and runs each group
   /// through decideGroup(), binding each row's map with bindSlotsColumn(),
-  /// then finishCall(). Returns the call's tallies.
+  /// then finishCall(), and runs the call's record tail before it returns.
+  /// Returns the call's tallies.
   BatchCounters decideRequests(std::span<const DecideRequest> requests,
                                std::span<Decision> out);
   /// The one group routine every entry point runs, for the rows `group`
@@ -431,18 +399,11 @@ class TargetRuntime {
                    std::span<const std::uint32_t> group,
                    std::span<Decision> out, Bind&& bind, std::uint64_t epoch,
                    BatchArena& arena, BatchCounters& counters);
-  /// decideColumns() (`deferRecord` false: the tail runs before the
-  /// return, inside the call's timed window) and decideColumnsDeferred()
-  /// (true: the tail is handed back pending).
-  PendingRecord columnsCall(std::string_view region,
-                            std::span<const std::string_view> slotNames,
-                            const char* values, std::size_t rows,
-                            std::span<Decision> out, bool deferRecord);
   /// The one tail of every decide call over `n` rows in `groups` region
   /// groups: stamps every row of out[0, n) with the call's amortized cost,
   /// parks the explain publish (records stamped with that cost, one ring
-  /// lock and one clock read) and runs the arena's record tail unless
-  /// `deferRecord`; publishes the cache and path counters (and the
+  /// lock and one clock read) next to the arena's back-fill for the caller
+  /// to run; publishes the cache and path counters (and the
   /// decision_cache.hit_ratio gauge, runtime-wide) and, with a session
   /// attached, the overhead sample and the call's span — `decide` (tagged
   /// compiled, cache_hit or degenerate) for a one-row call, `decide.batch`
@@ -450,8 +411,8 @@ class TargetRuntime {
   void finishCall(std::string_view label, std::size_t n, std::size_t groups,
                   std::int64_t startNs,
                   std::chrono::steady_clock::time_point wallStart,
-                  bool deferRecord, BatchArena& arena,
-                  const BatchCounters& counters, std::span<Decision> out);
+                  BatchArena& arena, const BatchCounters& counters,
+                  std::span<Decision> out);
   /// measure() plus, when a trace session is attached, execution spans —
   /// GPU runs additionally get kernel/transfer sub-spans whose simulated
   /// fractions are projected onto the wall-clock span.
@@ -461,16 +422,16 @@ class TargetRuntime {
   /// Folds a guarded execution into `record` and the health tracker;
   /// traces retries and circuit-breaker transitions.
   void recordExecution(LaunchRecord& record, const GuardedExecution& execution);
-  /// Charges the admission ledger, appends `record` to the log; with a
-  /// session attached, emits the launch span, fallback instants, per-launch
-  /// counters, and feeds the predicted-vs-actual tracker.
-  void finalizeLaunch(LaunchRecord& record, std::int64_t startNs);
+  /// Appends `record` to the log; with a session attached, emits the launch
+  /// span, fallback instants, per-launch counters, and feeds the
+  /// predicted-vs-actual tracker.
+  void finalizeLaunch(const LaunchRecord& record, std::int64_t startNs);
   /// The policy feedback channel: routes the launch's measured times into
   /// the drift tracker (when a session is attached) and the selection
   /// policy's observe() hook; a refit bumps the policy's refits(), the
   /// cache epoch (stale cached decisions lazily drop), resets the region's
-  /// CUSUM state, and republishes the policy status. Skipped for
-  /// shed/invalid launches.
+  /// CUSUM state, and republishes the policy status. Skipped for launches
+  /// with an invalid decision.
   void feedPolicyFeedback(const LaunchRecord& record);
   /// Refit epilogue: counter + instant + drift reset + status push.
   void onPolicyRefit(const std::string& regionName);
@@ -498,7 +459,7 @@ class TargetRuntime {
 /// chosen device, predicted CPU/GPU seconds, measured seconds, decision
 /// overhead, the fault-tolerance columns (attempts, fallback reason,
 /// accounted backoff, quarantine state), the decision-path columns
-/// (compiled vs degenerate, cache hit), and the admission `shed` flag.
+/// (compiled vs degenerate, cache hit): 16 columns.
 /// Region names are RFC-4180 quoted (commas/quotes/newlines cannot shear a
 /// row). Allocation-lean: reserves the output string once and streams rows
 /// through a stack buffer instead of repeated operator+ concatenation.

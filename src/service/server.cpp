@@ -1,6 +1,6 @@
 // oseld's server loop (service/server.h). Each connection is served by one
 // worker: decode a frame, decide, encode the reply, flush, then record.
-// Every decide frame goes to TargetRuntime::decideColumnsDeferred as
+// Every decide frame goes to TargetRuntime::decideColumns as
 // slot-major value columns: a DecideBatch frame's columns as they are, a
 // DecideRequest's bindings as a one-row frame (one name and one value per
 // binding, in wire order, so a duplicate symbol binds its last value). No
@@ -214,8 +214,7 @@ void Server::acceptLoop(Socket& listener) {
     std::unique_lock<std::mutex> lock(queueMutex_);
     if (pending_.size() >= options_.maxPendingConnections) {
       lock.unlock();
-      // Shed, don't queue: tell the client why before hanging up, mirroring
-      // the runtime's admission controller.
+      // Shed, don't queue: tell the client why before hanging up.
       shed_.fetch_add(1, std::memory_order_relaxed);
       instruments_.sheds->add();
       trySendError(connection, WireCode::Shed,
@@ -434,7 +433,7 @@ void Server::serveConnection(Socket socket, std::uint64_t clientId) {
               }
               decisions.resize(1);
               const std::int64_t t1 = session_.nowNs();
-              tail = runtime_.decideColumnsDeferred(
+              tail = runtime_.decideColumns(
                   regionName, scalarNames,
                   reinterpret_cast<const char*>(scalarValues.data()), 1,
                   decisions);
@@ -463,7 +462,7 @@ void Server::serveConnection(Socket socket, std::uint64_t clientId) {
               // fills, so the reply buffer is only sized, not re-initialised.
               decisions.resize(rows);
               const std::int64_t t1 = session_.nowNs();
-              tail = runtime_.decideColumnsDeferred(
+              tail = runtime_.decideColumns(
                   regionName, batchView.slots, batchView.values, rows,
                   decisions);
               const std::int64_t t2 = session_.nowNs();

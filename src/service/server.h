@@ -6,12 +6,12 @@
 // loop per transport (Unix-domain socket always; loopback TCP behind an
 // option) feeds a bounded hand-off queue drained by N worker threads, each
 // serving one connection at a time over the versioned wire protocol
-// (service/osel_abi.h). Admission control follows the runtime's
-// shed-don't-queue doctrine: when the hand-off queue is full a new
-// connection is answered Error{Shed} and closed instead of waiting.
+// (service/osel_abi.h). Admission control is shed-don't-queue: when the
+// hand-off queue is full a new connection is answered Error{Shed} and
+// closed instead of waiting.
 //
 // A decide frame is answered before it is recorded: the worker decides it
-// (TargetRuntime::decideColumnsDeferred), encodes and sends the reply, and
+// (TargetRuntime::decideColumns), encodes and sends the reply, and
 // only then runs the frame's record phase — the decision-cache back-fill,
 // the explain publish and the per-frame stage samples and counters, timed
 // into service.record_s — before it reads the connection's next frame. So

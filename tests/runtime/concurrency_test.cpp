@@ -2,14 +2,12 @@
 // behind one short lock (run under the tsan preset: `ctest --preset tsan`):
 // registration storms, decide storms, mixed register+decide traffic, traced
 // column/batch storms against explain-ring readers, in-place column decides
-// against a serial run, fault injection under concurrent launches, and the
-// admission controller's shed/drain/quiesce semantics. Thread counts stay
-// modest — the point is interleaving coverage under TSan, not load.
+// against a serial run, and fault injection under concurrent launches.
+// Thread counts stay modest — the point is interleaving coverage under TSan, not load.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -21,7 +19,6 @@
 #include "ir/builder.h"
 #include "ir/interpreter.h"
 #include "obs/trace.h"
-#include "runtime/admission.h"
 #include "runtime/policy/policy.h"
 #include "runtime/target_runtime.h"
 #include "support/check.h"
@@ -432,108 +429,6 @@ TEST_F(ConcurrentFaultTest, BreakerUnderConcurrentFatalLaunches) {
   }
   EXPECT_EQ(quarantineBlocked + health.totalFatals(),
             static_cast<int>(log.size()));
-}
-
-// --- Admission control ------------------------------------------------------
-
-TEST(AdmissionControllerTest, BudgetShedsDeterministically) {
-  AdmissionController controller({.maxInFlight = 1});
-  EXPECT_EQ(controller.enter(), AdmissionOutcome::Admitted);
-  EXPECT_EQ(controller.enter(), AdmissionOutcome::Shed);
-  EXPECT_EQ(controller.inFlight(), 2u);  // shed launches hold their slot
-  controller.exit();
-  controller.exit();
-  EXPECT_EQ(controller.enter(), AdmissionOutcome::Admitted);
-  controller.exit();
-  EXPECT_EQ(controller.admitted(), 2u);
-  EXPECT_EQ(controller.shed(), 1u);
-}
-
-TEST(AdmissionControllerTest, DrainRefusesResumeReadmits) {
-  AdmissionController controller;
-  controller.drain();
-  EXPECT_EQ(controller.enter(), AdmissionOutcome::Refused);
-  EXPECT_EQ(controller.inFlight(), 0u);  // refused never entered
-  controller.resume();
-  EXPECT_EQ(controller.enter(), AdmissionOutcome::Admitted);
-  controller.exit();
-  EXPECT_EQ(controller.refused(), 1u);
-}
-
-TEST(AdmissionControllerTest, DeadlineChargesLedger) {
-  AdmissionController controller({.launchDeadlineSeconds = 1e-3});
-  EXPECT_FALSE(controller.charge(5e-4));
-  EXPECT_TRUE(controller.charge(2e-3));
-  EXPECT_EQ(controller.deadlineMisses(), 1u);
-  EXPECT_DOUBLE_EQ(controller.chargedSeconds(), 2.5e-3);
-}
-
-TEST(AdmissionControllerTest, QuiesceWaitsForInFlight) {
-  AdmissionController controller;
-  ASSERT_EQ(controller.enter(), AdmissionOutcome::Admitted);
-  std::atomic<bool> quiesced{false};
-  std::thread waiter([&] {
-    controller.quiesce();
-    quiesced.store(true, std::memory_order_release);
-  });
-  // The waiter must block while one launch is in flight.
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_FALSE(quiesced.load(std::memory_order_acquire));
-  controller.exit();
-  waiter.join();
-  EXPECT_TRUE(quiesced.load(std::memory_order_acquire));
-}
-
-TEST(RuntimeConcurrency, ShedLaunchesDegradeToSafeDefault) {
-  RuntimeOptions options;
-  options.admission.maxInFlight = 1;
-  TargetRuntime runtime = makeRuntime({"shed"}, options);
-  const symbolic::Bindings bindings{{"n", 96}};
-  const TargetRegion kernel = makeKernel("shed");
-  runThreads(kThreads, [&](int) {
-    ArrayStore store = allocateArrays(kernel, bindings);
-    for (int i = 0; i < 30; ++i) {
-      (void)runtime.launch("shed", bindings, store, Policy::ModelGuided);
-    }
-  });
-  const std::vector<LaunchRecord> log = runtime.logSnapshot();
-  ASSERT_EQ(log.size(), static_cast<std::size_t>(kThreads) * 30);
-  // With a budget of one and four racing threads, overlap must have shed
-  // some launches; every shed record degraded to the safe default and says
-  // so in the fallback column.
-  std::size_t shedCount = 0;
-  for (const LaunchRecord& record : log) {
-    if (!record.shed) continue;
-    ++shedCount;
-    EXPECT_EQ(record.preferred, runtime.selector().config().safeDefaultDevice);
-    EXPECT_EQ(record.fallbackReason, FallbackReason::Shed);
-    EXPECT_FALSE(record.decision.valid);
-    EXPECT_FALSE(record.decisionCompiled);
-  }
-  EXPECT_GT(shedCount, 0u);
-  EXPECT_EQ(runtime.admission().shed(), shedCount);
-  // The CSV carries the shed flag (last column).
-  const std::string csv = renderLogCsv(log);
-  EXPECT_NE(csv.find(",shed\n"), std::string::npos);
-  EXPECT_NE(csv.find(",1\n"), std::string::npos);
-}
-
-TEST(RuntimeConcurrency, DrainQuiesceStopsIntake) {
-  TargetRuntime runtime = makeRuntime({"drainme"});
-  const symbolic::Bindings bindings{{"n", 64}};
-  const TargetRegion kernel = makeKernel("drainme");
-  ArrayStore store = allocateArrays(kernel, bindings);
-  (void)runtime.launch("drainme", bindings, store, Policy::ModelGuided);
-  runtime.drain();
-  EXPECT_THROW(
-      (void)runtime.launch("drainme", bindings, store, Policy::ModelGuided),
-      support::PreconditionError);
-  runtime.quiesce();  // nothing in flight: returns immediately
-  EXPECT_EQ(runtime.admission().refused(), 1u);
-  runtime.resume();
-  const LaunchRecord record =
-      runtime.launch("drainme", bindings, store, Policy::ModelGuided);
-  EXPECT_FALSE(record.shed);
 }
 
 }  // namespace

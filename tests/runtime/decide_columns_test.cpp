@@ -11,12 +11,13 @@
 // are also diffed against the interpreted oracle. Plus the traced full-miss
 // allocation pin, with one-row calls (a cache hit and a fresh miss).
 //
-// decideColumnsDeferred, oseld's form, answers first and leaves its record
-// tail (cache back-fill, explain publish) pending: pinned equal to
-// decideBatch once the tail ran, recording nothing before it, running a
-// pending tail from any later decide call on the thread (another runtime's
-// included), keeping a re-registered region's cache alive for its tail,
-// and allocating nothing in steady state.
+// decideColumns answers first and hands back its record tail (cache
+// back-fill, explain publish) as a PendingRecord, which oseld holds until
+// the reply is sent and the in-process calls above drop at once. Held, the
+// tail is pinned equal to decideBatch once it ran, recording nothing before
+// it, running from any later decide call on the thread (another runtime's
+// included), keeping a re-registered region's cache alive, and allocating
+// nothing in steady state.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -502,12 +503,12 @@ TEST(DecideColumns, TracedFullMissGroupDoesNotAllocate) {
   EXPECT_TRUE(out[0].valid);
 }
 
-/// decideColumnsDeferred over the frame; the tail is left to the caller.
+/// decideColumns over the frame, holding its tail for the caller.
 PendingRecord decideDeferred(TargetRuntime& runtime, const Frame& frame,
                              std::vector<Decision>& out) {
   std::vector<std::string_view> names(frame.names.begin(), frame.names.end());
   out.assign(frame.rows, Decision{});
-  return runtime.decideColumnsDeferred(
+  return runtime.decideColumns(
       frame.region, names,
       reinterpret_cast<const char*>(frame.values.data()), frame.rows, out);
 }
@@ -614,8 +615,8 @@ TEST(DecideColumns, PendingTailKeepsAReRegisteredRegionsCacheAlive) {
 }
 
 TEST(DecideColumns, DeferredTracedFullMissGroupAndItsTailDoNotAllocate) {
-  // TracedFullMissGroupDoesNotAllocate's shape through oseld's entry point:
-  // the answer and, separately, its record tail (64 inserts evicting 64
+  // TracedFullMissGroupDoesNotAllocate's shape as oseld calls it, holding
+  // the tail: the answer and, separately, its record tail (64 inserts evicting 64
   // entries, 64 explain records in one publish) touch no heap once a first
   // such frame sized everything.
   const polybench::Benchmark& gemm = polybench::benchmarkByName("GEMM");
@@ -638,14 +639,14 @@ TEST(DecideColumns, DeferredTracedFullMissGroupAndItsTailDoNotAllocate) {
   }
   const std::array<std::string_view, 1> names{"n"};
   std::vector<Decision> out(kRows);
-  PendingRecord tail = runtime.decideColumnsDeferred(
+  PendingRecord tail = runtime.decideColumns(
       kernel.name, names, reinterpret_cast<const char*>(warm.data()), kRows,
       out);
   tail.run();
   const std::uint64_t explained = session.explainRing().recorded();
 
   const std::uint64_t before = allocationCount();
-  tail = runtime.decideColumnsDeferred(
+  tail = runtime.decideColumns(
       kernel.name, names, reinterpret_cast<const char*>(fresh.data()), kRows,
       out);
   const std::uint64_t answered = allocationCount();
@@ -653,7 +654,7 @@ TEST(DecideColumns, DeferredTracedFullMissGroupAndItsTailDoNotAllocate) {
   tail.run();
   const std::uint64_t after = allocationCount();
   EXPECT_EQ(answered - before, 0u)
-      << "traced full-miss decideColumnsDeferred allocated "
+      << "traced full-miss decideColumns answer allocated "
       << (answered - before) << " times";
   EXPECT_EQ(after - answered, 0u)
       << "its record tail allocated " << (after - answered) << " times";

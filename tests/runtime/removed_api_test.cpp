@@ -5,7 +5,8 @@
 // releases and are now removed, as are the second (scalar) decide path's
 // knobs and cache/plan entry points and the interpreted walk (a test-only
 // oracle now). These are compile-time checks that the removed signatures
-// no longer exist, plus behavioral pins that the unified API still decides
+// no longer exist (launch admission control and the deferred column entry
+// point included), plus behavioral pins that the unified API still decides
 // for the old argument types: a CompiledRegionPlan through the implicit
 // RegionHandle conversion, RegionAttributes through compile().
 #include <gtest/gtest.h>
@@ -13,7 +14,9 @@
 #include <array>
 #include <cstdint>
 #include <span>
+#include <string_view>
 #include <type_traits>
+#include <utility>
 
 #include "compiler/compiler.h"
 #include "ir/builder.h"
@@ -183,6 +186,80 @@ static_assert(!kHasProbe<policy::PolicyChoice>,
               "policy");
 static_assert(!kHasProbe<Decision>,
               "Decision::probe was removed with the epsilon-greedy policy");
+
+// Launches have no admission control: every launch is decided and run, so
+// the in-flight budget, the deadline ledger, drain/resume/quiesce and the
+// shed telemetry are gone (oseld sheds at its connection queue instead).
+template <typename Options>
+constexpr bool kHasAdmission =
+    requires(Options options) { options.admission; };
+template <typename Record>
+constexpr bool kHasShed = requires(Record record) { record.shed; };
+template <typename Record>
+constexpr bool kHasDeadlineMissed =
+    requires(Record record) { record.deadlineMissed; };
+template <typename Reason>
+constexpr bool kHasShedReason = requires { Reason::Shed; };
+template <typename Runtime>
+constexpr bool kHasDrain = requires(Runtime& runtime) { runtime.drain(); };
+template <typename Runtime>
+constexpr bool kHasResume = requires(Runtime& runtime) { runtime.resume(); };
+template <typename Runtime>
+constexpr bool kHasQuiesce = requires(Runtime& runtime) { runtime.quiesce(); };
+template <typename Runtime>
+constexpr bool kHasAdmissionAccessor =
+    requires(const Runtime& runtime) { runtime.admission(); };
+
+static_assert(!kHasAdmission<RuntimeOptions>,
+              "RuntimeOptions::admission was removed with the launch "
+              "admission controller");
+static_assert(!kHasShed<LaunchRecord>,
+              "LaunchRecord::shed was removed: no launch is shed");
+static_assert(!kHasDeadlineMissed<LaunchRecord>,
+              "LaunchRecord's deadline-miss flag was removed with the "
+              "deadline ledger");
+static_assert(!kHasShedReason<FallbackReason>,
+              "the Shed fallback reason was removed: no launch is shed");
+static_assert(!kHasDrain<TargetRuntime>,
+              "TargetRuntime::drain was removed with the admission "
+              "controller");
+static_assert(!kHasResume<TargetRuntime>,
+              "TargetRuntime::resume was removed with the admission "
+              "controller");
+static_assert(!kHasQuiesce<TargetRuntime>,
+              "TargetRuntime::quiesce was removed with the admission "
+              "controller");
+static_assert(!kHasAdmissionAccessor<TargetRuntime>,
+              "TargetRuntime::admission was removed with the admission "
+              "controller");
+#if __has_include("runtime/admission.h")
+constexpr bool kHasAdmissionHeader = true;
+#else
+constexpr bool kHasAdmissionHeader = false;
+#endif
+static_assert(!kHasAdmissionHeader,
+              "runtime/admission.h (the launch admission controller) was "
+              "removed");
+
+// decideColumns is the one column entry point: it answers and hands back
+// its record tail, which a caller that discards the handle runs at once.
+template <typename Runtime>
+constexpr bool kHasDecideColumnsDeferred =
+    requires(Runtime& runtime, std::string_view region,
+             std::span<const std::string_view> names, const char* values,
+             std::size_t rows, std::span<Decision> out) {
+      runtime.decideColumnsDeferred(region, names, values, rows, out);
+    };
+
+static_assert(!kHasDecideColumnsDeferred<TargetRuntime>,
+              "the deferred column entry point was folded into "
+              "decideColumns, which returns the PendingRecord");
+static_assert(
+    std::is_same_v<decltype(std::declval<TargetRuntime&>().decideColumns(
+                       std::string_view{}, std::span<const std::string_view>{},
+                       nullptr, std::size_t{}, std::span<Decision>{})),
+                   PendingRecord>,
+    "decideColumns returns its record tail");
 
 // The library decides only through compiled plans: the interpreted walk
 // (a handle over raw PAD attributes, the selector's workload builders)

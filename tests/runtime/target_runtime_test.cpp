@@ -143,7 +143,12 @@ TEST(TargetRuntime, LogCsvExport) {
   const std::string csv = renderLogCsv(runtime.log());
   // Header + 2 rows.
   EXPECT_EQ(std::count(csv.begin(), csv.end(), '\n'), 3);
-  EXPECT_NE(csv.find("region,policy,chosen"), std::string::npos);
+  // The 16-column layout, byte for byte.
+  EXPECT_EQ(csv.substr(0, csv.find('\n')),
+            "region,policy,chosen,predicted_cpu_s,predicted_gpu_s,actual_s,"
+            "actual_cpu_s,actual_gpu_s,decision_overhead_s,decision_valid,"
+            "attempts,fallback,backoff_s,quarantined,decision_path,"
+            "decision_cache");
   EXPECT_NE(csv.find("stream,model-guided,"), std::string::npos);
   EXPECT_NE(csv.find("stream,oracle,"), std::string::npos);
   // Oracle rows carry both measured times (no empty cells at the end).

@@ -1,9 +1,10 @@
 // The oseld server end to end over real sockets: lifecycle storms,
 // stop() against spinning and blocked workers, the CPU an idle daemon
 // burns, handshake negotiation, socket-vs-in-process decision equivalence
-// (bit-identical on the wire-stable subset), admission shed, concurrent
-// clients racing registerRegion, and the HTTP metrics endpoint. Labelled
-// test_service; the tsan preset runs this binary under ThreadSanitizer.
+// (bit-identical on the wire-stable subset), connection-queue shedding,
+// concurrent clients racing registerRegion, and the HTTP metrics endpoint.
+// Labelled test_service; the tsan preset runs this binary under
+// ThreadSanitizer.
 #include <gtest/gtest.h>
 
 #include <array>
