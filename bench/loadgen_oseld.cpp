@@ -546,8 +546,8 @@ int main(int argc, char** argv) {
   }
 
   // Warm pass: replay client 0's stream batched once so every sweep row
-  // (including the first) measures the server's steady state, not a cold
-  // decision cache.
+  // (including the first) measures the server's steady state, not cold
+  // worker arenas and reply buffers.
   try {
     service::Client warm = service::Client::connect(socketPath);
     std::vector<double> scratch;

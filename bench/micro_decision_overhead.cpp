@@ -230,9 +230,13 @@ void BM_BatchDecide(benchmark::State& state) {
   // The batched path over identical traffic: one snapshot acquire, one
   // bulk cache probe, SoA evaluation for misses. The acceptance bar is
   // >= 3x lower amortized per-decision cost at batch=64 vs BM_LoopedDecide
-  // (guarded by guard_batch_decide in the perf-smoke label).
+  // (guarded by guard_batch_decide in the perf-smoke label). The second
+  // arg is the region cache capacity: batch 64 at 64 (every row hits) and
+  // at 0 (every row fresh) is the cache's hit-heavy on/off pair.
   const std::size_t batch = static_cast<std::size_t>(state.range(0));
-  runtime::TargetRuntime rt = makeGemmRuntime();
+  runtime::RuntimeOptions options;
+  options.decisionCacheCapacity = static_cast<std::size_t>(state.range(1));
+  runtime::TargetRuntime rt = makeGemmRuntime(options);
   const std::string name =
       polybench::benchmarkByName("GEMM").kernels()[0].name;
   std::vector<symbolic::Bindings> bindings;
@@ -252,7 +256,12 @@ void BM_BatchDecide(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(batch));
 }
-BENCHMARK(BM_BatchDecide)->Arg(1)->Arg(8)->Arg(64)->Arg(512);
+BENCHMARK(BM_BatchDecide)
+    ->Args({1, 64})
+    ->Args({8, 64})
+    ->Args({64, 64})
+    ->Args({512, 64})
+    ->Args({64, 0});
 
 /// GEMM runtime as oseld runs it — a trace session attached — with the
 /// decision cache off, so every decided row is fresh and fills an explain
@@ -297,9 +306,9 @@ BENCHMARK(BM_BatchDecideTraced)->Arg(64)->ThreadRange(1, 2)->UseRealTime();
 
 /// Every suite region on one traced runtime, as oseld runs it, with
 /// `capacity` entries per region cache. Shared by the threads of one
-/// BM_ColdFrameDecide run.
+/// BM_ColdFrameDecide or BM_ColdBatchDecide run.
 struct ColdSuite {
-  explicit ColdSuite(std::size_t capacity) {
+  explicit ColdSuite(std::size_t capacity = 64) {
     std::vector<ir::TargetRegion> regions;
     for (const polybench::Benchmark& benchmark : polybench::suite()) {
       for (const ir::TargetRegion& kernel : benchmark.kernels()) {
@@ -318,12 +327,14 @@ struct ColdSuite {
   std::unique_ptr<runtime::TargetRuntime> rt;
 };
 
-/// One pre-built 64-row frame: a region, its slot names, slot-major values.
+/// One pre-built 64-row frame: a region, its slot names, slot-major values,
+/// and the same rows as per-row Bindings maps.
 struct ColdFrame {
   std::string region;
   std::vector<std::string> names;
   std::vector<std::string_view> nameViews;
   std::vector<std::int64_t> values;
+  std::vector<symbolic::Bindings> rows;
 };
 
 /// `count` frames over the suite: regions drawn zipfian (s = 1.2, suite
@@ -352,16 +363,16 @@ std::vector<ColdFrame> coldFrames(std::size_t count, std::size_t rows,
   for (ColdFrame& frame : frames) {
     const Region& region = regions[pickRegion(rng)];
     frame.region = region.name;
-    std::vector<symbolic::Bindings> bindings(rows);
-    for (symbolic::Bindings& row : bindings) {
+    frame.rows.resize(rows);
+    for (symbolic::Bindings& row : frame.rows) {
       row = region.benchmark->bindings(64 + 4 * pickSize(rng));
     }
-    for (const auto& [name, value] : bindings.front()) {
+    for (const auto& [name, value] : frame.rows.front()) {
       frame.names.push_back(name);
     }
     for (const std::string& name : frame.names) {
       frame.nameViews.push_back(name);
-      for (const symbolic::Bindings& row : bindings) {
+      for (const symbolic::Bindings& row : frame.rows) {
         frame.values.push_back(row.at(name));
       }
     }
@@ -371,16 +382,12 @@ std::vector<ColdFrame> coldFrames(std::size_t count, std::size_t rows,
 
 void BM_ColdFrameDecide(benchmark::State& state) {
   // The decide stage of a miss-heavy oseld frame, in process: traced
-  // decideColumns calls of 64 fresh rows over the whole suite, record tail
-  // (cache back-fill, explain publish) included. Arg is the region cache
-  // capacity: 0 has no cache to probe or fill, 64 probes and back-fills
-  // every row for the few that hit. With two threads both write the same
-  // hot regions' caches. Reports no gate; compare the pair.
+  // decideColumns calls of 64 rows over the whole suite, record tail
+  // (the explain publish) included. decideColumns does not memoize, so
+  // every row is fresh. With two threads both decide the same hot regions.
   static ColdSuite* shared = nullptr;
   constexpr std::size_t kRows = 64;
-  if (state.thread_index() == 0) {
-    shared = new ColdSuite(static_cast<std::size_t>(state.range(0)));
-  }
+  if (state.thread_index() == 0) shared = new ColdSuite();
   const std::vector<ColdFrame> frames = coldFrames(
       256, kRows, 0xC01DULL + static_cast<std::uint64_t>(state.thread_index()));
   std::vector<runtime::Decision> out(kRows);
@@ -390,6 +397,41 @@ void BM_ColdFrameDecide(benchmark::State& state) {
     shared->rt->decideColumns(frame.region, frame.nameViews,
                               reinterpret_cast<const char*>(frame.values.data()),
                               kRows, out);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kRows));
+  if (state.thread_index() == 0) {
+    delete shared;
+    shared = nullptr;
+  }
+}
+BENCHMARK(BM_ColdFrameDecide)->ThreadRange(1, 2)->UseRealTime();
+
+void BM_ColdBatchDecide(benchmark::State& state) {
+  // BM_ColdFrameDecide's frames through the memoizing path: traced
+  // decideBatch calls of the same 64 rows as per-row maps. Arg is the
+  // region cache capacity: 0 has no cache to probe or fill, 64 probes and
+  // fills every row for the few that hit — the cache's miss-heavy on/off
+  // pair (BM_BatchDecide/64 is the hit-heavy one). With two threads both
+  // write the same hot regions' caches. Reports no gate; compare the pair.
+  static ColdSuite* shared = nullptr;
+  constexpr std::size_t kRows = 64;
+  if (state.thread_index() == 0) {
+    shared = new ColdSuite(static_cast<std::size_t>(state.range(0)));
+  }
+  const std::vector<ColdFrame> frames = coldFrames(
+      256, kRows, 0xC01DULL + static_cast<std::uint64_t>(state.thread_index()));
+  std::vector<std::vector<runtime::DecideRequest>> requests(frames.size());
+  for (std::size_t f = 0; f < frames.size(); ++f) {
+    for (const symbolic::Bindings& row : frames[f].rows) {
+      requests[f].push_back({frames[f].region, &row});
+    }
+  }
+  std::vector<runtime::Decision> out(kRows);
+  std::size_t next = 0;
+  for (auto _ : state) {
+    shared->rt->decideBatch(requests[next++ % requests.size()], out);
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -412,7 +454,7 @@ void BM_ColdFrameDecide(benchmark::State& state) {
     shared = nullptr;
   }
 }
-BENCHMARK(BM_ColdFrameDecide)
+BENCHMARK(BM_ColdBatchDecide)
     ->Arg(0)
     ->Arg(64)
     ->ThreadRange(1, 2)
@@ -436,7 +478,7 @@ void BM_ServeDecide(benchmark::State& state) {
   server.start();
   service::Client client = service::Client::connect(options.socketPath);
   const symbolic::Bindings bindings{{"n", 9600}};
-  (void)client.decide(kernel.name, bindings);  // warm the decision cache
+  (void)client.decide(kernel.name, bindings);  // warm the connection
   for (auto _ : state) {
     benchmark::DoNotOptimize(client.decide(kernel.name, bindings));
   }

@@ -1,6 +1,5 @@
 #include "runtime/batch.h"
 
-#include <memory>
 #include <span>
 #include <utility>
 
@@ -8,14 +7,7 @@
 
 namespace osel::runtime {
 
-void BatchArena::backfill() {
-  if (backfillCache == nullptr) return;
-  const std::shared_ptr<DecisionCache> cache = std::move(backfillCache);
-  cache->insertMany(backfillKeys, missRows, targets.data(), backfillEpoch);
-}
-
 void BatchArena::runRecord() {
-  backfill();
   if (explainSession == nullptr) return;
   const std::span<obs::DecisionExplain> records(explains.data(), explained);
   for (obs::DecisionExplain& record : records) {

@@ -13,18 +13,19 @@
 // of every row a call decides afresh collect in `explains` and publish to
 // the explain ring once per call, after the call's overhead is stamped.
 //
-// A call's *record tail* — the decision-cache back-fill of its fresh rows
-// and its explain publish — is work its answer does not read. The tail
-// lives in the arena: decide() and decideBatch() run it before they return,
-// and TargetRuntime::decideColumns (every oseld decide frame) leaves it
-// pending behind a PendingRecord so the server can send the reply first; a
-// caller that discards that handle runs the tail at the end of the
-// statement. Whatever happens, a pending tail runs before the thread's next
-// decide call reuses the arena.
+// A call's *record tail* — the explain publish of its fresh rows — is work
+// its answer does not read. The tail lives in the arena: decide() and
+// decideBatch() run it before they return, and TargetRuntime::decideColumns
+// (every oseld decide frame) leaves it pending behind a PendingRecord so the
+// server can send the reply first; a caller that discards that handle runs
+// the tail at the end of the statement. Whatever happens, a pending tail
+// runs before the thread's next decide call reuses the arena. The decision
+// cache is not part of the tail: a memoizing call (decide, decideBatch)
+// inserts each group's fresh rows before its clock read, and decideColumns
+// does not memoize.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <numeric>
 #include <string_view>
 #include <utility>
@@ -33,7 +34,6 @@
 #include "cpumodel/cpu_model.h"
 #include "gpumodel/gpu_model.h"
 #include "obs/explain.h"
-#include "runtime/decision_cache.h"
 #include "runtime/selector.h"
 #include "symbolic/expr.h"
 
@@ -97,14 +97,6 @@ struct BatchArena {
   std::size_t explained = 0;
 
   // --- The call's record tail ---------------------------------------------
-  /// The last group's back-fill: its fresh rows (`missRows`, keyed by
-  /// `columns`/`masks` as `backfillKeys`, decisions read through `targets`)
-  /// go into `backfillCache` under `backfillEpoch`. The pointer shares
-  /// ownership of the region's registry entry, so a re-registration cannot
-  /// free the cache under a pending back-fill. Null when nothing is parked.
-  std::shared_ptr<DecisionCache> backfillCache;
-  DecisionCache::KeyBlock backfillKeys;
-  std::uint64_t backfillEpoch = 0;
   /// The call's explain publish: explains[0, explained) stamped with
   /// `explainOverhead` and published to `explainSession`. Null when nothing
   /// is parked.
@@ -114,9 +106,7 @@ struct BatchArena {
   /// while the call that parked it is still the latest.
   std::uint64_t calls = 0;
 
-  /// Runs the parked back-fill, if any.
-  void backfill();
-  /// Runs the parked back-fill and explain publish, if any.
+  /// Runs the parked explain publish, if any.
   void runRecord();
 
   /// Starts a batch of `requests` requests: a tail an earlier call left
@@ -126,7 +116,7 @@ struct BatchArena {
   /// data-dependent path, so growing it lazily would allocate on the first
   /// batch whose hit/miss mix differs from the warm-up's.
   void begin(std::size_t requests) {
-    if (backfillCache != nullptr || explainSession != nullptr) runRecord();
+    if (explainSession != nullptr) runRecord();
     ++calls;
     order.resize(requests);
     std::iota(order.begin(), order.end(), 0U);
@@ -159,15 +149,13 @@ struct BatchArena {
   }
 };
 
-/// The record tail of one TargetRuntime::decideColumns() call,
-/// left pending in the calling thread's BatchArena: the decision-cache
-/// back-fill of the call's fresh rows and its explain publish. run() runs
-/// it; the destructor runs it if run() was never called; either is a no-op
-/// once the thread's next decide call has run it (every decide entry point
-/// runs a pending tail before it reuses the arena). Move-only. Run or
-/// destroy it on the thread that made it, before the call's `out` rows
-/// change (the back-fill reads them) and while the runtime's trace session
-/// lives.
+/// The record tail of one TargetRuntime::decideColumns() call, left
+/// pending in the calling thread's BatchArena: the explain publish of the
+/// call's fresh rows. run() runs it; the destructor runs it if run() was
+/// never called; either is a no-op once the thread's next decide call has
+/// run it (every decide entry point runs a pending tail before it reuses
+/// the arena). Move-only. Run or destroy it on the thread that made it,
+/// while the runtime's trace session lives.
 class PendingRecord {
  public:
   PendingRecord() = default;

@@ -142,16 +142,16 @@ bool DecisionCache::findLocked(const KeyRef& key, Decision& out) {
   return true;
 }
 
-void DecisionCache::insertLocked(const KeyRef& key,
-                                 const Decision& decision) {
+DecisionCache::Insert DecisionCache::insertLocked(const KeyRef& key,
+                                                  const Decision& decision) {
   const std::uint64_t hash = hashOf(key);
   std::uint32_t id = locate(hash, key);
   if (id != kNone) {
     decisions_[id] = decision;
     touch(id);
-    return;
+    return Insert::Refreshed;
   }
-  insertions_.fetch_add(1, std::memory_order_relaxed);
+  Insert outcome = Insert::Added;
   if (size_ < capacity_) {
     if (index_.size() < kSlotsPerEntry * (size_ + 1)) growIndex();
     id = static_cast<std::uint32_t>(size_++);
@@ -164,7 +164,7 @@ void DecisionCache::insertLocked(const KeyRef& key,
     id = tail_;
     unlink(id);
     indexErase(id);
-    evictions_.fetch_add(1, std::memory_order_relaxed);
+    outcome = Insert::Evicted;
   }
   Node& node = nodes_[id];
   node.hash = hash;
@@ -176,6 +176,7 @@ void DecisionCache::insertLocked(const KeyRef& key,
   decisions_[id] = decision;
   linkFront(id);
   indexInsert(id);
+  return outcome;
 }
 
 std::size_t DecisionCache::findMany(const KeyBlock& keys, Decision* const* out,
@@ -200,11 +201,20 @@ void DecisionCache::insertMany(const KeyBlock& keys,
                                const Decision* const* decisions,
                                std::uint64_t epoch) {
   if (capacity_ == 0 || rows.empty()) return;
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (!syncEpoch(epoch)) return;
-  for (const std::uint32_t row : rows) {
-    insertLocked(rowKey(keys, row), *decisions[row]);
+  // Tallied under the lock, published once per call after it.
+  std::uint64_t inserted = 0;
+  std::uint64_t evicted = 0;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (!syncEpoch(epoch)) return;
+    for (const std::uint32_t row : rows) {
+      const Insert outcome = insertLocked(rowKey(keys, row), *decisions[row]);
+      inserted += outcome != Insert::Refreshed ? 1 : 0;
+      evicted += outcome == Insert::Evicted ? 1 : 0;
+    }
   }
+  if (inserted > 0) insertions_.fetch_add(inserted, std::memory_order_relaxed);
+  if (evicted > 0) evictions_.fetch_add(evicted, std::memory_order_relaxed);
 }
 
 void DecisionCache::clear() {

@@ -2,7 +2,11 @@
 //
 // Suites relaunch the same region with identical bindings (iterative
 // solvers, epoch loops); the models are pure functions of the PAD entry and
-// the bound slot values, so the Decision can be memoized. The cache key is
+// the bound slot values, so the Decision can be memoized. That is the
+// in-process relaunch loop — TargetRuntime::decide, decideBatch and launch.
+// oseld's wire frames (TargetRuntime::decideColumns) do not memoize: on
+// miss-heavy traffic a probe plus an insert per row cost more than the few
+// hits save (docs/PERFORMANCE.md §11). The cache key is
 // the plan's bound slot values plus its bound-slot mask — everything
 // launch-time evaluation depends on — hashed for the fast compare, with the
 // full key stored to rule out collisions. The interface is bulk only: a
@@ -105,7 +109,8 @@ class DecisionCache {
   /// evicts the least-recently-used entry at capacity; a key already
   /// present (including a duplicate earlier in the same call) has its
   /// decision refreshed. Stats (insertions/evictions) count per inserted
-  /// entry. An `epoch` older than the entries' drops the whole call.
+  /// entry, tallied per call and published once after the lock is released.
+  /// An `epoch` older than the entries' drops the whole call.
   void insertMany(const KeyBlock& keys, std::span<const std::uint32_t> rows,
                   const Decision* const* decisions, std::uint64_t epoch = 0);
 
@@ -153,8 +158,11 @@ class DecisionCache {
   /// Looks `key` up; a hit moves its entry to the recency head, copies its
   /// decision into `out` and returns true.
   bool findLocked(const KeyRef& key, Decision& out);
-  /// Inserts or refreshes `key`; the epoch is already synced.
-  void insertLocked(const KeyRef& key, const Decision& decision);
+  /// What insertLocked() did with its key.
+  enum class Insert : std::uint8_t { Refreshed, Added, Evicted };
+  /// Inserts or refreshes `key`; the epoch is already synced. A new key is
+  /// Added, or Evicted when it replaced the least-recently-used entry.
+  Insert insertLocked(const KeyRef& key, const Decision& decision);
   void linkFront(std::uint32_t id);
   void unlink(std::uint32_t id);
   /// Moves a live entry to the recency head.

@@ -191,21 +191,22 @@ template <typename Bind>
 void TargetRuntime::decideGroup(std::string_view region,
                                 std::span<const std::uint32_t> group,
                                 std::span<Decision> out, Bind&& bind,
-                                std::uint64_t epoch, BatchArena& arena,
-                                BatchCounters& counters) {
+                                std::optional<std::uint64_t> cacheEpoch,
+                                BatchArena& arena, BatchCounters& counters) {
   const std::size_t rows = group.size();
-  std::shared_ptr<const RegionEntry> entry = findEntry(region);
+  const std::shared_ptr<const RegionEntry> entry = findEntry(region);
 
-  // A registered region with a PAD entry has a plan and its cache. A region
-  // that has a PAD entry but is not registered decides through a plan
-  // compiled for this group, without a cache; the PAD probe (and the
-  // nearest-name search for misses) runs once per group, off the hot path.
+  // A registered region with a PAD entry has a plan and its cache, which a
+  // memoizing call (one with a cache epoch) probes and fills. A region that
+  // has a PAD entry but is not registered decides through a plan compiled
+  // for this group, without a cache; the PAD probe (and the nearest-name
+  // search for misses) runs once per group, off the hot path.
   const CompiledRegionPlan* plan = nullptr;
   DecisionCache* cache = nullptr;
   std::optional<CompiledRegionPlan> groupPlan;
   if (entry != nullptr && entry->plan != nullptr) {
     plan = entry->plan.get();
-    cache = entry->cache.get();
+    if (cacheEpoch.has_value()) cache = entry->cache.get();
   } else {
     const std::string regionName(region);
     const pad::RegionAttributes* attr = database_.find(regionName);
@@ -238,7 +239,8 @@ void TargetRuntime::decideGroup(std::string_view region,
   const bool useCache = usable && cache != nullptr && cache->capacity() != 0;
   std::size_t hits = 0;
   if (useCache) {
-    hits = cache->findMany(keys, arena.targets.data(), arena.hits.data(), epoch);
+    hits = cache->findMany(keys, arena.targets.data(), arena.hits.data(),
+                           *cacheEpoch);
     counters.cacheLookups += rows;
     counters.cacheHits += hits;
   }
@@ -262,7 +264,8 @@ void TargetRuntime::decideGroup(std::string_view region,
     const std::uint32_t r = arena.missRows[k];
     // Decided in place: no workload copy, no temporary, no clock read. A
     // row the plan cannot complete raises the plan's diagnostic from its
-    // column row; its key (partial values + mask) is still cached.
+    // column row; a memoizing call still caches its key (partial values +
+    // mask).
     const ColumnRow row{arena.columns.data(), rows, r, arena.masks[r]};
     const bool complete = usable && arena.bindOk[r] != 0;
     selector_.decideInto(*plan, arena.cpuWorkloads[r], arena.gpuWorkloads[r],
@@ -271,13 +274,7 @@ void TargetRuntime::decideGroup(std::string_view region,
                          complete ? nullptr : &row);
   }
   if (useCache) {
-    // Parked, not run: the caller runs it before the next group reuses the
-    // columns, or leaves it to the call's record tail. The parked pointer
-    // takes over the entry's ownership.
-    arena.backfillKeys = keys;
-    arena.backfillEpoch = epoch;
-    arena.backfillCache =
-        std::shared_ptr<DecisionCache>(std::move(entry), cache);
+    cache->insertMany(keys, arena.missRows, arena.targets.data(), *cacheEpoch);
   }
 }
 
@@ -346,7 +343,7 @@ BatchCounters TargetRuntime::decideRequests(
   // so a concurrent refit invalidates this call's cached decisions no later
   // than the next call. Decides intentionally never consult the health
   // tracker — it gates launch() execution, not model evaluation.
-  const std::uint64_t epoch = policy_->refits();
+  const std::optional<std::uint64_t> epoch = policy_->refits();
   BatchCounters counters;
   std::size_t groups = 0;
   std::size_t i = 0;
@@ -369,14 +366,13 @@ BatchCounters TargetRuntime::decideRequests(
       }
     };
     decideGroup(region, group, out, bind, epoch, arena, counters);
-    arena.backfill();
     ++groups;
     i = j;
   }
   finishCall(requests[arena.order[0]].region, n, groups, startNs, wallStart,
              arena, counters, out);
-  // In-process callers read the cache and the explain ring right after the
-  // call, so its record tail runs before the return.
+  // In-process callers read the explain ring right after the call, so its
+  // record tail runs before the return.
   arena.runRecord();
   return counters;
 }
@@ -403,9 +399,10 @@ PendingRecord TargetRuntime::decideColumns(
     std::fill_n(arena.masks.begin(), rows, mask);
     std::fill_n(arena.bindOk.begin(), rows, ok);
   };
+  // No cache epoch: a wire frame is decided afresh on every row, and the
+  // region's cache sees neither a probe nor an insert from it.
   BatchCounters counters;
-  decideGroup(region, arena.order, out, bind, policy_->refits(), arena,
-              counters);
+  decideGroup(region, arena.order, out, bind, std::nullopt, arena, counters);
   finishCall(region, rows, 1, startNs, wallStart, arena, counters, out);
   return PendingRecord(arena, arena.calls);
 }

@@ -12,22 +12,26 @@
 // Deciding has one compiled path and one binding form. Registration lowers
 // every region that has a PAD entry into a CompiledRegionPlan with its own
 // decision cache, and decisions are made per region group by one routine:
-// bind the group's rows into SoA columns once, probe the cache in bulk,
-// complete and evaluate the misses. decideBatch() groups its requests by
-// region; decide() and launch() run a one-row group; both bind each row's
-// Bindings map, and nothing past that binder sees the map. decideColumns()
-// takes one group already laid out as wire columns (every oseld decide
-// frame) and binds the columns. Every row the cache does not serve is
-// decided in place, straight into the caller's output row, with no clock
-// read of its own: every row a call serves reports the call's wall time
-// divided by its rows. With a trace session attached, the call's fresh
-// decisions publish their explain records together, after that stamp: one
-// ring lock and one timestamp per call. The back-fill of the fresh rows into
-// the cache and that explain publish are the call's record tail: decide()
-// and decideBatch() run it before they return; decideColumns() answers first
-// and hands the tail back as a PendingRecord, so oseld sends the reply
-// before the tail runs, and an in-process caller that drops the handle runs
-// it at the end of the statement (runtime/batch.h). A region that has a PAD
+// bind the group's rows into SoA columns once, complete and evaluate every
+// row the cache does not serve. decideBatch() groups its requests by
+// region; decide() and launch() run a one-row group. Both bind each row's
+// Bindings map (nothing past that binder sees the map), and both memoize: a
+// group probes its region's cache in bulk first and inserts its fresh rows
+// in bulk after, for the in-process relaunch loop the cache exists for. decideColumns() takes one group already laid out as wire columns
+// (every oseld decide frame), binds the columns and decides every row
+// afresh: on miss-heavy service traffic the cache costs each row a probe
+// and an insert for a hit it almost never gets (the trade-off, measured
+// both ways, is docs/PERFORMANCE.md §11). Every
+// fresh row is decided in place, straight into the caller's output row,
+// with no clock read of its own: every row a call serves reports the call's
+// wall time divided by its rows. With a trace session attached, the call's
+// fresh decisions publish their explain records together, after that
+// stamp: one ring lock and one timestamp per call. That explain publish is
+// the call's record tail: decide() and decideBatch() run it before they
+// return; decideColumns() answers first and hands the tail back as a
+// PendingRecord, so oseld sends the reply before the tail runs, and an
+// in-process caller that drops the handle runs it at the end of the
+// statement (runtime/batch.h). A region that has a PAD
 // entry but is not registered yet decides through a plan compiled for that
 // group (no cache); a region with no PAD entry, an unusable plan and a row
 // missing a required symbol degrade to the safe default with their
@@ -42,7 +46,8 @@
 // under it, and frees the replaced entry after the unlock. Per-region
 // decision caches are internally locked (the per-region caches are the lock
 // stripes) and validated by one epoch, the selection policy's refits(),
-// read once per decide call, so a refit drops cached decisions lazily.
+// read once per memoizing decide call, so a refit drops cached decisions
+// lazily.
 // Launch-log appends are mutex-guarded, and the health tracker is atomic.
 // See the "Thread-safety contract" section of docs/ROBUSTNESS.md for what
 // callers may rely on.
@@ -55,6 +60,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -142,8 +148,10 @@ struct RuntimeOptions {
   RetryPolicy retry;
   HealthPolicy health;
   /// Entries of each region's decision cache (keyed by the slot values a
-  /// decide binds); 0 disables memoization. The constructor rejects a
-  /// capacity above DecisionCache::kMaxCapacity with PreconditionError.
+  /// decide binds); 0 disables memoization. Only decide(), decideBatch()
+  /// and launch() memoize; decideColumns() never does. The constructor
+  /// rejects a capacity above DecisionCache::kMaxCapacity with
+  /// PreconditionError.
   std::size_t decisionCacheCapacity = 64;
   /// Observability session the runtime emits spans/events/metrics into.
   /// Not owned; must outlive the runtime. nullptr (the default) disables
@@ -178,8 +186,9 @@ class TargetRuntime {
   [[nodiscard]] const CompiledRegionPlan* plan(const std::string& name) const;
 
   /// Hit/miss/eviction counters of a region's decision cache (zeros when
-  /// the region has no plan). Coherent mid-traffic: counters are atomic
-  /// and hits + misses == lookups once callers quiesce.
+  /// the region has no plan). Only decide(), decideBatch() and launch()
+  /// move them; decideColumns() never does. Coherent mid-traffic: counters
+  /// are atomic and hits + misses == lookups once callers quiesce.
   [[nodiscard]] DecisionCache::Stats decisionCacheStats(
       const std::string& name) const;
 
@@ -237,27 +246,28 @@ class TargetRuntime {
   /// Each plan slot's column is copied into the group's SoA block once, and
   /// the frame runs decideBatch()'s group routine, whatever the region: a
   /// registered plan, a plan compiled from a PAD entry, no PAD entry, an
-  /// unusable plan or a required symbol missing. Each decision is
-  /// bit-identical to decideBatch() over per-row maps (overheadSeconds
-  /// aside: the call's wall time divided by `rows`, on every row and
-  /// explain record), with the same cache traffic, counters, span and
-  /// explain records. Like decideBatch(), it overwrites every field of
-  /// every row it fills.
+  /// unusable plan or a required symbol missing. It does not memoize: every
+  /// row is decided afresh, the region's decision cache is neither probed
+  /// nor filled, and the runtime-wide hit ratio does not move. Each
+  /// decision is bit-identical to decideBatch() over per-row maps
+  /// (overheadSeconds aside: the call's wall time divided by `rows`, on
+  /// every row and explain record), and with every row fresh its counters,
+  /// span and explain records are those of a decideBatch() that found
+  /// nothing cached. Like decideBatch(), it overwrites every field of every
+  /// row it fills.
   ///
   /// The call is split into its answer and its record tail — how oseld
   /// decides every DecideRequest and DecideBatch frame. It returns once
   /// out[0, rows) holds the decisions, the span, counters and overhead
-  /// sample are recorded and the explain records are filled; the
-  /// decision-cache back-fill of the fresh rows and the explain publish stay
-  /// pending in the returned PendingRecord, which runs them on run() or when
-  /// it is destroyed. A caller that discards the handle runs the tail at the
-  /// end of the full-expression, so the call has recorded by the next
-  /// statement; oseld holds it until the reply is sent. overheadSeconds
-  /// (rows and explain records) covers the answer phase only, and the
-  /// records are stamped when they are published. Until the tail runs, the
-  /// cache lacks the call's fresh rows, so a concurrent caller may decide
-  /// them afresh; the thread's next decide call runs the tail first,
-  /// whatever the runtime.
+  /// sample are recorded and the explain records are filled; the explain
+  /// publish stays pending in the returned PendingRecord, which runs it on
+  /// run() or when it is destroyed. A caller that discards the handle runs
+  /// the tail at the end of the full-expression, so the call has recorded
+  /// by the next statement; oseld holds it until the reply is sent.
+  /// overheadSeconds (rows and explain records) covers the answer phase
+  /// only, and the records are stamped when they are published. The
+  /// thread's next decide call runs a pending tail first, whatever the
+  /// runtime.
   PendingRecord decideColumns(std::string_view region,
                               std::span<const std::string_view> slotNames,
                               const char* values, std::size_t rows,
@@ -386,24 +396,28 @@ class TargetRuntime {
   /// PAD entry, or none (every row degrades, no PAD entry). A usable plan's
   /// rows bind once into the arena's SoA columns through
   /// `bind(plan)`, which fills arena.columns, masks and bindOk for rows
-  /// [0, group.size()); then one bulk cache probe, SoA completion and the
-  /// selector's untimed in-place tail (OffloadSelector::decideInto) for the
-  /// misses — including the rows the plan cannot complete (an unusable
-  /// plan, an unbindable row), which raise the plan's diagnostic from their
-  /// column row — and one bulk back-fill, parked in the arena (holding the
-  /// region entry) for the caller to run. Tallies land in `counters`; with
-  /// a session attached, fresh rows claim explain records from the arena
-  /// for the call to publish. Defined in target_runtime.cpp, its only user.
+  /// [0, group.size()); then SoA completion and the selector's untimed
+  /// in-place tail (OffloadSelector::decideInto) for every row the cache
+  /// does not serve — including the rows the plan cannot complete (an
+  /// unusable plan, an unbindable row), which raise the plan's diagnostic
+  /// from their column row. A memoizing call passes the `cacheEpoch` it
+  /// read: the group then probes the region's cache in bulk before it
+  /// evaluates and inserts its fresh rows in bulk after, one lock each.
+  /// Without one (decideColumns) the cache sees no traffic. Tallies land in
+  /// `counters`; with a session attached, fresh rows claim explain records
+  /// from the arena for the call to publish. Defined in target_runtime.cpp,
+  /// its only user.
   template <typename Bind>
   void decideGroup(std::string_view region,
                    std::span<const std::uint32_t> group,
-                   std::span<Decision> out, Bind&& bind, std::uint64_t epoch,
-                   BatchArena& arena, BatchCounters& counters);
+                   std::span<Decision> out, Bind&& bind,
+                   std::optional<std::uint64_t> cacheEpoch, BatchArena& arena,
+                   BatchCounters& counters);
   /// The one tail of every decide call over `n` rows in `groups` region
   /// groups: stamps every row of out[0, n) with the call's amortized cost,
   /// parks the explain publish (records stamped with that cost, one ring
-  /// lock and one clock read) next to the arena's back-fill for the caller
-  /// to run; publishes the cache and path counters (and the
+  /// lock and one clock read) in the arena for the caller to run;
+  /// publishes the cache and path counters (and the
   /// decision_cache.hit_ratio gauge, runtime-wide) and, with a session
   /// attached, the overhead sample and the call's span — `decide` (tagged
   /// compiled, cache_hit or degenerate) for a one-row call, `decide.batch`

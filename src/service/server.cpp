@@ -4,8 +4,9 @@
 // slot-major value columns: a DecideBatch frame's columns as they are, a
 // DecideRequest's bindings as a one-row frame (one name and one value per
 // binding, in wire order, so a duplicate symbol binds its last value). No
-// Bindings map is built. The runtime decides the frame as one region group
-// and hands back its record tail (the cache back-fill and the explain
+// Bindings map is built. The runtime decides the frame as one region group,
+// every row afresh (decideColumns does not memoize, so no frame probes or
+// fills a decision cache), and hands back its record tail (the explain
 // publish), which the worker runs with its own per-frame bookkeeping once
 // the reply is sent: after the flush, or before the connection's next frame
 // when several arrive in one read.
@@ -288,7 +289,8 @@ void Server::serveConnection(Socket socket, std::uint64_t clientId) {
   // the wall clock. Runs after the flush that sent the frame's reply, or
   // before the next frame when several arrive in one read, and always
   // before `decisions` and `regionName` move on to the next frame (the
-  // tail and the row tally read them). Timed into service.record_s.
+  // spans, the wide event and its row tally read them). Timed into
+  // service.record_s.
   const auto recordFrame = [&] {
     if (!frame.pending) {
       tail.run();  // a frame whose reply failed to encode

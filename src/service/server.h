@@ -1,8 +1,8 @@
 // osel/service/server.h — the oseld decision service.
 //
 // The thin driver-over-library split: everything the daemon serves already
-// exists in-process (TargetRuntime, compiled plans, decision caches, batched
-// deciding, obs metrics); this class adds the socket front end. One accept
+// exists in-process (TargetRuntime, compiled plans, batched deciding, obs
+// metrics); this class adds the socket front end. One accept
 // loop per transport (Unix-domain socket always; loopback TCP behind an
 // option) feeds a bounded hand-off queue drained by N worker threads, each
 // serving one connection at a time over the versioned wire protocol
@@ -12,9 +12,10 @@
 //
 // A decide frame is answered before it is recorded: the worker decides it
 // (TargetRuntime::decideColumns), encodes and sends the reply, and
-// only then runs the frame's record phase — the decision-cache back-fill,
-// the explain publish and the per-frame stage samples and counters, timed
-// into service.record_s — before it reads the connection's next frame. So
+// only then runs the frame's record phase — the explain publish and the
+// per-frame stage samples and counters, timed into service.record_s —
+// before it reads the connection's next frame. Frames do not memoize:
+// every row is decided afresh and no decision cache is touched. So
 // a connection's next frame sees everything its earlier frames recorded;
 // other connections see it once that worker's record phase has run.
 //

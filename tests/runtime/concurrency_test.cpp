@@ -253,14 +253,15 @@ TEST(RuntimeConcurrency, BatchDecideRacesRegistrationAndInvalidation) {
 }
 
 TEST(RuntimeConcurrency, TracedColumnsAndBatchStormRecordEveryFreshExplain) {
-  // oseld's shape under contention: four workers decide traced region
-  // groups on one runtime — half through decideColumns (wire columns), half
-  // through decideBatch (per-row maps) — over more sizes than a region's
-  // cache holds, so hits, misses and evictions interleave, while a reader
-  // snapshots the explain ring and looks up per-region records. Each group
-  // publishes its fresh decisions' records in one call: the ring must count
-  // exactly one record per fresh decision and every snapshot must be a
-  // gap-free seq run.
+  // oseld's shape under contention, next to in-process callers: four
+  // workers decide traced region groups on one runtime — half through
+  // decideColumns (wire columns, every row fresh), half through decideBatch
+  // (per-row maps, memoized over more sizes than a region's cache holds, so
+  // its hits, misses and evictions interleave) — while a reader snapshots
+  // the explain ring and looks up per-region records. Each group publishes
+  // its fresh decisions' records in one call: the ring must count exactly
+  // one record per fresh decision and every snapshot must be a gap-free seq
+  // run.
   obs::TraceSession session;
   RuntimeOptions options;
   options.trace = &session;
@@ -333,10 +334,11 @@ TEST(RuntimeConcurrency, TracedColumnsAndBatchStormRecordEveryFreshExplain) {
 
 TEST(RuntimeConcurrency, InPlaceColumnDecidesMatchASerialRun) {
   // Fresh rows are decided in place, straight into the caller's span. Four
-  // workers decideColumns the same traced regions, sharing their caches
-  // (hits, misses and evictions interleave), each into its own span reused
-  // across rounds; every row must equal the decision a serial run on an
-  // identically built runtime made for the same key.
+  // workers decideColumns the same traced regions, each into its own span
+  // reused across rounds, while the regions' plans are shared; every row
+  // must equal the decision a serial run on an identically built runtime
+  // made for the same key, every row is fresh (one explain record each)
+  // and the regions' caches see no traffic.
   obs::TraceSession session;
   RuntimeOptions options;
   options.trace = &session;
@@ -377,11 +379,16 @@ TEST(RuntimeConcurrency, InPlaceColumnDecidesMatchASerialRun) {
       }
     }
   });
-  std::uint64_t hits = 0;
   for (const std::string& name : names) {
-    hits += runtime.decisionCacheStats(name).hits;
+    const DecisionCache::Stats stats = runtime.decisionCacheStats(name);
+    EXPECT_EQ(stats.lookups, 0u) << name;
+    EXPECT_EQ(stats.insertions, 0u) << name;
   }
-  EXPECT_GT(hits, 0u);
+  const std::uint64_t rows = static_cast<std::uint64_t>(kThreads) * kRounds *
+                             kRows;
+  EXPECT_EQ(session.metrics().counter("decision.compiled").value(), rows);
+  EXPECT_EQ(session.metrics().counter("decision.cache_hit").value(), 0u);
+  EXPECT_EQ(session.explainRing().recorded(), rows);
 }
 
 // --- Fault injection under concurrency --------------------------------------

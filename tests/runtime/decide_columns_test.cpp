@@ -1,23 +1,27 @@
 // Equivalence pins for TargetRuntime::decideColumns, the entry point oseld
 // hands DecideBatch frames to: deciding a group straight from slot-major
 // wire columns must be bit-identical to decideBatch over the per-row
-// Bindings maps the same frame describes — decisions, cache traffic,
+// Bindings maps the same frame describes. decideColumns does not memoize,
+// so its twin decideBatch runtime runs without a decision cache: decisions,
 // decision counters and, with a trace session attached, the explain records
-// (all but seq, atNs and overheadSeconds). Covers every Polybench region over
-// a size grid (misses, then hits with amortized overhead), duplicate and
-// unknown slot names, a missing required slot, regions without a usable
-// plan, and the empty frame. decideBatch shares decideColumns' group
-// routine, so the degraded rows (a missing required slot, an unusable plan)
-// are also diffed against the interpreted oracle. Plus the traced full-miss
-// allocation pin, with one-row calls (a cache hit and a fresh miss).
+// (all but seq, atNs and overheadSeconds) must agree, and the columns
+// runtime's caches must see no traffic. Covers every Polybench region over
+// a size grid (twice, with amortized overhead), duplicate and unknown slot
+// names, a missing required slot, regions without a usable plan, and the
+// empty frame. decideBatch shares decideColumns' group routine, so the
+// degraded rows (a missing required slot, an unusable plan) are also
+// diffed against the interpreted oracle. Plus the cache pin (decideColumns
+// neither probes nor fills it; a memoizing decideBatch of the same keys
+// misses, then hits with the same decisions) and the traced full-frame
+// allocation pin, with one-row calls.
 //
-// decideColumns answers first and hands back its record tail (cache
-// back-fill, explain publish) as a PendingRecord, which oseld holds until
-// the reply is sent and the in-process calls above drop at once. Held, the
-// tail is pinned equal to decideBatch once it ran, recording nothing before
-// it, running from any later decide call on the thread (another runtime's
-// included), keeping a re-registered region's cache alive, and allocating
-// nothing in steady state.
+// decideColumns answers first and hands back its record tail (the explain
+// publish) as a PendingRecord, which oseld holds until the reply is sent
+// and the in-process calls above drop at once. Held, the tail is pinned
+// equal to decideBatch once it ran, recording nothing before it, running
+// from any later decide call on the thread (another runtime's included),
+// surviving a re-registration of its region, and allocating nothing in
+// steady state.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -96,8 +100,9 @@ std::vector<ir::TargetRegion> allRegions() {
   return regions;
 }
 
-/// Two identically built runtimes — decideColumns runs on one, decideBatch
-/// on the other — each with its own trace session when traced.
+/// Two runtimes built alike but for the cache — decideColumns runs on one,
+/// decideBatch on the other, which memoizes nothing, as decideColumns does
+/// not — each with its own trace session when traced.
 struct Twins {
   std::unique_ptr<obs::TraceSession> columnsTrace;
   std::unique_ptr<obs::TraceSession> batchTrace;
@@ -113,13 +118,15 @@ Twins makeTwins(bool traced, RuntimeOptions options = {},
   const pad::AttributeDatabase db = compiler::compileAll(regions, models);
   options.selector.cpuThreads = 160;
   Twins twins;
-  const auto build = [&](std::unique_ptr<obs::TraceSession>& session) {
+  const auto build = [&](std::unique_ptr<obs::TraceSession>& session,
+                         std::size_t cacheCapacity) {
     if (traced) {
       session = std::make_unique<obs::TraceSession>(
           obs::TraceOptions{.explainCapacity = 8192});
     }
     RuntimeOptions own = options;
     own.trace = session.get();
+    own.decisionCacheCapacity = cacheCapacity;
     auto runtime = std::make_unique<TargetRuntime>(db, own);
     for (const ir::TargetRegion& region : regions) {
       bool skip = false;
@@ -128,8 +135,8 @@ Twins makeTwins(bool traced, RuntimeOptions options = {},
     }
     return runtime;
   };
-  twins.columns = build(twins.columnsTrace);
-  twins.batch = build(twins.batchTrace);
+  twins.columns = build(twins.columnsTrace, options.decisionCacheCapacity);
+  twins.batch = build(twins.batchTrace, 0);
   return twins;
 }
 
@@ -184,9 +191,8 @@ std::vector<Decision> expectColumnsMatchBatch(Twins& twins,
 }
 
 /// expectColumnsMatchBatch(), and each decideColumns row against the
-/// interpreted oracle: the decision and, when the call decided every row
-/// afresh, its explain record (a call served from the cache publishes
-/// none). The frame's region has a PAD entry.
+/// interpreted oracle: the decision and, traced, its explain record (every
+/// row is decided afresh). The frame's region has a PAD entry.
 std::vector<Decision> expectColumnsMatchOracle(Twins& twins,
                                                const Frame& frame) {
   const obs::TraceSession* session = twins.columnsTrace.get();
@@ -199,9 +205,7 @@ std::vector<Decision> expectColumnsMatchOracle(Twins& twins,
         session->explainRing().snapshot();
     EXPECT_EQ(session->explainRing().recorded(), all.size());
     records.assign(all.begin() + static_cast<std::ptrdiff_t>(from), all.end());
-    if (records.size() != frame.rows) {
-      EXPECT_TRUE(records.empty());
-    }
+    EXPECT_EQ(records.size(), frame.rows);
   }
   const pad::RegionAttributes& attr =
       twins.columns->database().at(frame.region);
@@ -220,16 +224,14 @@ std::vector<Decision> expectColumnsMatchOracle(Twins& twins,
   return columns;
 }
 
-/// Both twins' cache traffic, decision counters and explain rings agree.
+/// The columns twin's caches saw no traffic, and both twins' decision
+/// counters and explain rings agree.
 void expectTwinsAgree(const Twins& twins) {
   for (const ir::TargetRegion& region : allRegions()) {
-    const DecisionCache::Stats a =
+    const DecisionCache::Stats stats =
         twins.columns->decisionCacheStats(region.name);
-    const DecisionCache::Stats b = twins.batch->decisionCacheStats(region.name);
-    EXPECT_EQ(a.lookups, b.lookups) << region.name;
-    EXPECT_EQ(a.hits, b.hits) << region.name;
-    EXPECT_EQ(a.insertions, b.insertions) << region.name;
-    EXPECT_EQ(a.evictions, b.evictions) << region.name;
+    EXPECT_EQ(stats.lookups, 0u) << region.name;
+    EXPECT_EQ(stats.insertions, 0u) << region.name;
   }
   if (twins.columnsTrace == nullptr) return;
   obs::TraceSession& a = *twins.columnsTrace;
@@ -277,27 +279,26 @@ void runGrid(bool traced) {
   for (const Frame& frame : frames) (void)expectColumnsMatchBatch(twins, frame);
   expectTwinsAgree(twins);
   if (traced) {
-    // Every row is a fresh decision, the duplicate included: a group probes
-    // the cache for all its rows before back-filling any of them.
+    // Every row is a fresh decision, the duplicate included.
     EXPECT_EQ(twins.columnsTrace->explainRing().recorded(),
               frames.size() * frames.front().rows);
   }
 
-  // Second pass: every row is a cache hit, served at the amortized cost of
-  // its call — one shared, positive overheadSeconds per frame.
+  // Second pass: the same frames are decided afresh again, every row at the
+  // amortized cost of its call — one shared, positive overheadSeconds per
+  // frame.
   for (const Frame& frame : frames) {
-    const DecisionCache::Stats before =
-        twins.columns->decisionCacheStats(frame.region);
     const std::vector<Decision> columns = expectColumnsMatchBatch(twins, frame);
-    const DecisionCache::Stats after =
-        twins.columns->decisionCacheStats(frame.region);
-    EXPECT_EQ(after.hits - before.hits, frame.rows) << frame.region;
     for (const Decision& decision : columns) {
       EXPECT_GT(decision.overheadSeconds, 0.0);
       EXPECT_EQ(decision.overheadSeconds, columns.front().overheadSeconds);
     }
   }
   expectTwinsAgree(twins);
+  if (traced) {
+    EXPECT_EQ(twins.columnsTrace->explainRing().recorded(),
+              2 * frames.size() * frames.front().rows);
+  }
 }
 
 TEST(DecideColumns, MatchesDecideBatchOverPolybenchGrid) { runGrid(false); }
@@ -360,8 +361,8 @@ TEST(DecideColumns, MissingRequiredSlotDegradesLikeDecideBatch) {
         << pair[0].diagnostic;
     EXPECT_EQ(pair[1].diagnostic.find("unbound"), std::string::npos)
         << pair[1].diagnostic;
-    // No names at all: the same key as the first GEMM frame's rows, so
-    // both rows are cache hits.
+    // No names at all: the same key as the first GEMM frame's rows, decided
+    // afresh.
     (void)expectColumnsMatchOracle(twins, makeFrame(gemm, {}, {{}, {}}));
     expectTwinsAgree(twins);
   }
@@ -432,63 +433,122 @@ TEST(DecideColumns, RejectsUndersizedOutputSpan) {
                support::PreconditionError);
 }
 
-TEST(DecideColumns, TracedFullMissGroupDoesNotAllocate) {
-  // The oseld shape: a traced runtime, one 64-row frame of sizes its cache
-  // has never seen. Once the arena, the explain buffer and the cache are
-  // sized by a first such frame, a second one misses on every row, records
-  // 64 explain records in one publish and evicts 64 entries — all without
-  // touching the heap.
-  const polybench::Benchmark& gemm = polybench::benchmarkByName("GEMM");
-  const ir::TargetRegion& kernel = gemm.kernels()[0];
-  const std::array<ir::TargetRegion, 1> regions{kernel};
-  const std::array<mca::MachineModel, 1> models{mca::MachineModel::power9()};
+/// A traced runtime with GEMM's first kernel registered, the oseld shape.
+struct TracedGemm {
   obs::TraceSession session;
-  RuntimeOptions options;
-  options.selector.cpuThreads = 160;
-  options.trace = &session;
-  TargetRuntime runtime(compiler::compileAll(regions, models), options);
-  runtime.registerRegion(kernel);
-  constexpr std::size_t kRows = 64;
-  ASSERT_EQ(RuntimeOptions{}.decisionCacheCapacity, kRows);
-  std::array<std::int64_t, kRows> warm{};
-  std::array<std::int64_t, kRows> fresh{};
-  for (std::size_t r = 0; r < kRows; ++r) {
-    warm[r] = 64 + 4 * static_cast<std::int64_t>(r);
-    fresh[r] = 64 + 4 * static_cast<std::int64_t>(kRows + r);
+  std::unique_ptr<TargetRuntime> runtime;
+  const ir::TargetRegion& kernel =
+      polybench::benchmarkByName("GEMM").kernels()[0];
+
+  TracedGemm() {
+    const std::array<ir::TargetRegion, 1> regions{kernel};
+    const std::array<mca::MachineModel, 1> models{mca::MachineModel::power9()};
+    RuntimeOptions options;
+    options.selector.cpuThreads = 160;
+    options.trace = &session;
+    runtime = std::make_unique<TargetRuntime>(
+        compiler::compileAll(regions, models), options);
+    runtime->registerRegion(kernel);
   }
+
+  [[nodiscard]] std::uint64_t counter(const char* name) {
+    return session.metrics().counter(name).value();
+  }
+};
+
+/// One 64-row frame of GEMM sizes, the k-th such frame (no two share a key).
+Frame gemmFrame(const std::string& region, std::int64_t k) {
+  constexpr std::int64_t kRows = 64;
+  std::vector<std::vector<std::int64_t>> rows;
+  for (std::int64_t r = 0; r < kRows; ++r) {
+    rows.push_back({64 + 4 * (k * kRows + r)});
+  }
+  return makeFrame(region, {"n"}, rows);
+}
+
+TEST(DecideColumns, NeverTouchesTheRegionCache) {
+  // oseld's frames do not memoize. After one-row and 64-row decideColumns
+  // frames the region's cache has seen no lookup and holds nothing, the
+  // runtime-wide hit ratio has not moved, and every row was decided
+  // afresh. A memoizing decideBatch of the same keys then misses on every
+  // row, and a second one is served from the cache — both with the
+  // decisions decideColumns made.
+  TracedGemm traced;
+  TargetRuntime& runtime = *traced.runtime;
+  const std::string& region = traced.kernel.name;
+  const Frame frame = gemmFrame(region, 0);
+  const std::vector<Decision> columns = decideColumns(runtime, frame);
+  const Frame scalar = makeFrame(region, {"n"}, {{frame.values[0]}});
+  (void)decideColumns(runtime, scalar);
+  (void)decideColumns(runtime, scalar);
+  const DecisionCache::Stats untouched = runtime.decisionCacheStats(region);
+  EXPECT_EQ(untouched.lookups, 0u);
+  EXPECT_EQ(untouched.insertions, 0u);
+  EXPECT_EQ(traced.counter("decision.cache_hit"), 0u);
+  EXPECT_EQ(traced.counter("decision.compiled"), frame.rows + 2);
+  EXPECT_EQ(traced.session.explainRing().recorded(), frame.rows + 2);
+  EXPECT_EQ(
+      traced.session.metrics().gauge("decision_cache.hit_ratio").value(), 0.0);
+
+  const std::vector<Decision> missed = decideBatch(runtime, frame);
+  const DecisionCache::Stats afterMiss = runtime.decisionCacheStats(region);
+  EXPECT_EQ(afterMiss.lookups, frame.rows);
+  EXPECT_EQ(afterMiss.hits, 0u);
+  EXPECT_EQ(afterMiss.insertions, frame.rows);
+  const std::vector<Decision> hit = decideBatch(runtime, frame);
+  EXPECT_EQ(runtime.decisionCacheStats(region).hits, frame.rows);
+  for (std::size_t r = 0; r < frame.rows; ++r) {
+    SCOPED_TRACE("row " + std::to_string(r));
+    expectIdenticalDecisions(missed[r], columns[r]);
+    expectIdenticalDecisions(hit[r], columns[r]);
+  }
+}
+
+TEST(DecideColumns, TracedFullMissGroupDoesNotAllocate) {
+  // The oseld shape: a traced runtime, one 64-row frame of sizes no earlier
+  // frame decided. Once the arena and the explain buffer are sized by a
+  // first such frame, a second one decides every row afresh and records 64
+  // explain records in one publish — all without touching the heap.
+  TracedGemm traced;
+  TargetRuntime& runtime = *traced.runtime;
+  const std::string& region = traced.kernel.name;
+  const Frame warm = gemmFrame(region, 0);
+  const Frame fresh = gemmFrame(region, 1);
+  const std::size_t rows = fresh.rows;
   const std::array<std::string_view, 1> names{"n"};
-  std::vector<Decision> out(kRows);
-  runtime.decideColumns(kernel.name, names,
-                        reinterpret_cast<const char*>(warm.data()), kRows, out);
-  const std::uint64_t explained = session.explainRing().recorded();
+  std::vector<Decision> out(rows);
+  runtime.decideColumns(region, names,
+                        reinterpret_cast<const char*>(warm.values.data()), rows,
+                        out);
+  const std::uint64_t explained = traced.session.explainRing().recorded();
+  const std::uint64_t compiled = traced.counter("decision.compiled");
 
   const std::uint64_t before = allocationCount();
-  runtime.decideColumns(kernel.name, names,
-                        reinterpret_cast<const char*>(fresh.data()), kRows,
-                        out);
+  runtime.decideColumns(region, names,
+                        reinterpret_cast<const char*>(fresh.values.data()),
+                        rows, out);
   const std::uint64_t after = allocationCount();
   EXPECT_EQ(after - before, 0u)
       << "traced full-miss decideColumns allocated " << (after - before)
       << " times";
-  EXPECT_EQ(session.explainRing().recorded() - explained, kRows);
-  const DecisionCache::Stats stats = runtime.decisionCacheStats(kernel.name);
-  EXPECT_EQ(stats.hits, 0u);
-  EXPECT_EQ(stats.evictions, kRows);
+  EXPECT_EQ(traced.session.explainRing().recorded() - explained, rows);
+  EXPECT_EQ(traced.counter("decision.compiled") - compiled, rows);
+  EXPECT_EQ(runtime.decisionCacheStats(region).lookups, 0u);
   for (const Decision& decision : out) EXPECT_TRUE(decision.valid);
 
-  // One-row calls, the shape of oseld's scalar frames: a key the frame above
-  // cached, then one the cache no longer holds (it evicts the LRU entry,
-  // fresh[1]). The first one-row call of each kind is the warm-up.
-  const std::array<std::int64_t, 4> single{fresh[0], warm[0], fresh[2],
-                                           warm[1]};
+  // One-row calls, the shape of oseld's scalar frames: keys the frames
+  // above decided, each decided afresh. The first two calls are the
+  // warm-up.
+  const std::array<std::int64_t, 4> single{fresh.values[0], warm.values[0],
+                                           fresh.values[2], warm.values[1]};
   const auto decideOne = [&](std::size_t i) {
-    runtime.decideColumns(kernel.name, names,
+    runtime.decideColumns(region, names,
                           reinterpret_cast<const char*>(&single[i]), 1, out);
   };
   decideOne(0);
   decideOne(1);
-  const DecisionCache::Stats warmed = runtime.decisionCacheStats(kernel.name);
-  const std::uint64_t oneRowExplained = session.explainRing().recorded();
+  const std::uint64_t oneRowExplained = traced.session.explainRing().recorded();
+  const std::uint64_t oneRowCompiled = traced.counter("decision.compiled");
   const std::uint64_t oneRowBefore = allocationCount();
   decideOne(2);
   decideOne(3);
@@ -496,10 +556,9 @@ TEST(DecideColumns, TracedFullMissGroupDoesNotAllocate) {
   EXPECT_EQ(oneRowAfter - oneRowBefore, 0u)
       << "traced one-row decideColumns allocated "
       << (oneRowAfter - oneRowBefore) << " times";
-  const DecisionCache::Stats oneRow = runtime.decisionCacheStats(kernel.name);
-  EXPECT_EQ(oneRow.hits - warmed.hits, 1u);
-  EXPECT_EQ(oneRow.evictions - warmed.evictions, 1u);
-  EXPECT_EQ(session.explainRing().recorded() - oneRowExplained, 1u);
+  EXPECT_EQ(traced.session.explainRing().recorded() - oneRowExplained, 2u);
+  EXPECT_EQ(traced.counter("decision.compiled") - oneRowCompiled, 2u);
+  EXPECT_EQ(traced.counter("decision.cache_hit"), 0u);
   EXPECT_TRUE(out[0].valid);
 }
 
@@ -517,21 +576,18 @@ TEST(DecideColumns, DeferredTailMatchesDecideBatchOnceItRuns) {
   Twins twins = makeTwins(/*traced=*/true);
   const std::vector<Frame> frames = gridFrames();
   obs::TraceSession& session = *twins.columnsTrace;
-  // Twice over the grid: every row fresh, then every row a hit.
+  // Twice over the grid, every row fresh on both passes.
   for (int pass = 0; pass < 2; ++pass) {
     for (const Frame& frame : frames) {
       SCOPED_TRACE("pass " + std::to_string(pass) + " region '" +
                    frame.region + "'");
-      const DecisionCache::Stats before =
-          twins.columns->decisionCacheStats(frame.region);
       const std::uint64_t recorded = session.explainRing().recorded();
       std::vector<Decision> deferred;
       PendingRecord tail = decideDeferred(*twins.columns, frame, deferred);
-      // Answered, not recorded: nothing stored or published yet.
-      EXPECT_EQ(twins.columns->decisionCacheStats(frame.region).insertions,
-                before.insertions);
+      // Answered, not recorded: nothing published yet.
       EXPECT_EQ(session.explainRing().recorded(), recorded);
       tail.run();
+      EXPECT_EQ(session.explainRing().recorded(), recorded + frame.rows);
       const std::vector<Decision> batched = decideBatch(*twins.batch, frame);
       for (std::size_t r = 0; r < frame.rows; ++r) {
         SCOPED_TRACE("row " + std::to_string(r));
@@ -556,101 +612,90 @@ TEST(DecideColumns, PendingTailRunsBeforeTheThreadsNextDecideCall) {
   PendingRecord tail = decideDeferred(a, first, out1);
   EXPECT_EQ(ringA.explainRing().recorded(), 0u);
   (void)twins.batch->decide(region, {{"n", 64}});
-  EXPECT_EQ(a.decisionCacheStats(region).insertions, first.rows);
   EXPECT_EQ(ringA.explainRing().recorded(), first.rows);
   // The handle's tail already ran: run() does nothing more.
   tail.run();
   EXPECT_EQ(ringA.explainRing().recorded(), first.rows);
 
-  // A pipelined frame: the next deferred call sees everything the previous
-  // one recorded (all hits) and, moved over a spent handle, records
-  // nothing twice.
+  // A pipelined frame: the next deferred call runs the previous one's tail
+  // before it decides and, moved over a spent handle, records nothing
+  // twice.
   std::vector<Decision> out2;
   tail = decideDeferred(a, first, out2);
-  EXPECT_EQ(a.decisionCacheStats(region).hits, first.rows);
+  EXPECT_EQ(ringA.explainRing().recorded(), first.rows);
   std::vector<Decision> out3;
   tail = decideDeferred(a, second, out3);
-  EXPECT_EQ(ringA.explainRing().recorded(), first.rows);
+  EXPECT_EQ(ringA.explainRing().recorded(), 2 * first.rows);
   {
     // A handle destroyed without run() still records.
     const PendingRecord dropped = std::move(tail);
   }
-  EXPECT_EQ(a.decisionCacheStats(region).insertions,
-            first.rows + second.rows);
   const std::vector<obs::DecisionExplain> records =
       ringA.explainRing().snapshot();
-  ASSERT_EQ(records.size(), first.rows + second.rows);
+  ASSERT_EQ(records.size(), 2 * first.rows + second.rows);
   for (std::size_t r = 0; r < records.size(); ++r) {
     EXPECT_EQ(records[r].seq, r);
     // Each record carries its call's answer-phase amortized cost.
-    EXPECT_EQ(records[r].overheadSeconds, r < first.rows
-                                              ? out1[0].overheadSeconds
-                                              : out3[0].overheadSeconds);
+    const double overhead = r < first.rows       ? out1[0].overheadSeconds
+                            : r < 2 * first.rows ? out2[0].overheadSeconds
+                                                 : out3[0].overheadSeconds;
+    EXPECT_EQ(records[r].overheadSeconds, overhead);
   }
+  EXPECT_EQ(a.decisionCacheStats(region).lookups, 0u);
 }
 
-TEST(DecideColumns, PendingTailKeepsAReRegisteredRegionsCacheAlive) {
-  const ir::TargetRegion& kernel =
-      polybench::benchmarkByName("GEMM").kernels()[0];
-  const std::array<ir::TargetRegion, 1> regions{kernel};
-  const std::array<mca::MachineModel, 1> models{mca::MachineModel::power9()};
-  obs::TraceSession session;
-  RuntimeOptions options;
-  options.trace = &session;
-  TargetRuntime runtime(compiler::compileAll(regions, models), options);
-  runtime.registerRegion(kernel);
-  const Frame frame = makeFrame(kernel.name, {"n"}, {{96}, {128}, {4096}});
+TEST(DecideColumns, PendingTailSurvivesReRegistration) {
+  TracedGemm traced;
+  TargetRuntime& runtime = *traced.runtime;
+  const std::string& region = traced.kernel.name;
+  const Frame frame = makeFrame(region, {"n"}, {{96}, {128}, {4096}});
   std::vector<Decision> out;
   PendingRecord tail = decideDeferred(runtime, frame, out);
-  // The re-registration swaps in a fresh plan and cache and drops the
-  // registry's hold on the old ones; the pending back-fill still holds the
-  // old entry, so it fills the old cache, which is freed after it.
-  runtime.registerRegion(kernel);
+  // The re-registration swaps in a fresh plan and cache and frees the
+  // entry the call decided on. The pending tail holds only the call's
+  // explain records, in the thread's arena, so it still publishes them.
+  runtime.registerRegion(traced.kernel);
+  EXPECT_EQ(traced.session.explainRing().recorded(), 0u);
   tail.run();
-  EXPECT_EQ(session.explainRing().recorded(), frame.rows);
-  const DecisionCache::Stats fresh = runtime.decisionCacheStats(kernel.name);
-  EXPECT_EQ(fresh.lookups, 0u);
-  EXPECT_EQ(fresh.insertions, 0u);
+  const std::vector<obs::DecisionExplain> records =
+      traced.session.explainRing().snapshot();
+  ASSERT_EQ(records.size(), frame.rows);
+  for (const obs::DecisionExplain& record : records) {
+    EXPECT_EQ(record.regionView(), region);
+    EXPECT_EQ(record.overheadSeconds, out[0].overheadSeconds);
+  }
+  const DecisionCache::Stats stats = runtime.decisionCacheStats(region);
+  EXPECT_EQ(stats.lookups, 0u);
+  EXPECT_EQ(stats.insertions, 0u);
   for (const Decision& decision : out) EXPECT_TRUE(decision.valid);
 }
 
 TEST(DecideColumns, DeferredTracedFullMissGroupAndItsTailDoNotAllocate) {
   // TracedFullMissGroupDoesNotAllocate's shape as oseld calls it, holding
-  // the tail: the answer and, separately, its record tail (64 inserts evicting 64
-  // entries, 64 explain records in one publish) touch no heap once a first
-  // such frame sized everything.
-  const polybench::Benchmark& gemm = polybench::benchmarkByName("GEMM");
-  const ir::TargetRegion& kernel = gemm.kernels()[0];
-  const std::array<ir::TargetRegion, 1> regions{kernel};
-  const std::array<mca::MachineModel, 1> models{mca::MachineModel::power9()};
-  obs::TraceSession session;
-  RuntimeOptions options;
-  options.selector.cpuThreads = 160;
-  options.trace = &session;
-  TargetRuntime runtime(compiler::compileAll(regions, models), options);
-  runtime.registerRegion(kernel);
-  constexpr std::size_t kRows = 64;
-  ASSERT_EQ(RuntimeOptions{}.decisionCacheCapacity, kRows);
-  std::array<std::int64_t, kRows> warm{};
-  std::array<std::int64_t, kRows> fresh{};
-  for (std::size_t r = 0; r < kRows; ++r) {
-    warm[r] = 64 + 4 * static_cast<std::int64_t>(r);
-    fresh[r] = 64 + 4 * static_cast<std::int64_t>(kRows + r);
-  }
+  // the tail: the answer and, separately, its record tail (64 explain
+  // records in one publish) touch no heap once a first such frame sized
+  // everything.
+  TracedGemm traced;
+  TargetRuntime& runtime = *traced.runtime;
+  const std::string& region = traced.kernel.name;
+  const Frame warm = gemmFrame(region, 0);
+  const Frame fresh = gemmFrame(region, 1);
+  const std::size_t rows = fresh.rows;
   const std::array<std::string_view, 1> names{"n"};
-  std::vector<Decision> out(kRows);
+  std::vector<Decision> out(rows);
   PendingRecord tail = runtime.decideColumns(
-      kernel.name, names, reinterpret_cast<const char*>(warm.data()), kRows,
+      region, names, reinterpret_cast<const char*>(warm.values.data()), rows,
       out);
   tail.run();
-  const std::uint64_t explained = session.explainRing().recorded();
+  const std::uint64_t explained = traced.session.explainRing().recorded();
+  const std::uint64_t compiled = traced.counter("decision.compiled");
 
   const std::uint64_t before = allocationCount();
   tail = runtime.decideColumns(
-      kernel.name, names, reinterpret_cast<const char*>(fresh.data()), kRows,
+      region, names, reinterpret_cast<const char*>(fresh.values.data()), rows,
       out);
   const std::uint64_t answered = allocationCount();
-  EXPECT_EQ(session.explainRing().recorded(), explained);
+  EXPECT_EQ(traced.session.explainRing().recorded(), explained);
   tail.run();
   const std::uint64_t after = allocationCount();
   EXPECT_EQ(answered - before, 0u)
@@ -658,10 +703,9 @@ TEST(DecideColumns, DeferredTracedFullMissGroupAndItsTailDoNotAllocate) {
       << (answered - before) << " times";
   EXPECT_EQ(after - answered, 0u)
       << "its record tail allocated " << (after - answered) << " times";
-  EXPECT_EQ(session.explainRing().recorded() - explained, kRows);
-  const DecisionCache::Stats stats = runtime.decisionCacheStats(kernel.name);
-  EXPECT_EQ(stats.hits, 0u);
-  EXPECT_EQ(stats.evictions, kRows);
+  EXPECT_EQ(traced.session.explainRing().recorded() - explained, rows);
+  EXPECT_EQ(traced.counter("decision.compiled") - compiled, rows);
+  EXPECT_EQ(runtime.decisionCacheStats(region).lookups, 0u);
   for (const Decision& decision : out) EXPECT_TRUE(decision.valid);
 }
 

@@ -5,8 +5,8 @@
 // releases and are now removed, as are the second (scalar) decide path's
 // knobs and cache/plan entry points and the interpreted walk (a test-only
 // oracle now). These are compile-time checks that the removed signatures
-// no longer exist (launch admission control and the deferred column entry
-// point included), plus behavioral pins that the unified API still decides
+// no longer exist (launch admission control, the deferred column entry
+// point and the parked cache back-fill included), plus behavioral pins that the unified API still decides
 // for the old argument types: a CompiledRegionPlan through the implicit
 // RegionHandle conversion, RegionAttributes through compile().
 #include <gtest/gtest.h>
@@ -260,6 +260,19 @@ static_assert(
                        nullptr, std::size_t{}, std::span<Decision>{})),
                    PendingRecord>,
     "decideColumns returns its record tail");
+
+// decideColumns does not memoize, and a memoizing call inserts its fresh
+// rows inline, so no decide call leaves a cache back-fill pending.
+template <typename Arena>
+constexpr bool kHasParkedBackfill =
+    requires(Arena& arena) { arena.backfill(); } ||
+    requires(Arena& arena) { arena.backfillCache; } ||
+    requires(Arena& arena) { arena.backfillKeys; } ||
+    requires(Arena& arena) { arena.backfillEpoch; };
+
+static_assert(!kHasParkedBackfill<BatchArena>,
+              "BatchArena's parked cache back-fill was removed; a record "
+              "tail is the explain publish alone");
 
 // The library decides only through compiled plans: the interpreted walk
 // (a handle over raw PAD attributes, the selector's workload builders)

@@ -12,7 +12,8 @@
 //
 // The overhead contract: every row a runtime call serves, cache hit or
 // fresh, reports the call's wall time divided by its rows, and every
-// explain record the call publishes carries its row's value.
+// explain record the call publishes carries its row's value. decideColumns
+// decides every row afresh, so each of its rows publishes a record.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -408,11 +409,12 @@ void decideFrame(TargetRuntime& runtime, const Frame& frame,
 }
 
 /// decideColumns over every frame into `reused` (one span for all frames)
-/// and into fresh spans; rows and explain records must match each other
-/// and, on the rows `oracleRows` selects, the interpreted reference.
+/// and into fresh spans; rows and explain records (one per row: every
+/// column row is fresh) must match each other and, on the rows `oracleRows`
+/// selects, the interpreted reference.
 void expectColumnsPassMatches(Traced& reusedSide, Traced& freshSide,
                               const std::vector<Frame>& frames,
-                              std::vector<Decision>& reused, bool allFresh,
+                              std::vector<Decision>& reused,
                               OracleRows oracleRows = everyRow) {
   for (const Frame& frame : frames) {
     SCOPED_TRACE("frame '" + frame.region + "'");
@@ -426,24 +428,20 @@ void expectColumnsPassMatches(Traced& reusedSide, Traced& freshSide,
         recordsSince(*reusedSide.session, reusedFrom);
     const std::vector<obs::DecisionExplain> freshRecords =
         recordsSince(*freshSide.session, freshFrom);
-    ASSERT_EQ(reusedRecords.size(), freshRecords.size());
-    if (allFresh) {
-      ASSERT_EQ(reusedRecords.size(), frame.rows);
-    }
+    ASSERT_EQ(reusedRecords.size(), frame.rows);
+    ASSERT_EQ(freshRecords.size(), frame.rows);
     for (std::size_t r = 0; r < frame.rows; ++r) {
       SCOPED_TRACE("row " + std::to_string(r));
       expectSameRow(reused[r], fresh[r]);
       EXPECT_GT(reused[r].overheadSeconds, 0.0);
-      if (r < reusedRecords.size()) {
-        expectIdenticalExplains(reusedRecords[r], freshRecords[r]);
-      }
+      expectIdenticalExplains(reusedRecords[r], freshRecords[r]);
       const symbolic::Bindings bindings = frame.row(r);
       if (!oracleRows(frame.region, bindings)) continue;
       obs::DecisionExplain explain;
       const Decision expected = referenceDecision(
           *reusedSide.runtime, frame.region, bindings, explain);
       expectSameRow(reused[r], expected);
-      if (allFresh) expectIdenticalExplains(reusedRecords[r], explain);
+      expectIdenticalExplains(reusedRecords[r], explain);
     }
   }
 }
@@ -456,17 +454,17 @@ TEST(ReusedSpan, DecideColumnsOverwritesEveryFieldOfEveryRow) {
   const std::vector<Frame> other = columnFrames({2, 48, 640}, kernelOf("MVT"));
   std::vector<Decision> reused(frames.front().rows, poisoned());
   {
-    SCOPED_TRACE("poisoned span, every row fresh");
-    expectColumnsPassMatches(reusedSide, freshSide, frames, reused, true);
+    SCOPED_TRACE("poisoned span");
+    expectColumnsPassMatches(reusedSide, freshSide, frames, reused);
   }
   reused.assign(frames.front().rows, poisoned());
   {
-    SCOPED_TRACE("poisoned span, cache hits");
-    expectColumnsPassMatches(reusedSide, freshSide, frames, reused, false);
+    SCOPED_TRACE("poisoned span, the same frames again");
+    expectColumnsPassMatches(reusedSide, freshSide, frames, reused);
   }
   {
-    SCOPED_TRACE("span holding earlier rows, every row fresh");
-    expectColumnsPassMatches(reusedSide, freshSide, other, reused, true);
+    SCOPED_TRACE("span holding earlier rows");
+    expectColumnsPassMatches(reusedSide, freshSide, other, reused);
   }
   // An armed selector fault degrades every model evaluation; the rows the
   // pass above left valid are overwritten with the fault's decision.
@@ -476,7 +474,7 @@ TEST(ReusedSpan, DecideColumnsOverwritesEveryFieldOfEveryRow) {
   const std::vector<Frame> faulted =
       columnFrames({5, 96, 1024}, kernelOf("ATAX"));
   const std::uint64_t from = reusedSide.session->explainRing().recorded();
-  expectColumnsPassMatches(reusedSide, freshSide, faulted, reused, true,
+  expectColumnsPassMatches(reusedSide, freshSide, faulted, reused,
                            reachesTheFaultPoint);
   for (std::size_t r = 0; r < faulted.front().rows; ++r) {
     EXPECT_FALSE(reused[r].valid);
@@ -648,13 +646,15 @@ TEST(OverheadContract, BatchHitsAndFreshRowsShareTheCallsAmortizedCost) {
   EXPECT_EQ(overheadSamples(session) - samples, 1u);
 }
 
-TEST(OverheadContract, ColumnHitsAndFreshRowsShareTheCallsAmortizedCost) {
+TEST(OverheadContract, EveryColumnRowSharesTheCallsAmortizedCost) {
   Traced traced = makeTraced();
   TargetRuntime& runtime = *traced.runtime;
   obs::TraceSession& session = *traced.session;
   const std::string region = gemm().kernels()[0].name;
   const std::array<std::string_view, 1> names{"n"};
   const std::array<std::int64_t, 6> values{64, 96, 128, 160, 192, 224};
+  // Every other key is in the cache, but decideColumns does not memoize:
+  // every row is fresh and publishes its record.
   for (std::size_t i = 0; i < values.size(); i += 2) {
     (void)runtime.decide(region, {{"n", values[i]}});
   }
@@ -666,7 +666,7 @@ TEST(OverheadContract, ColumnHitsAndFreshRowsShareTheCallsAmortizedCost) {
                         values.size(), out);
   const std::vector<obs::DecisionExplain> records =
       recordsSince(session, from);
-  EXPECT_EQ(records.size(), values.size() / 2);
+  EXPECT_EQ(records.size(), values.size());
   expectOneCallOverhead(out, records);
   EXPECT_EQ(overheadSamples(session) - samples, 1u);
 

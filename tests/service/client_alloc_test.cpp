@@ -66,7 +66,7 @@ TEST(ClientAlloc, WarmedUpDecideAndDecideBatchDoNotAllocate) {
   const TraceContextBlock trace{};
 
   // Warm-up: grows the client's send, receive and parse scratch to their
-  // steady-state sizes (and fills the server's decision cache).
+  // steady-state sizes (and the server's worker arena and reply buffer).
   for (int round = 0; round < 8; ++round) {
     (void)client.decide("stream", bindings, &trace);
     client.decideBatch("stream", slots, kRows, values, out, &trace);

@@ -1,9 +1,10 @@
 // The order in which oseld answers and records a decide frame: the reply
-// is sent first, and the frame's record phase (decision-cache back-fill,
-// explain publish, per-frame bookkeeping) runs before the worker reads the
+// is sent first, and the frame's record phase (explain publish, per-frame
+// counters and stage samples) runs before the worker reads the
 // connection's next frame. So a connection's next frame sees everything its
 // earlier frames recorded — request-reply, pipelined in one write, or after
-// the client hung up. Labelled test_service; the tsan preset runs this
+// the client hung up. oseld decides every row afresh: no frame touches the
+// region's decision cache. Labelled test_service; the tsan preset runs this
 // binary under ThreadSanitizer.
 #include <gtest/gtest.h>
 
@@ -61,6 +62,18 @@ std::unique_ptr<Server> startServer() {
   return server;
 }
 
+std::uint64_t counter(Server& server, const char* name) {
+  return server.session().metrics().counter(name).value();
+}
+
+/// The region's decision cache saw no traffic.
+void expectCacheUntouched(Server& server) {
+  const runtime::DecisionCache::Stats stats =
+      server.runtime().decisionCacheStats(std::string(kRegion));
+  EXPECT_EQ(stats.lookups, 0u);
+  EXPECT_EQ(stats.insertions, 0u);
+}
+
 /// `rows` sizes no earlier frame of these tests decided.
 std::vector<std::int64_t> sizes(std::size_t rows, std::int64_t first) {
   std::vector<std::int64_t> values(rows);
@@ -80,23 +93,20 @@ TEST(RecordOrder, BatchReplyThenPingSeesTheFramesRecord) {
   std::vector<runtime::Decision> decisions;
   client.decideBatch(kRegion, kSlots, kRows, values, decisions);
   client.ping();
-  // The Ping was read after the batch's record phase: every fresh row is
-  // in the cache and published as an explain record.
-  const runtime::DecisionCache::Stats stats =
-      server->runtime().decisionCacheStats(std::string(kRegion));
-  EXPECT_EQ(stats.insertions, kRows);
-  EXPECT_EQ(stats.hits, 0u);
+  // The Ping was read after the batch's record phase: every row is
+  // published as an explain record and counted.
   EXPECT_EQ(server->session().explainRing().recorded(), kRows);
+  EXPECT_EQ(counter(*server, "service.decisions"), kRows);
 
-  // Resending the frame is served from the cache, row for row.
+  // Resending the frame decides it afresh, row for row, with the same
+  // decisions.
   std::vector<runtime::Decision> again;
   client.decideBatch(kRegion, kSlots, kRows, values, again);
   client.ping();
-  const runtime::DecisionCache::Stats resent =
-      server->runtime().decisionCacheStats(std::string(kRegion));
-  EXPECT_EQ(resent.hits, kRows);
-  EXPECT_EQ(resent.insertions, kRows);
-  EXPECT_EQ(server->session().explainRing().recorded(), kRows);
+  EXPECT_EQ(server->session().explainRing().recorded(), 2 * kRows);
+  EXPECT_EQ(counter(*server, "service.decisions"), 2 * kRows);
+  EXPECT_EQ(counter(*server, "decision.cache_hit"), 0u);
+  expectCacheUntouched(*server);
   ASSERT_EQ(again.size(), kRows);
   for (std::size_t r = 0; r < kRows; ++r) {
     EXPECT_EQ(again[r].device, decisions[r].device);
@@ -111,8 +121,8 @@ TEST(RecordOrder, PipelinedFramesSeeTheEarlierFramesRecord) {
   std::string out;
   encodeHello(out, HelloFrame{});
   // The same fresh frame twice, then a Ping, in one write: the second
-  // frame is decided after the first one's record phase, so it hits on
-  // every row even when the three arrive in one read.
+  // frame is decided after the first one's record phase, even when the
+  // three arrive in one read.
   const std::vector<std::int64_t> values = sizes(kRows, 1024);
   encodeDecideBatch(out, 1, kRegion, kSlots, kRows, values);
   encodeDecideBatch(out, 100, kRegion, kSlots, kRows, values);
@@ -158,12 +168,25 @@ TEST(RecordOrder, PipelinedFramesSeeTheEarlierFramesRecord) {
     }
     EXPECT_EQ(count, 2u) << name;
   }
-  const runtime::DecisionCache::Stats stats =
-      server->runtime().decisionCacheStats(std::string(kRegion));
-  EXPECT_EQ(stats.lookups, 2 * kRows);
-  EXPECT_EQ(stats.hits, kRows);
-  EXPECT_EQ(stats.insertions, kRows);
-  EXPECT_EQ(server->session().explainRing().recorded(), kRows);
+  EXPECT_EQ(counter(*server, "service.decisions"), 2 * kRows);
+  expectCacheUntouched(*server);
+  // The first frame's explain records were published before the second
+  // frame's decide began.
+  const std::vector<obs::DecisionExplain> records =
+      server->session().explainRing().snapshot();
+  ASSERT_EQ(records.size(), 2 * kRows);
+  std::vector<obs::TraceEvent> decides;
+  for (const obs::TraceEvent& event : server->session().snapshot()) {
+    if (std::string_view(event.name) == "decide.batch") {
+      decides.push_back(event);
+    }
+  }
+  ASSERT_EQ(decides.size(), 2u);
+  const obs::TraceEvent& secondDecide =
+      decides[0].seq < decides[1].seq ? decides[1] : decides[0];
+  for (std::size_t r = 0; r < kRows; ++r) {
+    EXPECT_LE(records[r].atNs, secondDecide.startNs) << "row " << r;
+  }
 }
 
 TEST(RecordOrder, AClientThatHangsUpAfterItsReplyStillGetsItsRecord) {
@@ -176,10 +199,9 @@ TEST(RecordOrder, AClientThatHangsUpAfterItsReplyStillGetsItsRecord) {
     ASSERT_EQ(decisions.size(), kRows);
   }  // hangs up with no further frame
   server->stop();
-  const runtime::DecisionCache::Stats stats =
-      server->runtime().decisionCacheStats(std::string(kRegion));
-  EXPECT_EQ(stats.insertions, kRows);
   EXPECT_EQ(server->session().explainRing().recorded(), kRows);
+  EXPECT_EQ(counter(*server, "service.decisions"), kRows);
+  expectCacheUntouched(*server);
   const obs::MetricsRegistry::Snapshot snapshot =
       server->session().metrics().snapshot();
   std::uint64_t recordFrames = 0;

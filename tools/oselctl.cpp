@@ -21,8 +21,7 @@
 //                                         as JSONL wide events
 //   oselctl top  --socket PATH            live dashboard: decisions/sec,
 //                                         per-stage latency quantiles,
-//                                         cache hit ratio, shed/drift/refit
-//                                         counters
+//                                         shed/drift/refit counters
 //
 // `decide` and `stats` accept --socket PATH to talk to a live oseld over
 // its wire protocol instead of evaluating in-process (docs/SERVICE.md).
@@ -434,9 +433,10 @@ int cmdSocketSlow(const std::string& socketPath, std::uint32_t maxRecords) {
 // --- oselctl top ----------------------------------------------------------
 // Polls the daemon's Prometheus exposition over the stats feature and
 // renders interval deltas: decisions/sec, per-stage latency quantiles from
-// bucket-count deltas (obs::quantileFromBuckets), cache hit ratio, and the
+// bucket-count deltas (obs::quantileFromBuckets), and the
 // shed/drift-alarm/refit counters. No new wire surface — anything shown
-// here is scrapeable from `GET /metrics` too.
+// here is scrapeable from `GET /metrics` too. No decision-cache hit ratio:
+// oseld decides every wire row afresh.
 
 /// One parsed Prometheus histogram family (cumulative bucket counts in
 /// exposition order, +Inf last; `upperBounds` excludes +Inf).
@@ -579,9 +579,8 @@ void renderTop(const std::string& socketPath, const PromSnapshot& snap,
                 quantile(0.999).c_str(),
                 static_cast<unsigned long long>(total));
   }
-  std::printf("cache hit ratio %.1f%%   sheds %.0f (+%.0f)   drift alarms "
-              "%.0f (+%.0f)   refits %.0f (+%.0f)\n",
-              snap.value("osel_decision_cache_hit_ratio") * 100.0,
+  std::printf("sheds %.0f (+%.0f)   drift alarms %.0f (+%.0f)   refits "
+              "%.0f (+%.0f)\n",
               snap.value("osel_service_sheds_total"),
               delta("osel_service_sheds_total"),
               snap.value("osel_drift_alarms_total"),
@@ -682,8 +681,8 @@ constexpr const char* kUsage =
     "                                  JSONL (default: everything buffered)\n"
     "  top --socket PATH [--interval-ms M] [--iterations K]\n"
     "                                  decisions/sec, per-stage p50/p99/p999,\n"
-    "                                  cache hit ratio, shed/drift/refit\n"
-    "                                  counters; K <= 0 polls forever\n"
+    "                                  shed/drift/refit counters; K <= 0\n"
+    "                                  polls forever\n"
     "  exit codes: 0 ok, 2 usage, 3 could not connect\n"
     "\n"
     "common options: --n N, --threads T, --platform v100|k80,\n"
