@@ -3,11 +3,15 @@
 // enough that the evaluation harness stays interactive.
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
+#include "compiler/compiler.h"
 #include "ir/builder.h"
 #include "ipda/ipda.h"
 #include "ir/interpreter.h"
 #include "mca/lowering.h"
 #include "mca/pipeline_sim.h"
+#include "polybench/polybench.h"
 #include "support/cache_sim.h"
 #include "support/rng.h"
 #include "symbolic/compiled_expr.h"
@@ -96,6 +100,22 @@ void BM_McaSteadyState(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_McaSteadyState);
+
+// The compile half of a service start: compileAll over every Polybench
+// region. Arg 1 compiles for POWER9 alone (the ledger's in-process stack),
+// arg 2 for POWER9 + POWER8 (oseld's host models).
+void BM_CompileAllSuite(benchmark::State& state) {
+  std::vector<TargetRegion> regions;
+  for (const polybench::Benchmark& benchmark : polybench::suite())
+    for (const TargetRegion& kernel : benchmark.kernels())
+      regions.push_back(kernel);
+  std::vector<mca::MachineModel> hosts{mca::MachineModel::power9()};
+  if (state.range(0) == 2) hosts.push_back(mca::MachineModel::power8());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(compiler::compileAll(regions, hosts));
+  }
+}
+BENCHMARK(BM_CompileAllSuite)->Arg(1)->Arg(2)->Unit(benchmark::kMillisecond);
 
 void BM_IpdaAnalyzeGemm(benchmark::State& state) {
   const TargetRegion region = gemmRegion();

@@ -131,9 +131,11 @@ pad::RegionAttributes analyzeRegion(const ir::TargetRegion& region,
   attr.bytesTouchedPerIteration = bytesTouched;
 
   // --- MCA Machine_cycles_per_iter per host model ---------------------------
+  // The region verified above; compose directly rather than through
+  // machineCyclesPerIteration, which would verify it again per model.
   for (const mca::MachineModel& model : hostModels)
     attr.machineCyclesPerIter[model.name] =
-        machineCyclesPerIteration(region, model, options);
+        McaComposer(region, model, options).costOf(region.body);
 
   // --- IPDA stride records ---------------------------------------------------
   const ipda::Analysis analysis = ipda::Analysis::analyze(region);

@@ -28,7 +28,8 @@ std::int64_t ArrayDecl::elementCount(const symbolic::Bindings& bindings) const {
   std::int64_t count = 1;
   for (const auto& extent : extents) {
     const std::int64_t value = extent.evaluate(bindings);
-    require(value > 0, "ArrayDecl: non-positive extent for " + name);
+    if (value <= 0)
+      require(false, "ArrayDecl: non-positive extent for " + name);
     count *= value;
   }
   return count;
@@ -39,8 +40,8 @@ std::int64_t ArrayDecl::byteSize(const symbolic::Bindings& bindings) const {
 }
 
 symbolic::Expr ArrayDecl::linearize(const std::vector<symbolic::Expr>& indices) const {
-  require(indices.size() == extents.size(),
-          "ArrayDecl::linearize: rank mismatch on " + name);
+  if (indices.size() != extents.size())
+    require(false, "ArrayDecl::linearize: rank mismatch on " + name);
   symbolic::Expr linear;
   for (std::size_t d = 0; d < indices.size(); ++d) {
     linear *= extents[d];
@@ -53,7 +54,8 @@ const ArrayDecl& TargetRegion::array(const std::string& arrayName) const {
   const auto it = std::find_if(arrays.begin(), arrays.end(), [&](const ArrayDecl& a) {
     return a.name == arrayName;
   });
-  require(it != arrays.end(), "TargetRegion: unknown array " + arrayName);
+  if (it == arrays.end())
+    require(false, "TargetRegion: unknown array " + arrayName);
   return *it;
 }
 
@@ -99,13 +101,14 @@ class Verifier {
   explicit Verifier(const TargetRegion& region) : region_(region) {
     for (const auto& param : region.params) {
       require(!param.empty(), "verify: empty parameter name");
-      require(scope_.insert(param).second, "verify: duplicate symbol " + param);
+      if (!scope_.insert(param).second)
+        require(false, "verify: duplicate symbol " + param);
     }
     for (const auto& dim : region.parallelDims) {
       checkExprScope(dim.extent, "parallel extent");
       require(!dim.var.empty(), "verify: empty parallel loop variable");
-      require(scope_.insert(dim.var).second,
-              "verify: duplicate symbol " + dim.var);
+      if (!scope_.insert(dim.var).second)
+        require(false, "verify: duplicate symbol " + dim.var);
     }
   }
 
@@ -113,19 +116,22 @@ class Verifier {
     std::set<std::string> arrayNames;
     for (const auto& decl : region_.arrays) {
       require(!decl.name.empty(), "verify: empty array name");
-      require(arrayNames.insert(decl.name).second,
-              "verify: duplicate array " + decl.name);
-      require(!decl.extents.empty(), "verify: array with no extents: " + decl.name);
+      if (!arrayNames.insert(decl.name).second)
+        require(false, "verify: duplicate array " + decl.name);
+      if (decl.extents.empty())
+        require(false, "verify: array with no extents: " + decl.name);
       for (const auto& extent : decl.extents) checkExprScope(extent, "array extent");
     }
     checkBody(region_.body);
   }
 
  private:
-  void checkExprScope(const symbolic::Expr& expr, const std::string& what) {
+  void checkExprScope(const symbolic::Expr& expr, const char* what) {
     for (const auto& sym : expr.freeSymbols()) {
-      require(scope_.contains(sym),
-              "verify: symbol [" + sym + "] in " + what + " is not in scope");
+      if (!scope_.contains(sym)) {
+        require(false, "verify: symbol [" + sym + "] in " + what +
+                           " is not in scope");
+      }
     }
   }
 
@@ -134,15 +140,18 @@ class Verifier {
       case Value::Kind::Constant:
         return;
       case Value::Kind::Local:
-        require(locals_.contains(value.localName()),
-                "verify: local " + value.localName() + " read before assignment");
+        if (!locals_.contains(value.localName())) {
+          require(false, "verify: local " + value.localName() +
+                             " read before assignment");
+        }
         return;
       case Value::Kind::ArrayRead: {
-        require(region_.hasArray(value.arrayName()),
-                "verify: read of undeclared array " + value.arrayName());
+        if (!region_.hasArray(value.arrayName()))
+          require(false,
+                  "verify: read of undeclared array " + value.arrayName());
         const auto& decl = region_.array(value.arrayName());
-        require(decl.extents.size() == value.indices().size(),
-                "verify: rank mismatch reading " + value.arrayName());
+        if (decl.extents.size() != value.indices().size())
+          require(false, "verify: rank mismatch reading " + value.arrayName());
         for (const auto& index : value.indices()) checkExprScope(index, "array index");
         return;
       }
@@ -167,11 +176,13 @@ class Verifier {
           locals_.insert(stmt.targetName());
           break;
         case Stmt::Kind::Store: {
-          require(region_.hasArray(stmt.targetName()),
-                  "verify: store to undeclared array " + stmt.targetName());
+          if (!region_.hasArray(stmt.targetName()))
+            require(false,
+                    "verify: store to undeclared array " + stmt.targetName());
           const auto& decl = region_.array(stmt.targetName());
-          require(decl.extents.size() == stmt.storeIndices().size(),
-                  "verify: rank mismatch storing " + stmt.targetName());
+          if (decl.extents.size() != stmt.storeIndices().size())
+            require(false,
+                    "verify: rank mismatch storing " + stmt.targetName());
           for (const auto& index : stmt.storeIndices())
             checkExprScope(index, "store index");
           checkValue(stmt.value());
@@ -180,8 +191,9 @@ class Verifier {
         case Stmt::Kind::SeqLoop: {
           checkExprScope(stmt.lowerBound(), "loop lower bound");
           checkExprScope(stmt.upperBound(), "loop upper bound");
-          require(!scope_.contains(stmt.loopVar()),
-                  "verify: loop variable shadows symbol " + stmt.loopVar());
+          if (scope_.contains(stmt.loopVar()))
+            require(false,
+                    "verify: loop variable shadows symbol " + stmt.loopVar());
           scope_.insert(stmt.loopVar());
           checkBody(stmt.loopBody());
           scope_.erase(stmt.loopVar());

@@ -25,11 +25,6 @@ enum class ScalarType { F32, F64, I32, I64 };
   return 8;
 }
 
-/// True for F32/F64.
-[[nodiscard]] constexpr bool isFloatingPoint(ScalarType type) {
-  return type == ScalarType::F32 || type == ScalarType::F64;
-}
-
 [[nodiscard]] std::string toString(ScalarType type);
 
 }  // namespace osel::ir

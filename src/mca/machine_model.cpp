@@ -57,8 +57,10 @@ std::string MCProgram::toString() const {
 
 const OpModel& MachineModel::opModel(MOp op) const {
   const auto it = ops.find(op);
-  require(it != ops.end(),
-          "MachineModel " + name + ": no entry for op " + osel::mca::toString(op));
+  if (it == ops.end()) {
+    require(false, "MachineModel " + name + ": no entry for op " +
+                       osel::mca::toString(op));
+  }
   return it->second;
 }
 

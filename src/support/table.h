@@ -31,7 +31,6 @@ class TextTable {
   /// Appends a horizontal separator row (rendered as dashes).
   void addSeparator();
 
-  [[nodiscard]] std::size_t columnCount() const { return headers_.size(); }
   [[nodiscard]] std::size_t rowCount() const { return rows_.size(); }
 
   /// Renders with space padding, a header underline, and `indent` leading
