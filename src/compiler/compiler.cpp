@@ -1,5 +1,10 @@
 #include "compiler/compiler.h"
 
+#include <algorithm>
+#include <atomic>
+#include <exception>
+#include <optional>
+#include <thread>
 #include <vector>
 
 #include "ipda/ipda.h"
@@ -177,9 +182,45 @@ pad::RegionAttributes analyzeRegion(const ir::TargetRegion& region,
 pad::AttributeDatabase compileAll(std::span<const ir::TargetRegion> regions,
                                   std::span<const mca::MachineModel> hostModels,
                                   const CompileOptions& options) {
+  // Regions are analyzed independently, so workers claim them through one
+  // atomic index. Each result or error lands in its region's slot, and the
+  // database is filled in region order afterwards: the PAD, and the error
+  // thrown, are the ones a serial loop over `regions` produces.
+  std::vector<std::optional<pad::RegionAttributes>> results(regions.size());
+  std::vector<std::exception_ptr> errors(regions.size());
+  std::atomic<std::size_t> next{0};
+  const auto work = [&] {
+    for (std::size_t i = next++; i < regions.size(); i = next++) {
+      try {
+        results[i] = analyzeRegion(regions[i], hostModels, options);
+      } catch (...) {
+        errors[i] = std::current_exception();
+      }
+    }
+  };
+
+  // The calling thread is one of the workers, so one region starts no
+  // thread. A helper that cannot be started is left out: the running
+  // workers, the caller among them, drain the index.
+  const std::size_t workers = std::min<std::size_t>(
+      regions.size(), std::max(1U, std::thread::hardware_concurrency()));
+  std::vector<std::thread> helpers;
+  helpers.reserve(workers);
+  for (std::size_t t = 1; t < workers; ++t) {
+    try {
+      helpers.emplace_back(work);
+    } catch (...) {
+      break;
+    }
+  }
+  work();
+  for (std::thread& helper : helpers) helper.join();
+
   pad::AttributeDatabase db;
-  for (const ir::TargetRegion& region : regions)
-    db.insert(analyzeRegion(region, hostModels, options));
+  for (std::size_t i = 0; i < regions.size(); ++i) {
+    if (errors[i]) std::rethrow_exception(errors[i]);
+    db.insert(std::move(*results[i]));
+  }
   return db;
 }
 

@@ -13,6 +13,9 @@
 //     runtime completes at launch;
 //   5. deposits everything in the Program Attribute Database.
 //
+// Each region is analyzed on one thread; compileAll analyzes several
+// regions at once and still fills the database in region order.
+//
 // The "two generated versions" of the region (CPU and GPU) share the kernel
 // IR here; the simulators play the role of the two code paths.
 #pragma once
@@ -40,7 +43,12 @@ struct CompileOptions {
     const ir::TargetRegion& region, std::span<const mca::MachineModel> hostModels,
     const CompileOptions& options = {});
 
-/// Convenience: analyzes several regions into a fresh database.
+/// Analyzes several regions into a fresh database, running analyzeRegion
+/// on up to min(regions.size(), std::thread::hardware_concurrency())
+/// threads, the caller among them (one region starts no thread). The
+/// database is filled in region order, so it is the one a serial loop
+/// builds, and when regions throw, the lowest-indexed failure is rethrown
+/// after every thread has joined.
 [[nodiscard]] pad::AttributeDatabase compileAll(
     std::span<const ir::TargetRegion> regions,
     std::span<const mca::MachineModel> hostModels,

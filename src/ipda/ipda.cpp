@@ -59,9 +59,10 @@ Analysis Analysis::analyze(const ir::TargetRegion& region) {
     record.elementBytes = ir::sizeOf(decl.elementType);
     record.affineInThreadVar = record.linearIndex.isAffineIn({threadVar});
     if (record.affineInThreadVar) {
-      // For affine addresses differenceIn(threadVar) == coefficientOf
-      // (threadVar); using the difference keeps the definition uniform.
-      record.stride = record.linearIndex.differenceIn(threadVar);
+      // The stride is f(t+1) - f(t). For an address affine in t that
+      // difference is exactly t's coefficient, which is cheaper to read off
+      // than to substitute and subtract (the canonical forms are equal).
+      record.stride = record.linearIndex.coefficientOf(threadVar);
     }
     record.site = std::move(site);
     analysis.records_.push_back(std::move(record));

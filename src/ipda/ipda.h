@@ -58,7 +58,8 @@ struct StrideRecord {
   /// Flattened (row-major) element-index expression of the access.
   symbolic::Expr linearIndex;
   /// Symbolic inter-thread stride: linearIndex differenced in the thread
-  /// variable. Meaningful only when `affineInThreadVar`.
+  /// variable, read off as that variable's coefficient (equal for an
+  /// affine address). Meaningful only when `affineInThreadVar`.
   symbolic::Expr stride;
   /// True when the address is affine in the thread (innermost parallel)
   /// variable, i.e. the difference is independent of the thread's position.

@@ -178,42 +178,6 @@ std::string renderChromeTrace(const TraceSession& session) {
   return renderChromeTrace(session.snapshot());
 }
 
-std::string renderTraceCsv(std::span<const TraceEvent> events) {
-  std::string out =
-      "seq,kind,name,category,label,start_ns,dur_ns,tid,"
-      "arg0,value0,arg1,value1\n";
-  out.reserve(out.size() + events.size() * 96);
-  for (const TraceEvent& event : events) {
-    out += std::to_string(event.seq);
-    out += ',';
-    out += event.kind == EventKind::Span ? "span" : "instant";
-    out += ',';
-    support::csvQuote(out, event.name);
-    out += ',';
-    support::csvQuote(out, event.category);
-    out += ',';
-    support::csvQuote(out, event.labelView());
-    out += ',';
-    out += std::to_string(event.startNs);
-    out += ',';
-    out += std::to_string(event.durNs);
-    out += ',';
-    out += std::to_string(event.tid);
-    for (const TraceArg& arg : event.args) {
-      out += ',';
-      if (arg.key != nullptr) support::csvQuote(out, arg.key);
-      out += ',';
-      if (arg.key != nullptr) appendDouble(out, arg.value);
-    }
-    out += '\n';
-  }
-  return out;
-}
-
-std::string renderTraceCsv(const TraceSession& session) {
-  return renderTraceCsv(session.snapshot());
-}
-
 std::string renderStatsSummary(const TraceSession& session) {
   std::string out = "trace: " + std::to_string(session.recorded()) +
                     " events recorded, " + std::to_string(session.dropped()) +

@@ -1,15 +1,16 @@
 // osel/obs/export.h — trace and metrics exporters.
 //
-// Three render targets for one TraceSession:
+// Render targets for one TraceSession, among them:
 //   * Chrome trace_event JSON ("catapult" format) — load the file in
 //     chrome://tracing or https://ui.perfetto.dev to see the launch
 //     pipeline's spans on a timeline,
-//   * CSV — one row per event, RFC-4180 quoted, for spreadsheet analysis,
 //   * a human-readable stats summary (support/table) — metrics registry
-//     plus the per-region predicted-vs-actual accuracy table.
-// All three render from an explicit event snapshot (or the session), so
-// tests can feed hand-built events with fixed timestamps and diff golden
-// output byte-for-byte.
+//     plus the per-region predicted-vs-actual accuracy table,
+//   * Prometheus text exposition, explain JSON/text, the drift report and
+//     the slow-request JSONL.
+// Renderers that take an explicit event or record snapshot let tests feed
+// hand-built input with fixed timestamps and diff golden output
+// byte-for-byte.
 #pragma once
 
 #include <span>
@@ -27,10 +28,6 @@ namespace osel::obs {
 
 /// renderChromeTrace over the session's current snapshot.
 [[nodiscard]] std::string renderChromeTrace(const TraceSession& session);
-
-/// CSV: seq,kind,name,category,label,start_ns,dur_ns,tid,arg0,value0,arg1,value1.
-[[nodiscard]] std::string renderTraceCsv(std::span<const TraceEvent> events);
-[[nodiscard]] std::string renderTraceCsv(const TraceSession& session);
 
 /// Human-readable session summary: event/drop counts, the metrics registry
 /// summary, and the per-region prediction-accuracy table.

@@ -10,8 +10,8 @@ namespace osel::support {
 /// Appends `field` to `out`, quoted for CSV per RFC 4180: fields containing
 /// a comma, double quote, or newline are wrapped in double quotes with
 /// embedded quotes doubled; all other fields pass through unchanged. The
-/// single quoting implementation behind every CSV renderer (trace CSV,
-/// launch-log CSV, metrics CSV, TextTable::renderCsv).
+/// single quoting implementation behind every CSV renderer (launch-log
+/// CSV, workload trace files, metrics CSV, TextTable::renderCsv).
 void csvQuote(std::string& out, std::string_view field);
 
 /// csvQuote into a fresh string.

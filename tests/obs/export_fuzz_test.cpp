@@ -305,27 +305,5 @@ TEST(ExportFuzz, PrometheusExpositionStaysWellFormedUnderHostileLabels) {
   EXPECT_TRUE(validPromExposition(exposition));
 }
 
-TEST(ExportFuzz, TraceCsvKeepsOneRecordPerLineUnderHostileLabels) {
-  // RFC-4180: a label may expand to a quoted field containing newlines, but
-  // the number of *unquoted* newlines must equal header + one per event.
-  TraceSession session({.capacity = 256});
-  std::int64_t ts = 0;
-  std::size_t events = 0;
-  for (const std::string& label : hostileLabels()) {
-    session.recordSpan("decide", "compiled", label, ts, 10);
-    ts += 20;
-    ++events;
-  }
-  const std::string csv = renderTraceCsv(session);
-  std::size_t unquotedNewlines = 0;
-  bool inQuotes = false;
-  for (std::size_t i = 0; i < csv.size(); ++i) {
-    if (csv[i] == '"') inQuotes = !inQuotes;
-    if (csv[i] == '\n' && !inQuotes) ++unquotedNewlines;
-  }
-  EXPECT_FALSE(inQuotes);
-  EXPECT_EQ(unquotedNewlines, events + 1);
-}
-
 }  // namespace
 }  // namespace osel::obs

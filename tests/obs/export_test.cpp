@@ -1,7 +1,6 @@
 // Exporter goldens. Chrome's trace_event viewer is an external consumer, so
 // the JSON shape is pinned byte for byte on hand-built events (explicit
-// timestamps and tids make the output fully deterministic); the CSV export
-// is pinned the same way, including RFC-4180 quoting of labels.
+// timestamps and tids make the output fully deterministic).
 #include "obs/export.h"
 
 #include <gtest/gtest.h>
@@ -75,21 +74,6 @@ TEST(ChromeTrace, SessionOverloadExportsTheSnapshot) {
   EXPECT_NE(json.find("\"name\":\"decide\""), std::string::npos);
   EXPECT_NE(json.find("\"label\":\"gemm_k1\""), std::string::npos);
   EXPECT_NE(json.find("\"displayTimeUnit\":\"ms\""), std::string::npos);
-}
-
-TEST(TraceCsv, GoldenOutputWithQuotedLabel) {
-  const std::vector<TraceEvent> events{
-      makeEvent(EventKind::Span, "decide", "compiled", "gemm_k1", 1500, 2500,
-                7, 0, {"overhead_s", 2.5e-6}, {"valid", 1.0}),
-      makeEvent(EventKind::Instant, "retry", "guard", "a,b", 3000, 0, 7, 1,
-                {"attempt", 2.0}),
-  };
-  EXPECT_EQ(renderTraceCsv(events),
-            "seq,kind,name,category,label,start_ns,dur_ns,tid,"
-            "arg0,value0,arg1,value1\n"
-            "0,span,decide,compiled,gemm_k1,1500,2500,7,"
-            "overhead_s,2.5e-06,valid,1\n"
-            "1,instant,retry,guard,\"a,b\",3000,0,7,attempt,2,,\n");
 }
 
 TEST(StatsSummary, ReportsRingMetricsAndPredictions) {

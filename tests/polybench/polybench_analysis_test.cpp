@@ -125,5 +125,30 @@ TEST(PolybenchCompiler, TransferExpressionsMatchRegionAccounting) {
   }
 }
 
+TEST(PolybenchIpda, StrideIsTheThreadVariablesFiniteDifference) {
+  // IPDA reads an affine address's stride off as the thread variable's
+  // coefficient; that must equal the definition, f(t+1) - f(t), exactly.
+  std::size_t sites = 0;
+  std::size_t affine = 0;
+  for (const Benchmark& benchmark : suite()) {
+    for (const ir::TargetRegion& region : benchmark.kernels()) {
+      const ipda::Analysis analysis = ipda::Analysis::analyze(region);
+      for (const ipda::StrideRecord& record : analysis.records()) {
+        ++sites;
+        if (!record.affineInThreadVar) continue;
+        ++affine;
+        EXPECT_EQ(record.stride,
+                  record.linearIndex.differenceIn(analysis.threadVar()))
+            << region.name << " " << record.site.array;
+        EXPECT_EQ(record.linearIndex.coefficientOf(analysis.threadVar()),
+                  record.linearIndex.differenceIn(analysis.threadVar()))
+            << region.name << " " << record.site.array;
+      }
+    }
+  }
+  EXPECT_EQ(sites, 100U);
+  EXPECT_GT(affine, 0U);
+}
+
 }  // namespace
 }  // namespace osel::polybench
